@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 from . import mock_server
 from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
-from .errors import MaskLoopError
+from .errors import MaskLoopError, ProtocolError, RemoteError
 from .improve import DatasetManifest, TrainHook
 from .improve import rollout as run_rollout
 from .improve import star_iteration
@@ -57,6 +58,9 @@ from .trajgen import (
     write_jsonl,
 )
 from .util import mix_seed
+
+
+log = logging.getLogger(__name__)
 
 
 class UsageError(Exception):
@@ -414,19 +418,26 @@ def cmd_render_sft(cfg: dict) -> int:
     segmenter = _segmenter_spec(cfg).build()
     os.makedirs(cfg["out"], exist_ok=True)
     seen: dict[str, int] = {}
-    records = []
+    work = []
     for traj in trajectories:
         task = tasks.get(traj.task_id)
         if task is None:
             raise UsageError(f"trajectory references unknown task {traj.task_id!r}")
         n = seen.get(traj.task_id, 0)
         seen[traj.task_id] = n + 1
-        sub = traj.task_id if n == 0 else f"{traj.task_id}__{n}"
+        work.append((traj, task, traj.task_id if n == 0 else f"{traj.task_id}__{n}"))
+
+    def one(item) -> list[dict]:
+        traj, task, sub = item
         os.makedirs(os.path.join(cfg["out"], sub), exist_ok=True)
+        recs = []
         for sample in render_sft(traj, task, prompt_config, segmenter):
             rel = os.path.join(sub, f"step_{sample.step_index}.ppm")
             write_ppm(sample.image, os.path.join(cfg["out"], rel))
-            records.append({"image_path": rel, "prompt": sample.prompt, "target": sample.target})
+            recs.append({"image_path": rel, "prompt": sample.prompt, "target": sample.target})
+        return recs
+
+    records = [rec for recs in _parallel_map(one, work, int(cfg["jobs"])) for rec in recs]
     samples_path = os.path.join(cfg["out"], "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -485,6 +496,9 @@ def cmd_rollout(cfg: dict) -> int:
 
 def cmd_star(cfg: dict) -> int:
     _require(cfg, "tasks", "seed_data", "out")
+    if int(cfg["jobs"]) > 1:
+        # every task shares one policy, so the tasks cannot run in parallel
+        raise UsageError(f"star runs serially; --jobs must be 1, got {cfg['jobs']}")
     tasks = load_tasks(cfg["tasks"])
     seed_data = DatasetManifest.load(cfg["seed_data"])
     segmenter = _segmenter_spec(cfg).build()
@@ -543,10 +557,14 @@ def cmd_search(cfg: dict) -> int:
         os.makedirs(masks_out, exist_ok=True)
 
     def one(task: Task) -> dict:
-        best_mask, best_score, trace = prm_greedy(
-            task, make_policy(), prm, segmenter, search_config,
-            init=_init_spec(cfg, task, seed), seed=seed,
-        )
+        try:
+            best_mask, best_score, trace = prm_greedy(
+                task, make_policy(), prm, segmenter, search_config,
+                init=_init_spec(cfg, task, seed), seed=seed,
+            )
+        except (RemoteError, ProtocolError) as e:
+            log.warning("search failed for task %s: %s", task.id, e)
+            return {"task_id": task.id, "error": str(e)}
         if masks_out:
             write_pgm(best_mask, os.path.join(masks_out, f"{task.id}.pgm"))
         rec = {
@@ -560,10 +578,13 @@ def cmd_search(cfg: dict) -> int:
             rec["trace"] = trace.to_dict()
         return rec
 
-    results = _parallel_map(one, tasks, int(cfg["jobs"]))
-    payload = {"header": _header("search", cfg), "results": results}
+    outcomes = _parallel_map(one, tasks, int(cfg["jobs"]))
+    results = [r for r in outcomes if "error" not in r]
+    header = _header("search", cfg)
+    if len(results) < len(outcomes):
+        header["failures"] = {r["task_id"]: r["error"] for r in outcomes if "error" in r}
     with open(cfg["out"], "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"header": header, "results": results}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _emit(
         {

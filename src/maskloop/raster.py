@@ -26,9 +26,6 @@ from .errors import EmptyMaskError, MaskShapeError, PnmError, RleError
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
-# cap on the intermediate (rows, W, W+2) broadcast used by edt_sq
-_EDT_CHUNK_ELEMS = 1 << 22
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -256,40 +253,20 @@ def edt_sq(region: BitMask) -> DistanceField:
     behaves as if surrounded by a background ring. In-region values are
     exact integers (>= 1), out-of-region pixels get 0.
 
-    Two separable passes: a vertical pass collects, per column, the
-    distance to the nearest background row (real or virtual), then the
-    horizontal pass minimizes (dx^2 + vertical^2) over source columns,
-    including virtual background columns at x = -1 and x = W.
+    Linear time: scipy's exact feature transform (Maurer, Qi & Raghavan,
+    TPAMI 2003) runs on the region's bounding box padded by one background
+    pixel, and dy^2 + dx^2 to each nearest background pixel is rebuilt in
+    integers. The crop is exact: all outside the box is background, and a
+    pixel beyond the pad ring is no nearer the region than its clamp on it.
     """
     inside = region.data
-    h, w = inside.shape
-
-    # vertical pass: run lengths from above and below, virtual zero rows
-    # just outside the raster
-    dcol = np.zeros((h, w), dtype=np.int64)
-    run = np.zeros(w, dtype=np.int64)
-    for y in range(h):
-        run = np.where(inside[y], run + 1, 0)
-        dcol[y] = run
-    run = np.zeros(w, dtype=np.int64)
-    for y in range(h - 1, -1, -1):
-        run = np.where(inside[y], run + 1, 0)
-        np.minimum(dcol[y], run, out=dcol[y])
-
-    # horizontal pass over source columns -1 .. w (inclusive), where the
-    # two virtual columns contribute squared vertical distance 0
-    f2 = np.zeros((h, w + 2), dtype=np.int64)
-    f2[:, 1:-1] = dcol * dcol
-    xs = np.arange(-1, w + 1, dtype=np.int64)
-    sep = (np.arange(w, dtype=np.int64)[:, None] - xs[None, :]) ** 2  # (w, w+2)
-
-    out = np.empty((h, w), dtype=np.int64)
-    chunk = max(1, _EDT_CHUNK_ELEMS // max(1, w * (w + 2)))
-    for y0 in range(0, h, chunk):
-        y1 = min(h, y0 + chunk)
-        vals = f2[y0:y1, None, :] + sep[None, :, :]
-        out[y0:y1] = vals.min(axis=2)
-    out[~inside] = 0
+    out = np.zeros(inside.shape, dtype=np.int64)
+    boxes = ndimage.find_objects(inside.view(np.uint8))  # [] or [bounding box]
+    if boxes:
+        padded = np.pad(inside[boxes[0]], 1)
+        feat = ndimage.distance_transform_edt(padded, return_distances=False, return_indices=True)
+        delta = (feat - np.indices(padded.shape))[:, 1:-1, 1:-1]
+        out[boxes[0]] = (delta * delta).sum(axis=0)
     return DistanceField(out)
 
 

@@ -8,7 +8,8 @@ Three JSON-over-HTTP endpoints:
   POST /v1/score    {image_ppm_b64, prompt} -> {text: "Current mIoU: NN"}
 
 Images travel base64-encoded in their PGM/PPM container bytes.
-Coordinates are normalized decimals rounded to 6 digits. Transport
+Coordinates are normalized decimals rounded to 6 digits and clamped to
+at most 0.999999, so they stay inside [0, 1). Transport
 failures and HTTP 5xx are retried up to max_retries; 4xx and protocol
 violations fail immediately.
 """
@@ -98,24 +99,24 @@ def _post(endpoint: RemoteEndpoint, path: str, payload: dict) -> dict:
     raise last_error if last_error is not None else RemoteError(f"POST {url} failed")
 
 
+def _coord(v: float) -> float:
+    # 0.9999995 and up round to 1.0; the clamp keeps the pixel for sides < 500,000
+    return min(round(v, 6), 0.999999)
+
+
 def _click_payload(clicks: Sequence) -> list[dict]:
     out = []
     for a in clicks:
         if not a.is_click:
             continue
-        out.append({"sign": a.sign, "x": round(a.point.x, 6), "y": round(a.point.y, 6)})
+        out.append({"sign": a.sign, "x": _coord(a.point.x), "y": _coord(a.point.y)})
     return out
 
 
 def _box_payload(box: NormBox | None) -> dict | None:
     if box is None:
         return None
-    return {
-        "x1": round(box.x1, 6),
-        "y1": round(box.y1, 6),
-        "x2": round(box.x2, 6),
-        "y2": round(box.y2, 6),
-    }
+    return {"x1": _coord(box.x1), "y1": _coord(box.y1), "x2": _coord(box.x2), "y2": _coord(box.y2)}
 
 
 def call_segment(

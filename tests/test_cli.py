@@ -93,6 +93,24 @@ def test_jobs_do_not_change_output(tmp_path, capsys, task_manifest):
     assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", a, "--jobs", "1")[0] == 0
     assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", b, "--jobs", "3")[0] == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+    sft = {}
+    for jobs in ("1", "3"):
+        out_dir = tmp_path / f"sft{jobs}"
+        argv = ("render-sft", "--traj", a, "--tasks", task_manifest, "--out", str(out_dir), "--jobs", jobs)
+        assert run(capsys, *argv)[0] == 0
+        sft[jobs] = {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    assert len(sft["1"]) > 1
+    assert sft["1"] == sft["3"]
+
+
+def test_star_refuses_parallel_jobs(tmp_path, capsys, task_manifest):
+    seed_path = str(tmp_path / "seed.jsonl")
+    assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", seed_path)[0] == 0
+    code, _ = run(
+        capsys, "star", "--tasks", task_manifest, "--seed-data", seed_path + ".manifest.json",
+        "--out", str(tmp_path / "star"), "--jobs", "2",
+    )
+    assert code == 2
 
 
 def test_rollout_expert_solves_everything(tmp_path, capsys, task_manifest):
@@ -149,6 +167,28 @@ def test_search_command_with_masks_out(tmp_path, capsys, task_manifest):
         assert rec["final_iou"] == 1.0
         assert rec["trace"]["best_reward"] == rec["best_reward"]
         assert os.path.exists(os.path.join(masks_dir, rec["task_id"] + ".pgm"))
+
+
+def test_search_records_remote_failures_per_task(tmp_path, capsys, task_manifest):
+    results_path = str(tmp_path / "search.json")
+    code, out = run(
+        capsys,
+        "search",
+        "--tasks", task_manifest,
+        "--out", results_path,
+        "--policy", "expert",
+        "--segmenter", "remote",
+        "--segmenter-url", "http://127.0.0.1:9",
+        "--timeout", "0.2",
+        "--max-retries", "0",
+        "--jobs", "2",
+    )
+    assert code == 0
+    payload = json.loads(open(results_path).read())
+    assert payload["results"] == []
+    failures = payload["header"]["failures"]
+    assert len(failures) == 6
+    assert all("POST http://127.0.0.1:9/v1/segment" in msg for msg in failures.values())
 
 
 def test_render_sft_command(tmp_path, capsys, task_manifest):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maskloop.errors import EmptyMaskError, MaskShapeError, PnmError, RleError
 from maskloop.raster import (
@@ -100,6 +103,53 @@ def test_edt_matches_brute_force_on_random_masks(rng):
         m = rand_mask(rng, int(rng.integers(1, 20)), int(rng.integers(1, 20)), float(rng.random()))
         got = edt_sq(BitMask(m)).values if m.size else None
         assert np.array_equal(got, brute_edt_sq(m))
+
+
+_sides = st.integers(1, 24)
+
+
+def _rasters(shapes):
+    # arrays() fills most cells with False, so the complement adds dense regions
+    sparse = shapes.flatmap(lambda hw: arrays(bool, hw))
+    return st.one_of(sparse, sparse.map(np.logical_not))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rasters(st.tuples(_sides, _sides)))
+def test_edt_matches_brute_force_on_any_raster(m):
+    assert np.array_equal(edt_sq(BitMask(m)).values, brute_edt_sq(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rasters(st.one_of(_sides.map(lambda n: (1, n)), _sides.map(lambda n: (n, 1)))))
+def test_edt_matches_brute_force_on_thin_rasters(m):
+    assert np.array_equal(edt_sq(BitMask(m)).values, brute_edt_sq(m))
+
+
+def _block(y0, y1, x0, x1, h=9, w=11):
+    m = np.zeros((h, w), bool)
+    m[y0:y1, x0:x1] = True
+    return m
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        _block(2, 6, 3, 8),  # strictly inside the raster
+        _block(0, 4, 3, 8),  # touches the top border
+        _block(5, 9, 3, 8),  # touches the bottom border
+        _block(2, 6, 0, 5),  # touches the left border
+        _block(2, 6, 6, 11),  # touches the right border
+        _block(0, 1, 0, 1),  # one pixel in each corner
+        _block(0, 1, 10, 11),
+        _block(8, 9, 0, 1),
+        _block(8, 9, 10, 11),
+        _block(0, 9, 0, 11),  # the full raster
+        _block(0, 0, 0, 0),  # the empty raster
+    ],
+)
+def test_edt_bounding_box_crop_cases(m):
+    assert np.array_equal(edt_sq(BitMask(m)).values, brute_edt_sq(m))
 
 
 def test_edt_out_of_bounds_counts_as_background():

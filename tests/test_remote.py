@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -169,6 +170,19 @@ def test_click_payload_wire_format():
         {"sign": 1, "x": 0.123457, "y": 0.5},
         {"sign": -1, "x": 0.25, "y": 0.75},
     ]
+
+
+def test_coords_next_to_one_stay_inside_the_unit_interval(mock):
+    # 6-digit rounding would send these as 1.0, which the server refuses
+    from maskloop.raster import NormBox
+
+    tasks, endpoint = mock
+    task = tasks[0]
+    top = math.nextafter(1.0, 0.0)
+    clicks = [Action.positive(top, top)]
+    box = NormBox(0.0, 0.0, 1.0 - 1e-7, top)
+    got = call_segment(endpoint, task.image, clicks, box)
+    assert got == oracle_segment(task.target, clicks, box, r_neg=2)
 
 
 # --- transport error handling ---------------------------------------------------
