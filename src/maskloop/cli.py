@@ -590,6 +590,7 @@ def cmd_search(cfg: dict) -> int:
         {
             "out": cfg["out"],
             "n_tasks": len(results),
+            "n_failures": len(outcomes) - len(results),
             "mean_best_reward": (
                 sum(r["best_reward"] for r in results) / len(results) if results else 0.0
             ),

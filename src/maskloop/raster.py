@@ -414,8 +414,8 @@ def render_overlay(
 # --- PGM (P5) and PPM (P6) input/output ---------------------------------
 
 
-def _parse_pnm_header(buf: bytes, magic: bytes, path: str) -> tuple[int, int, int, int]:
-    """Parse magic + three header ints, return (w, h, maxval, data offset)."""
+def _parse_pnm_header(buf: bytes, magic: bytes, path: str) -> tuple[int, int, int]:
+    """Parse magic + three header ints, return (w, h, data offset); maxval must be 255."""
     if not buf.startswith(magic):
         raise PnmError(f"{path}: expected {magic.decode()} header")
     pos = len(magic)
@@ -447,29 +447,51 @@ def _parse_pnm_header(buf: bytes, magic: bytes, path: str) -> tuple[int, int, in
         raise PnmError(f"{path}: bad dimensions {w}x{h}")
     if maxval != 255:
         raise PnmError(f"{path}: only maxval 255 is supported, got {maxval}")
-    return w, h, maxval, pos
+    return w, h, pos
 
 
-def write_pgm(image: GrayImage | BitMask, path: str) -> None:
-    """Write a grayscale image, or a mask as 0 background / 255 foreground."""
+def encode_pgm(image: GrayImage | BitMask) -> bytes:
+    """PGM bytes of a grayscale image, or of a mask as 0 background / 255 foreground."""
     if isinstance(image, BitMask):
         data = np.where(image.data, 255, 0).astype(np.uint8)
     else:
         data = image.data
     h, w = data.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes()
+
+
+def encode_ppm(image: RgbImage) -> bytes:
+    h, w = image.data.shape[:2]
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + image.data.tobytes()
+
+
+def _decode_pnm(buf: bytes, magic: bytes, channels: int, source: str) -> np.ndarray:
+    """Pixels of a PGM (1 channel) or PPM (3 channels) buffer, shaped (h, w, channels)."""
+    w, h, pos = _parse_pnm_header(buf, magic, source)
+    n = w * h * channels
+    body = buf[pos : pos + n]
+    if len(body) != n:
+        raise PnmError(f"{source}: expected {n} pixel bytes, got {len(body)}")
+    return np.frombuffer(body, dtype=np.uint8).reshape(h, w, channels)
+
+
+def decode_pgm(buf: bytes, source: str = "<bytes>") -> GrayImage:
+    return GrayImage(_decode_pnm(buf, b"P5", 1, source)[:, :, 0])
+
+
+def decode_ppm(buf: bytes, source: str = "<bytes>") -> RgbImage:
+    return RgbImage(_decode_pnm(buf, b"P6", 3, source))
+
+
+def write_pgm(image: GrayImage | BitMask, path: str) -> None:
+    """Write a grayscale image, or a mask as 0 background / 255 foreground."""
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(encode_pgm(image))
 
 
 def read_pgm_image(path: str) -> GrayImage:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    w, h, _, pos = _parse_pnm_header(buf, b"P5", path)
-    body = buf[pos : pos + w * h]
-    if len(body) != w * h:
-        raise PnmError(f"{path}: expected {w * h} pixel bytes, got {len(body)}")
-    return GrayImage(np.frombuffer(body, dtype=np.uint8).reshape(h, w))
+        return decode_pgm(fh.read(), path)
 
 
 def read_pgm_mask(path: str) -> BitMask:
@@ -482,17 +504,10 @@ def read_pgm_mask(path: str) -> BitMask:
 
 
 def write_ppm(image: RgbImage, path: str) -> None:
-    h, w = image.data.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.data.tobytes())
+        fh.write(encode_ppm(image))
 
 
 def read_ppm(path: str) -> RgbImage:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    w, h, _, pos = _parse_pnm_header(buf, b"P6", path)
-    body = buf[pos : pos + 3 * w * h]
-    if len(body) != 3 * w * h:
-        raise PnmError(f"{path}: expected {3 * w * h} pixel bytes, got {len(body)}")
-    return RgbImage(np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3))
+        return decode_ppm(fh.read(), path)

@@ -9,15 +9,17 @@ Three JSON-over-HTTP endpoints:
 
 Images travel base64-encoded in their PGM/PPM container bytes.
 Coordinates are normalized decimals rounded to 6 digits and clamped to
-at most 0.999999, so they stay inside [0, 1). Transport
-failures and HTTP 5xx are retried up to max_retries; 4xx and protocol
-violations fail immediately.
+at most 0.999999, so they stay inside [0, 1). Each thread posts through
+its own requests.Session, so a client thread keeps one pooled keep-alive
+connection per host and threads never share one. Transport failures
+(a stale pooled connection included) and HTTP 5xx are retried up to
+max_retries; 4xx and protocol violations fail immediately.
 """
 
 from __future__ import annotations
 
 import base64
-import io
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,8 +32,12 @@ from .raster import (
     NormBox,
     RgbImage,
     RleMask,
+    encode_pgm,
+    encode_ppm,
     rle_decode,
 )
+
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -51,28 +57,20 @@ class RemoteEndpoint:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-def _pgm_bytes(image: GrayImage) -> bytes:
-    h, w = image.shape
-    buf = io.BytesIO()
-    buf.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-    buf.write(image.data.tobytes())
-    return buf.getvalue()
-
-
-def _ppm_bytes(image: RgbImage) -> bytes:
-    h, w = image.data.shape[:2]
-    buf = io.BytesIO()
-    buf.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-    buf.write(image.data.tobytes())
-    return buf.getvalue()
-
-
 def image_to_pgm_b64(image: GrayImage) -> str:
-    return base64.b64encode(_pgm_bytes(image)).decode("ascii")
+    return base64.b64encode(encode_pgm(image)).decode("ascii")
 
 
 def image_to_ppm_b64(image: RgbImage) -> str:
-    return base64.b64encode(_ppm_bytes(image)).decode("ascii")
+    return base64.b64encode(encode_ppm(image)).decode("ascii")
+
+
+def _session() -> requests.Session:
+    """This thread's session; it pools one keep-alive connection per host."""
+    session = getattr(_local, "session", None)
+    if session is None:
+        session = _local.session = requests.Session()
+    return session
 
 
 def _post(endpoint: RemoteEndpoint, path: str, payload: dict) -> dict:
@@ -80,7 +78,7 @@ def _post(endpoint: RemoteEndpoint, path: str, payload: dict) -> dict:
     last_error: Exception | None = None
     for _ in range(endpoint.max_retries + 1):
         try:
-            resp = requests.post(url, json=payload, timeout=endpoint.timeout)
+            resp = _session().post(url, json=payload, timeout=endpoint.timeout)
         except requests.RequestException as e:
             last_error = RemoteError(f"POST {url} failed: {e}")
             continue

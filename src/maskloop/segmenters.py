@@ -24,9 +24,6 @@ from .raster import FOUR_CONNECTED, BitMask, GrayImage, NormBox, box_to_mask, po
 class Segmenter(ABC):
     """Pure mapping from prompts to a mask of the task's dimensions."""
 
-    supports_box: bool = True
-    shareable: bool = True
-
     @abstractmethod
     def segment(
         self, task: Task, clicks: Sequence[Action], box: NormBox | None = None
@@ -162,8 +159,6 @@ class RegionGrowSegmenter(Segmenter):
 
 class RemoteSegmenter(Segmenter):
     """Asks a remote service over the wire protocol."""
-
-    shareable = False
 
     def __init__(self, endpoint: remote.RemoteEndpoint):
         self.endpoint = endpoint

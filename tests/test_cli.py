@@ -184,6 +184,8 @@ def test_search_records_remote_failures_per_task(tmp_path, capsys, task_manifest
         "--jobs", "2",
     )
     assert code == 0
+    assert out["n_tasks"] == 0
+    assert out["n_failures"] == 6
     payload = json.loads(open(results_path).read())
     assert payload["results"] == []
     failures = payload["header"]["failures"]

@@ -93,8 +93,6 @@ def test_noc_zero_clicks_when_target_is_empty_enough():
 
 def test_noc_cap_reached():
     class AlwaysEmpty(Segmenter):
-        supports_box = True
-
         def segment(self, task, clicks, box=None):
             return BitMask.zeros(task.image.width, task.image.height)
 

@@ -20,7 +20,11 @@ from maskloop.raster import (
     bbox,
     box_to_mask,
     components,
+    decode_pgm,
+    decode_ppm,
     edt_sq,
+    encode_pgm,
+    encode_ppm,
     iou,
     pixel_center,
     point_to_pixel,
@@ -395,6 +399,29 @@ def test_pnm_rejects_truncated_body(tmp_path):
     p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(PnmError):
         read_pgm_image(str(p))
+
+
+def test_pnm_bytes_are_the_files_bytes(tmp_path, rng):
+    # one codec: the wire bytes, the file bytes and the classic header agree
+    gray = GrayImage(rng.integers(0, 256, (7, 5)).astype(np.uint8))
+    mask = BitMask(rand_mask(rng, 3, 4, 0.5))
+    rgb = RgbImage(rng.integers(0, 256, (6, 4, 3)).astype(np.uint8))
+    assert encode_pgm(gray) == b"P5\n5 7\n255\n" + gray.data.tobytes()
+    assert encode_pgm(mask) == b"P5\n4 3\n255\n" + np.where(mask.data, 255, 0).astype(np.uint8).tobytes()
+    assert encode_ppm(rgb) == b"P6\n4 6\n255\n" + rgb.data.tobytes()
+    for image, write, name in ((gray, write_pgm, "g.pgm"), (mask, write_pgm, "m.pgm"), (rgb, write_ppm, "c.ppm")):
+        write(image, str(tmp_path / name))
+        encode = encode_ppm if isinstance(image, RgbImage) else encode_pgm
+        assert (tmp_path / name).read_bytes() == encode(image)
+    assert decode_pgm(encode_pgm(gray)) == gray
+    assert decode_ppm(encode_ppm(rgb)) == rgb
+
+
+def test_pnm_decode_names_the_source():
+    with pytest.raises(PnmError, match="<payload>: expected 48 pixel bytes, got 47"):
+        decode_ppm(b"P6\n4 4\n255\n" + bytes(47), "<payload>")
+    with pytest.raises(PnmError, match="expected P5 header"):
+        decode_pgm(b"P6\n1 1\n255\n" + bytes(3))
 
 
 # --- value types ---------------------------------------------------------

@@ -39,8 +39,6 @@ def _task(rows, task_id="t0", prompt="the blob"):
 
 
 class AlwaysEmpty(Segmenter):
-    supports_box = True
-
     def segment(self, task, clicks, box=None):
         return BitMask.zeros(task.image.width, task.image.height)
 
