@@ -9,21 +9,33 @@ Three JSON-over-HTTP endpoints:
 
 Images travel base64-encoded in their PGM/PPM container bytes.
 Coordinates are normalized decimals rounded to 6 digits and clamped to
-at most 0.999999, so they stay inside [0, 1). Each thread posts through
-its own requests.Session, so a client thread keeps one pooled keep-alive
-connection per host and threads never share one. Transport failures
-(a stale pooled connection included) and HTTP 5xx are retried up to
-max_retries; 4xx and protocol violations fail immediately.
+at most 0.999999, so they stay inside [0, 1).
+
+The client speaks HTTP/1.1 through the standard library's http.client.
+Each thread keeps one keep-alive connection per (scheme, host, port)
+until it ends, so threads never share one and endpoints on one host
+do. An idle connection the server has closed is noticed before reuse
+and replaced. Proxy settings (http_proxy, https_proxy, all_proxy, no_proxy)
+are read when a connection opens; https verifies against
+ssl.create_default_context(). The endpoint's timeout bounds every
+socket operation. Transport failures and HTTP 5xx are retried up to
+max_retries, after a backoff of 0.05 s doubling to at most 1 s; 4xx and
+protocol violations fail immediately.
 """
 
 from __future__ import annotations
 
 import base64
+import http.client
+import json
+import select
+import ssl
 import threading
+import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from typing import Sequence
-
-import requests
 
 from .errors import ProtocolError, RemoteError
 from .raster import (
@@ -51,6 +63,15 @@ class RemoteEndpoint:
     def __post_init__(self):
         if not self.base_url:
             raise ValueError("base_url may not be empty")
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be http://host[:port] or https://..., got {self.base_url!r}")
+        if url.username is not None or url.password is not None:
+            raise ValueError(f"base_url may not carry credentials (user:pass@), got {url.scheme}://***@{url.hostname}")
+        try:
+            url.port
+        except ValueError as e:
+            raise ValueError(f"base_url has a bad port: {e}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.max_retries < 0:
@@ -65,36 +86,102 @@ def image_to_ppm_b64(image: RgbImage) -> str:
     return base64.b64encode(encode_ppm(image)).decode("ascii")
 
 
-def _session() -> requests.Session:
-    """This thread's session; it pools one keep-alive connection per host."""
-    session = getattr(_local, "session", None)
-    if session is None:
-        session = _local.session = requests.Session()
-    return session
+def _open(url: urllib.parse.SplitResult) -> tuple[http.client.HTTPConnection, str]:
+    """A new connection to url's host, through the proxy the environment
+    names for it, and the prefix its request targets take."""
+    port = url.port or (443 if url.scheme == "https" else 80)
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if proxy and urllib.request.proxy_bypass(url.hostname):
+        proxy = None
+    if proxy:
+        proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if url.scheme == "https":
+        context = ssl.create_default_context()
+        if not proxy:
+            return http.client.HTTPSConnection(url.hostname, port, context=context), ""
+        conn = http.client.HTTPSConnection(proxy.hostname, proxy.port or 80, context=context)
+        conn.set_tunnel(url.hostname, port)
+        return conn, ""
+    if not proxy:
+        return http.client.HTTPConnection(url.hostname, port), ""
+    # a forward proxy takes the absolute URL as the request target
+    return http.client.HTTPConnection(proxy.hostname, proxy.port or 80), f"http://{url.netloc}"
+
+
+class _Pool(dict):
+    """(connection, target prefix) pairs by (scheme, host, port).
+
+    Each thread owns one; its connections close when the thread ends.
+    """
+
+    def __del__(self):
+        for conn, _ in self.values():
+            conn.close()
+
+
+def _pool() -> _Pool:
+    pool = getattr(_local, "connections", None)
+    if pool is None:
+        pool = _local.connections = _Pool()
+    return pool
+
+
+def _connection(key: tuple, url: urllib.parse.SplitResult, timeout: float) -> tuple[http.client.HTTPConnection, str]:
+    """This thread's connection for key, connected, with timeout set."""
+    pool = _pool()
+    conn, prefix = pool.get(key, (None, ""))
+    # an idle keep-alive socket reads as ready only once the server has
+    # closed it (or broken protocol); reopening is then not a retry
+    if conn is not None and (conn.sock is None or select.select([conn.sock], [], [], 0)[0]):
+        conn.close()
+        conn = None
+    if conn is None:
+        conn, prefix = pool[key] = _open(url)
+        conn.timeout = timeout
+        conn.connect()  # http.client sets TCP_NODELAY
+    conn.sock.settimeout(timeout)
+    return conn, prefix
+
+
+def _drop(key: tuple) -> None:
+    conn, _ = _pool().pop(key, (None, ""))
+    if conn is not None:
+        conn.close()
 
 
 def _post(endpoint: RemoteEndpoint, path: str, payload: dict) -> dict:
-    url = endpoint.base_url.rstrip("/") + path
+    url = urllib.parse.urlsplit(endpoint.base_url)
+    key = (url.scheme, url.hostname, url.port)
+    where = endpoint.base_url.rstrip("/") + path
+    body = json.dumps(payload, allow_nan=False).encode()
     last_error: Exception | None = None
-    for _ in range(endpoint.max_retries + 1):
+    for attempt in range(endpoint.max_retries + 1):
+        if attempt:
+            time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
         try:
-            resp = _session().post(url, json=payload, timeout=endpoint.timeout)
-        except requests.RequestException as e:
-            last_error = RemoteError(f"POST {url} failed: {e}")
+            conn, prefix = _connection(key, url, endpoint.timeout)
+            conn.request("POST", prefix + url.path.rstrip("/") + path, body, {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as e:
+            _drop(key)
+            last_error = RemoteError(f"POST {where} failed: {e}")
             continue
-        if resp.status_code >= 500:
-            last_error = RemoteError(f"POST {url} -> {resp.status_code}")
+        if resp.status >= 500:
+            _drop(key)
+            last_error = RemoteError(f"POST {where} -> {resp.status}")
             continue
-        if resp.status_code >= 400:
-            raise RemoteError(f"POST {url} -> {resp.status_code}: {resp.text[:200]}")
+        if resp.status >= 400:
+            raise RemoteError(f"POST {where} -> {resp.status}: {data[:200].decode('utf-8', 'replace')}")
         try:
-            body = resp.json()
+            reply = json.loads(data)
         except ValueError:
-            raise ProtocolError(f"POST {url}: non-JSON reply")
-        if not isinstance(body, dict):
-            raise ProtocolError(f"POST {url}: reply is not a JSON object")
-        return body
-    raise last_error if last_error is not None else RemoteError(f"POST {url} failed")
+            raise ProtocolError(f"POST {where}: non-JSON reply")
+        if not isinstance(reply, dict):
+            raise ProtocolError(f"POST {where}: reply is not a JSON object")
+        return reply
+    raise last_error if last_error is not None else RemoteError(f"POST {where} failed")
 
 
 def _coord(v: float) -> float:

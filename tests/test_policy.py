@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskloop.env import (
     NEGATIVE_CLICK,
@@ -134,6 +136,32 @@ def test_parse_stated_miou_range():
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ActionParseError):
         parse_action("Positive point: (0.5, 0.5)\nPositive point: (0.1, 0.1)", COORD_DECIMAL)
+
+
+_unit = st.floats(-0.0, 1.0, exclude_max=True)  # every value NormPoint accepts, -0.0 included
+_clicks = st.builds(
+    lambda positive, x, y: Action.positive(x, y) if positive else Action.negative(x, y), st.booleans(), _unit, _unit
+)
+_boxes = st.builds(
+    lambda xs, ys: Action.box_prompt(NormBox(min(xs), min(ys), max(xs), max(ys))),
+    st.tuples(_unit, _unit),
+    st.tuples(_unit, _unit),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_clicks, _boxes), st.sampled_from([COORD_DECIMAL, COORD_INT]))
+def test_format_parse_format_is_stable(action, coord_format):
+    text = format_action(action, coord_format)
+    stated, back = parse_action(text, coord_format)
+    assert stated is None
+    assert back.kind == action.kind
+    assert format_action(back, coord_format) == text
+    if back.is_click:
+        coords = (back.point.x, back.point.y)
+    else:
+        coords = (back.box.x1, back.box.y1, back.box.x2, back.box.y2)
+    assert all(0.0 <= v < 1.0 for v in coords)
 
 
 def test_round_trip_both_formats(rng):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -124,8 +125,11 @@ def test_edt_matches_brute_force_on_any_raster(m):
     assert np.array_equal(edt_sq(BitMask(m)).values, brute_edt_sq(m))
 
 
+_thin = st.one_of(_sides.map(lambda n: (1, n)), _sides.map(lambda n: (n, 1)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(_rasters(st.one_of(_sides.map(lambda n: (1, n)), _sides.map(lambda n: (n, 1)))))
+@given(_rasters(_thin))
 def test_edt_matches_brute_force_on_thin_rasters(m):
     assert np.array_equal(edt_sq(BitMask(m)).values, brute_edt_sq(m))
 
@@ -297,6 +301,18 @@ def test_rle_round_trip_random(rng):
         m = rand_mask(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)), float(rng.random()))
         mask = BitMask(m)
         assert rle_decode(rle_encode(mask)) == mask
+
+
+_uniform = st.tuples(_sides, _sides).flatmap(lambda hw: st.sampled_from([np.zeros(hw, bool), np.ones(hw, bool)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_rasters(st.tuples(_sides, _sides)), _rasters(_thin), _uniform))
+def test_rle_round_trips_any_raster(m):
+    mask = BitMask(m)
+    rle = rle_encode(mask)
+    assert rle_decode(rle) == mask
+    assert RleMask.from_dict(json.loads(json.dumps(rle.to_dict()))) == rle
 
 
 def test_rle_rejects_bad_counts():
