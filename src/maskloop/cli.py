@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from . import mock_server
 from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
@@ -737,7 +737,8 @@ def _add_opts(sp: argparse.ArgumentParser, defaults: dict) -> None:
             sp.add_argument(flag, dest=key, type=str, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(flags_for: Collection[str] | None = None) -> argparse.ArgumentParser:
+    """Every subcommand; the flags only of those in ``flags_for`` (default: all)."""
     parser = argparse.ArgumentParser(
         prog="maskloop",
         description="Click-driven mask annotation toolkit.",
@@ -758,7 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for command, defaults in DEFAULTS.items():
         sp = sub.add_parser(command, help=descriptions[command])
-        _add_opts(sp, defaults)
+        if flags_for is None or command in flags_for:
+            _add_opts(sp, defaults)
         sp.set_defaults(command=command)
     return parser
 
@@ -769,7 +771,10 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     # allow `eval ciou ...` as sugar for `eval-ciou ...`
     if argv[:1] == ["eval"] and len(argv) > 1:
         argv = [f"eval-{argv[1]}", *argv[2:]]
-    parser = build_parser()
+    # argparse runs the first positional argument as the command, and no
+    # top-level option takes a value, so that is the first known name if
+    # any; otherwise parsing fails before any subcommand's flags are read
+    parser = build_parser({next((a for a in argv if a in DEFAULTS), None)})
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

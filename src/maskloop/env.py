@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .raster import (
     NormPoint,
     bbox,
     box_to_mask,
+    component_labels,
     iou,
     read_pgm_image,
     read_pgm_mask,
@@ -116,6 +118,11 @@ class Task:
             )
         if self.target.is_empty():
             raise ValueError(f"task {self.id}: empty target mask")
+
+    @cached_property
+    def target_labels(self) -> np.ndarray:
+        """The target's 4-connected component labels, computed on first use."""
+        return component_labels(self.target)
 
 
 @dataclass(frozen=True)

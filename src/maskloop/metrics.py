@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .env import Task
 from .errors import DegenerateInputError, MaskShapeError
@@ -72,6 +71,25 @@ def noc_histogram(counts: Sequence[int]) -> list[tuple[int, int]]:
     return sorted(freq.items())
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, ties sharing the mean of their ranks.
+
+    Equals scipy.stats.rankdata(x, method="average"), NaN propagation
+    included: any NaN makes every rank NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size, dtype=np.float64)
+    # a tie group at sorted positions starts..ends-1 holds ranks starts+1..ends
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def regression_metrics(pred: Sequence[float], truth: Sequence[float]) -> dict[str, float]:
     """MAE, MSE, Pearson and Spearman correlation between paired scores.
 
@@ -90,9 +108,7 @@ def regression_metrics(pred: Sequence[float], truth: Sequence[float]) -> dict[st
     mae = float(np.mean(np.abs(diff)))
     mse = float(np.mean(diff * diff))
     pearson = float(np.corrcoef(p, t)[0, 1])
-    rp = rankdata(p, method="average")
-    rt = rankdata(t, method="average")
-    spearman = float(np.corrcoef(rp, rt)[0, 1])
+    spearman = float(np.corrcoef(average_ranks(p), average_ranks(t))[0, 1])
     return {"mae": mae, "mse": mse, "pearson": pearson, "spearman": spearman}
 
 

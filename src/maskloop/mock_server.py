@@ -38,13 +38,13 @@ from .expert import next_click
 from .policy import PromptConfig, format_action, miou_percent
 from .raster import (
     BitMask,
-    GrayImage,
     NormBox,
     RgbImage,
     decode_ppm,
     encode_pgm,
     iou,
-    render_overlay,
+    overlay_table,
+    render_overlay,  # noqa: F401 - unused here; bench/mock_launcher.py wraps this name
     rle_encode,
 )
 from .segmenters import oracle_segment
@@ -86,10 +86,7 @@ class MockService:
         if shadowed:
             log.warning("mock: tasks sharing an image answer as the first: %s", ", ".join(shadowed))
         # the fully masked overlay of every gray level, packed, shape (256,)
-        ramp = GrayImage(np.arange(256, dtype=np.uint8)[None, :])
-        self._overlay_of = _pack(
-            render_overlay(ramp, BitMask.full(256, 1), prompt_config.mask_color, prompt_config.alpha).data[0]
-        )
+        self._overlay_of = _pack(overlay_table(prompt_config.mask_color, prompt_config.alpha))
         # per image shape: its tasks in manifest order and their first rows,
         # gray and fully masked, which rule out most tasks in one comparison
         self._by_shape: dict[tuple[int, int], tuple[list[Task], np.ndarray, np.ndarray]] = {}
@@ -107,7 +104,7 @@ class MockService:
             raise MockRequestError("unknown image")
         clicks = _parse_clicks(payload.get("clicks", []))
         box = _parse_box(payload.get("box"))
-        mask = oracle_segment(task.target, clicks, box, r_neg=self.r_neg)
+        mask = oracle_segment(task.target, clicks, box, r_neg=self.r_neg, labels=task.target_labels)
         return {"mask_rle": rle_encode(mask).to_dict()}
 
     def act(self, payload: dict) -> dict:

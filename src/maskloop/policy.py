@@ -79,6 +79,7 @@ def miou_percent(reward: float) -> int:
 
 
 def _fmt_coord(v: float, coord_format: str) -> str:
+    v += 0.0  # -0.0 + 0.0 is 0.0: the grammar prints no sign
     if coord_format == COORD_INT:
         return str(min(999, int(math.floor(v * 1000.0 + 0.5))))
     s = f"{v:.3f}"

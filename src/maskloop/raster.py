@@ -261,12 +261,14 @@ def edt_sq(region: BitMask) -> DistanceField:
     """
     inside = region.data
     out = np.zeros(inside.shape, dtype=np.int64)
-    boxes = ndimage.find_objects(inside.view(np.uint8))  # [] or [bounding box]
-    if boxes:
-        padded = np.pad(inside[boxes[0]], 1)
+    rows = np.flatnonzero(inside.any(axis=1))
+    if rows.size:
+        cols = np.flatnonzero(inside.any(axis=0))
+        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        padded = np.pad(inside[box], 1)
         feat = ndimage.distance_transform_edt(padded, return_distances=False, return_indices=True)
         delta = (feat - np.indices(padded.shape))[:, 1:-1, 1:-1]
-        out[boxes[0]] = (delta * delta).sum(axis=0)
+        out[box] = (delta * delta).sum(axis=0)
     return DistanceField(out)
 
 
@@ -277,11 +279,17 @@ def argmax_point(field: DistanceField) -> tuple[tuple[int, int], int]:
     return (px, py), int(field.values[py, px])
 
 
+def component_labels(mask: BitMask) -> np.ndarray:
+    """Read-only int32 labels of the 4-connected components; 0 is background."""
+    labels, _ = ndimage.label(mask.data, structure=FOUR_CONNECTED)
+    return _frozen(labels)
+
+
 def components(mask: BitMask) -> list[BitMask]:
     """4-connected components, ordered by their first row-major pixel."""
     if mask.is_empty():
         return []
-    labels, n = ndimage.label(mask.data, structure=FOUR_CONNECTED)
+    labels = component_labels(mask)
     flat = labels.ravel()
     uniq, first = np.unique(flat, return_index=True)
     order = sorted((idx, lab) for lab, idx in zip(uniq.tolist(), first.tolist()) if lab != 0)
@@ -386,6 +394,20 @@ def rle_decode(rle: RleMask) -> BitMask:
 GREEN = (0, 255, 0)
 
 
+def overlay_table(color: tuple[int, int, int] = GREEN, alpha: float = 0.5) -> np.ndarray:
+    """Masked RGB of every gray level, shape (256, 3) uint8.
+
+    Row g is round((1-alpha)*g + alpha*color), rounding halves up.
+    """
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha out of [0, 1]: {alpha}")
+    if len(color) != 3 or any(not (0 <= c <= 255) for c in color):
+        raise ValueError(f"invalid rgb color {color!r}")
+    gray = np.arange(256, dtype=np.float64)
+    col = np.array(color, dtype=np.float64)
+    return np.floor((1.0 - alpha) * gray[:, None] + alpha * col[None, :] + 0.5).astype(np.uint8)
+
+
 def render_overlay(
     image: GrayImage,
     mask: BitMask,
@@ -394,21 +416,14 @@ def render_overlay(
 ) -> RgbImage:
     """Blend a semi-transparent color over the masked pixels.
 
-    Masked channels become round((1-alpha)*gray + alpha*color), rounding
-    halves up; unmasked pixels replicate the gray value. Inputs are left
-    untouched.
+    Masked pixels take their gray level's row of overlay_table; unmasked
+    pixels replicate the gray value. Inputs are left untouched.
     """
     check_paired(image, mask)
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha out of [0, 1]: {alpha}")
-    if len(color) != 3 or any(not (0 <= c <= 255) for c in color):
-        raise ValueError(f"invalid rgb color {color!r}")
-    gray = image.data.astype(np.float64)
-    base = np.stack([image.data] * 3, axis=-1)
-    col = np.array(color, dtype=np.float64)
-    blended = np.floor((1.0 - alpha) * gray[..., None] + alpha * col[None, None, :] + 0.5)
-    out = np.where(mask.data[..., None], blended.astype(np.uint8), base)
-    return RgbImage(out)
+    # rows 0-255: each gray level unmasked; rows 256-511: the same level masked
+    levels = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
+    table = np.concatenate([levels, overlay_table(color, alpha)])
+    return RgbImage(table.take(image.data + 256 * mask.data.astype(np.uint16), axis=0))
 
 
 # --- PGM (P5) and PPM (P6) input/output ---------------------------------

@@ -18,7 +18,16 @@ from scipy import ndimage
 
 from . import remote
 from .env import Action, Task
-from .raster import FOUR_CONNECTED, BitMask, GrayImage, NormBox, box_to_mask, point_to_pixel
+from .errors import MaskShapeError
+from .raster import (
+    FOUR_CONNECTED,
+    BitMask,
+    GrayImage,
+    NormBox,
+    box_to_mask,
+    component_labels,
+    point_to_pixel,
+)
 
 
 class Segmenter(ABC):
@@ -36,17 +45,22 @@ def oracle_segment(
     clicks: Sequence[Action],
     box: NormBox | None = None,
     r_neg: int = 2,
+    labels: np.ndarray | None = None,
 ) -> BitMask:
     """Ground-truth-aware segmentation.
 
     The union of the target's 4-connected components hit by at least one
     positive click, minus a (2*r_neg+1) square around every negative
-    click, intersected with the box raster when a box is given.
+    click, intersected with the box raster when a box is given. ``labels``
+    may pass in ``component_labels(gt)`` computed beforehand.
     """
     if r_neg < 0:
         raise ValueError(f"r_neg must be >= 0, got {r_neg}")
     h, w = gt.shape
-    labels, _ = ndimage.label(gt.data, structure=FOUR_CONNECTED)
+    if labels is None:
+        labels = component_labels(gt)
+    elif labels.shape != gt.shape:
+        raise MaskShapeError(f"labels {labels.shape} do not match target {gt.shape}")
     keep: set[int] = set()
     for a in clicks:
         if a.kind != "positive_click":
@@ -137,13 +151,13 @@ def _grow(img: np.ndarray, sx: int, sy: int, delta: int, cap: int) -> np.ndarray
 
 
 class OracleSegmenter(Segmenter):
-    """Wraps oracle_segment; peeks at the task's target."""
+    """Wraps oracle_segment; peeks at the task's target and its cached labels."""
 
     def __init__(self, r_neg: int = 2):
         self.r_neg = r_neg
 
     def segment(self, task, clicks, box=None):
-        return oracle_segment(task.target, clicks, box, r_neg=self.r_neg)
+        return oracle_segment(task.target, clicks, box, r_neg=self.r_neg, labels=task.target_labels)
 
 
 class RegionGrowSegmenter(Segmenter):

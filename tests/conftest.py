@@ -67,6 +67,17 @@ def flood_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
     return comps
 
 
+def blend_overlay(gray: np.ndarray, mask: np.ndarray, color, alpha: float) -> np.ndarray:
+    """The overlay as one float64 blend over every pixel and channel, then a
+    select: masked pixels round((1-alpha)*gray + alpha*color) halves up,
+    unmasked pixels the gray value in all three channels."""
+    g = np.asarray(gray, dtype=np.uint8)
+    base = np.stack([g] * 3, axis=-1)
+    col = np.array(color, dtype=np.float64)
+    blended = np.floor((1.0 - alpha) * g.astype(np.float64)[..., None] + alpha * col[None, None, :] + 0.5)
+    return np.where(np.asarray(mask, dtype=bool)[..., None], blended.astype(np.uint8), base)
+
+
 def rand_mask(rng: np.random.Generator, h: int, w: int, p: float = 0.5) -> np.ndarray:
     return rng.random((h, w)) < p
 

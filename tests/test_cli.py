@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from maskloop.cli import dispatch
+from maskloop.cli import DEFAULTS, _merge_config, build_parser, dispatch
 from maskloop.raster import read_pgm_mask, write_pgm
 from maskloop.trajgen import read_jsonl
 
@@ -301,3 +301,48 @@ def test_masks_written_by_search_read_back_as_masks(tmp_path, capsys, task_manif
 
     for task in load_tasks(task_manifest):
         assert read_pgm_mask(os.path.join(masks_dir, f"{task.id}.pgm")) == task.target
+
+
+# --- parser: flags only on the command that runs ------------------------------
+
+
+def _full_argv(command: str, config_path: str) -> list[str]:
+    """Every flag of the command, each set to a value other than its default."""
+    argv = [command]
+    for key, default in DEFAULTS[command].items():
+        flag = "--" + key.replace("_", "-")
+        if key == "config":
+            argv += [flag, config_path]
+        elif isinstance(default, bool):
+            argv.append(flag)
+        elif isinstance(default, int):
+            argv += [flag, str(default + 3)]
+        elif isinstance(default, float):
+            argv += [flag, repr(default + 0.25)]
+        else:
+            argv += [flag, f"value-of-{key}"]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_per_command_parser_gives_the_full_parsers_config(tmp_path, command):
+    config_path = str(tmp_path / "cfg.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write("{}")
+    argv = _full_argv(command, config_path)
+    full = _merge_config(build_parser().parse_args(argv), DEFAULTS[command])
+    own = _merge_config(build_parser({command}).parse_args(argv), DEFAULTS[command])
+    assert own == full
+    assert all(full[key] != default for key, default in DEFAULTS[command].items())
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["frobnicate"], []] + [[command, "--help"] for command in sorted(DEFAULTS)]
+)
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert dispatch(argv) == e.value.code
+    assert capsys.readouterr() == full
+    assert full.out if "--help" in argv else full.err

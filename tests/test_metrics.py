@@ -3,10 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import mask_of, rand_mask
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskloop.env import Task
 from maskloop.errors import DegenerateInputError, MaskShapeError
-from maskloop.metrics import ciou, filter_masks, noc, noc_histogram, regression_metrics
+from maskloop.metrics import average_ranks, ciou, filter_masks, noc, noc_histogram, regression_metrics
 from maskloop.policy import NoisyPrm, OraclePrm
 from maskloop.raster import BitMask, GrayImage, components, iou
 from maskloop.segmenters import OracleSegmenter, Segmenter
@@ -209,3 +211,18 @@ def test_filter_masks_agrees_with_direct_scores():
 def test_filter_masks_validates_threshold():
     with pytest.raises(ValueError):
         filter_masks(OraclePrm(), [], threshold=-0.1)
+
+
+_rank_values = st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_rank_values, max_size=12), st.booleans())
+def test_average_ranks_equal_scipy_rankdata(values, with_nan):
+    from scipy.stats import rankdata
+
+    x = np.array(values + [np.nan] * with_nan, dtype=np.float64)
+    got = average_ranks(x)
+    want = rankdata(x, method="average")
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)

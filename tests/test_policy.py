@@ -153,6 +153,7 @@ _boxes = st.builds(
 @given(st.one_of(_clicks, _boxes), st.sampled_from([COORD_DECIMAL, COORD_INT]))
 def test_format_parse_format_is_stable(action, coord_format):
     text = format_action(action, coord_format)
+    assert "-" not in text and "+" not in text  # no coordinate is printed with a sign
     stated, back = parse_action(text, coord_format)
     assert stated is None
     assert back.kind == action.kind
@@ -162,6 +163,13 @@ def test_format_parse_format_is_stable(action, coord_format):
     else:
         coords = (back.box.x1, back.box.y1, back.box.x2, back.box.y2)
     assert all(0.0 <= v < 1.0 for v in coords)
+
+
+def test_format_prints_negative_zero_unsigned():
+    assert format_action(Action.positive(-0.0, 0.5)) == "Positive point: (0.000, 0.500)"
+    assert format_action(Action.negative(0.25, -0.0), COORD_INT) == "Negative point: (250, 0)"
+    box = Action.box_prompt(NormBox(-0.0, -0.0, 0.5, 0.5))
+    assert format_action(box) == "Box: (0.000, 0.000, 0.500, 0.500)"
 
 
 def test_round_trip_both_formats(rng):

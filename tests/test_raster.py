@@ -27,6 +27,7 @@ from maskloop.raster import (
     encode_pgm,
     encode_ppm,
     iou,
+    overlay_table,
     pixel_center,
     point_to_pixel,
     read_pgm_image,
@@ -39,7 +40,7 @@ from maskloop.raster import (
     write_ppm,
 )
 
-from conftest import brute_edt_sq, flood_components, mask_of, rand_mask
+from conftest import blend_overlay, brute_edt_sq, flood_components, mask_of, rand_mask
 
 
 # --- iou ---------------------------------------------------------------
@@ -358,10 +359,43 @@ def test_overlay_never_touches_unmasked_pixels(rng):
     )
 
 
+_colors = st.tuples(*[st.integers(0, 255)] * 3)
+_alphas = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _overlay_cases(draw):
+    h, w = draw(st.sampled_from([(1, 1), (1, 7), (7, 1), (5, 6), (16, 16)]))
+    gray = draw(arrays(np.uint8, (h, w)))
+    mask = draw(arrays(bool, (h, w)))
+    return gray, mask, draw(_colors), draw(_alphas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_overlay_cases())
+def test_overlay_equals_the_float_blend(case):
+    gray, mask, color, alpha = case
+    out = render_overlay(GrayImage(gray), BitMask(mask), color, alpha)
+    assert out.data.dtype == np.uint8
+    assert np.array_equal(out.data, blend_overlay(gray, mask, color, alpha))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_colors, _alphas)
+def test_overlay_table_is_the_fully_masked_ramp(color, alpha):
+    ramp = np.arange(256, dtype=np.uint8)[None, :]
+    table = overlay_table(color, alpha)
+    assert table.shape == (256, 3) and table.dtype == np.uint8
+    assert np.array_equal(table, blend_overlay(ramp, np.ones_like(ramp, bool), color, alpha)[0])
+
+
 def test_overlay_alpha_out_of_range():
     img = GrayImage(np.zeros((2, 2), np.uint8))
     with pytest.raises(ValueError):
         render_overlay(img, BitMask.zeros(2, 2), (0, 255, 0), 1.5)
+    for color in ((0, 256, 0), (0, -1, 0), (0, 255)):
+        with pytest.raises(ValueError):
+            render_overlay(img, BitMask.zeros(2, 2), color, 0.5)
 
 
 # --- PNM io -------------------------------------------------------------

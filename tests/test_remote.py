@@ -260,14 +260,19 @@ def test_pixel_matching_agrees_with_matching_by_re_render(case):
 
 def test_matching_renders_nothing_per_request(monkeypatch):
     import maskloop.mock_server as mock_server
+    import maskloop.raster as raster
 
     tasks = synth_tasks(5, side=16, seed=56)
     svc = MockService(tasks)
+    composites = [image_to_ppm_b64(render_overlay(task.image, task.target)) for task in tasks]
     calls = []
-    monkeypatch.setattr(mock_server, "render_overlay", lambda *a, **k: calls.append(a))
-    for task in tasks:
-        composite = render_overlay(task.image, task.target)
-        assert svc.score({"image_ppm_b64": image_to_ppm_b64(composite)}) == {"text": "Current mIoU: 100"}
+    # every way the mock could render an overlay, through either module
+    for module in (mock_server, raster):
+        for name in ("render_overlay", "overlay_table"):
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a), raising=False)
+    for composite in composites:
+        assert svc.score({"image_ppm_b64": composite}) == {"text": "Current mIoU: 100"}
+        assert svc.act({"image_ppm_b64": composite}) == {"texts": ["Current mIoU: 100"]}
     assert calls == []
 
 
@@ -757,7 +762,9 @@ def test_importing_maskloop_leaves_requests_out():
         "names = [m.name for m in pkgutil.walk_packages(maskloop.__path__, 'maskloop.')]\n"
         "for name in names:\n"
         "    importlib.import_module(name)\n"
-        "print(len(names), sorted(n for n in sys.modules if n.split('.')[0] in ('requests', 'urllib3')))\n"
+        "leaked = [n for n in sys.modules if n.split('.')[0] in ('requests', 'urllib3')]\n"
+        "leaked += [n for n in sys.modules if n == 'scipy.stats' or n.startswith('scipy.stats.')]\n"
+        "print(len(names), sorted(leaked))\n"
     )
     src = os.path.dirname(os.path.dirname(maskloop.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

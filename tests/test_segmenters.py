@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import maskloop.segmenters as segmenters
 from maskloop.env import Action, Task
-from maskloop.raster import BitMask, GrayImage, NormBox, pixel_center
+from maskloop.errors import MaskShapeError
+from maskloop.raster import BitMask, GrayImage, NormBox, component_labels, pixel_center
 from maskloop.segmenters import (
     OracleSegmenter,
     RegionGrowSegmenter,
@@ -180,6 +185,55 @@ def test_oracle_segmenter_wrapper_uses_task_target():
     want = np.zeros((16, 16), bool)
     want[10:14, 10:14] = True
     assert np.array_equal(out.data, want)
+
+
+@st.composite
+def _oracle_cases(draw):
+    h, w = draw(st.sampled_from([(1, 6), (6, 1), (5, 5), (9, 12)]))
+    # sparse targets split into several components; the first pixel is always set
+    gt = draw(arrays(bool, (h, w), elements=st.sampled_from([False, False, True])))
+    gt[0, 0] = True
+    # pixels on the border, then anywhere
+    border = [(x, y) for y in range(h) for x in range(w) if x in (0, w - 1) or y in (0, h - 1)]
+    pixel = st.sampled_from(border) | st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    clicks = []
+    for positive, (px, py) in draw(st.lists(st.tuples(st.booleans(), pixel), max_size=6)):
+        clicks.append(_pos(px, py, w, h) if positive else _neg(px, py, w, h))
+    box = None
+    if draw(st.booleans()):
+        xs = sorted(draw(st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 2)))
+        ys = sorted(draw(st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 2)))
+        box = NormBox(xs[0], ys[0], xs[1], ys[1])
+    return BitMask(gt), clicks, box, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_cases())
+def test_oracle_with_precomputed_labels_equals_without(case):
+    gt, clicks, box, r_neg = case
+    labels = component_labels(gt)
+    assert not labels.flags.writeable
+    assert oracle_segment(gt, clicks, box, r_neg, labels=labels) == oracle_segment(gt, clicks, box, r_neg)
+
+
+def test_oracle_rejects_labels_of_another_shape():
+    gt = _two_blob_gt()
+    with pytest.raises(MaskShapeError):
+        oracle_segment(gt, [_pos(3, 3, 16, 16)], labels=np.zeros((16, 15), np.int32))
+
+
+def test_task_labels_are_computed_once_and_used_by_the_oracle(monkeypatch):
+    task = Task(id="x", image=GrayImage(np.zeros((16, 16), np.uint8)), target=_two_blob_gt(), prompt="blobs")
+    labels = task.target_labels
+    assert task.target_labels is labels
+    assert np.array_equal(labels, component_labels(task.target))
+
+    def relabel(mask):
+        raise AssertionError("the oracle relabelled the target")
+
+    monkeypatch.setattr(segmenters, "component_labels", relabel)
+    out = OracleSegmenter().segment(task, [_pos(3, 3, 16, 16), _pos(11, 11, 16, 16)])
+    assert out == task.target
 
 
 def test_region_grow_wrapper_ignores_target():
