@@ -379,6 +379,20 @@ def cmd_synth(cfg: dict) -> int:
     return 0
 
 
+def _write_dataset(trajectories: list, out: str, provenance: str, header: dict) -> str:
+    """Write ``out`` as JSONL plus ``<out>.manifest.json``; returns the manifest path."""
+    write_jsonl(trajectories, out)
+    manifest = DatasetManifest(
+        name=os.path.basename(out),
+        files=(os.path.abspath(out),),
+        provenance=provenance,
+        n_trajectories=len(trajectories),
+    )
+    manifest_path = out + ".manifest.json"
+    manifest.save(manifest_path, header=header)
+    return manifest_path
+
+
 def cmd_gen_traj(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
     tasks = load_tasks(cfg["tasks"])
@@ -390,15 +404,7 @@ def cmd_gen_traj(cfg: dict) -> int:
         return generate_trajectory(task, segmenter, env_config, _init_spec(cfg, task, seed))
 
     trajectories = _parallel_map(one, tasks, int(cfg["jobs"]))
-    write_jsonl(trajectories, cfg["out"])
-    manifest = DatasetManifest(
-        name=os.path.basename(cfg["out"]),
-        files=(os.path.abspath(cfg["out"]),),
-        provenance="generated",
-        n_trajectories=len(trajectories),
-    )
-    manifest_path = cfg["out"] + ".manifest.json"
-    manifest.save(manifest_path, header=_header("gen-traj", cfg))
+    manifest_path = _write_dataset(trajectories, cfg["out"], "generated", _header("gen-traj", cfg))
     _emit(
         {
             "out": cfg["out"],
@@ -466,18 +472,10 @@ def cmd_rollout(cfg: dict) -> int:
     failures: dict[str, str] = {}
     for _, fail in results:
         failures.update(fail)
-    write_jsonl(trajectories, cfg["out"])
-    manifest = DatasetManifest(
-        name=os.path.basename(cfg["out"]),
-        files=(os.path.abspath(cfg["out"]),),
-        provenance="rollout",
-        n_trajectories=len(trajectories),
-    )
-    manifest_path = cfg["out"] + ".manifest.json"
     header = _header("rollout", cfg)
     if failures:
         header["failures"] = failures
-    manifest.save(manifest_path, header=header)
+    manifest_path = _write_dataset(trajectories, cfg["out"], "rollout", header)
     _emit(
         {
             "out": cfg["out"],

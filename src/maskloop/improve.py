@@ -1,13 +1,15 @@
-"""Policy improvement loops: rollouts, trajectory repair, iteration driver.
+"""Policy improvement: rollouts, trajectory repair, iteration driver.
 
-Two refinement modes over a batch of policy rollouts:
+Rollouts and repairs run on trajgen's episode driver (run_episode), the
+same loop that generates expert trajectories. Two refinement modes over
+a batch of policy rollouts:
 
   * filter mode keeps whole rollouts whose final reward clears tau_star
     and trains on the kept set alone;
-  * repair mode walks each rollout step by step, keeps strictly improving
-    actions, and at the first non-improving action substitutes the expert
-    click and lets the expert finish the episode; training then uses the
-    seed dataset plus the repaired rollouts.
+  * repair mode (refine_star_plus_verbose) replays each rollout step by
+    step, keeps improving actions, and at the first rejected action lets
+    the expert finish the episode; training then uses the seed dataset
+    plus the repaired rollouts.
 
 Neither mode trains anything itself: a TrainHook hands the merged
 dataset path to an external command (or just records it).
@@ -26,15 +28,18 @@ from typing import Sequence
 from . import env as envmod
 from .env import EnvConfig, InitSpec, Task
 from .errors import HookError, ProtocolError, RemoteError, ReplayMismatchError
-from .expert import next_click
 from .policy import Policy
-from .raster import iou, rle_decode, rle_encode
+from .raster import iou, rle_decode
 from .segmenters import Segmenter
 from .trajgen import (
     Trajectory,
-    TrajectoryStep,
+    encode_steps,
+    expert_chooser,
     generate_trajectory,
+    min_gain,
     read_jsonl,
+    record_episode,
+    run_episode,
     write_jsonl,
 )
 from .util import mix_seed
@@ -166,45 +171,12 @@ def _rollout_one(
     init: InitSpec,
 ) -> Trajectory:
     policy.start_task(task, seed)
-    state = envmod.reset(task, init, segmenter)
-    r = iou(state.mask, task.target)
-    steps: list[TrajectoryStep] = []
-    if r >= config.tau_stop:
-        return Trajectory(task.id, init, tuple(steps), r, envmod.STOP_TAU)
-    while True:
+
+    def top_proposal(state: envmod.EpisodeState):
         proposals = policy.propose(task, state, 1)
-        if not proposals:
-            reason = envmod.STOP_CONVERGED
-            break
-        out = envmod.step(state, proposals[0].action, task, segmenter, config)
-        steps.append(
-            TrajectoryStep(proposals[0].action, rle_encode(out.state.mask), r, out.reward)
-        )
-        state, r = out.state, out.reward
-        if out.done:
-            reason = out.stop_reason
-            break
-    return Trajectory(task.id, init, tuple(steps), r, reason)
+        return proposals[0].action if proposals else None
 
-
-def refine_star_plus(
-    rollout_traj: Trajectory,
-    task: Task,
-    segmenter: Segmenter,
-    config: EnvConfig = EnvConfig(),
-    keep_rule: str = "positive",
-) -> Trajectory:
-    """Repair one rollout: keep improving actions, splice in the expert.
-
-    Replays the rollout through the same segmenter (divergence from the
-    stored masks is an error). The default keep rule retains actions with
-    strictly positive reward gain; ``tau_diff`` instead requires the same
-    margin the generator uses. From the first rejected action onward the
-    recorded continuation is invalid, so the expert takes over under the
-    usual stop rules. Empty rollouts turn into plain expert episodes.
-    """
-    refined, _ = refine_star_plus_verbose(rollout_traj, task, segmenter, config, keep_rule)
-    return refined
+    return record_episode(task, segmenter, config, init, top_proposal)
 
 
 def refine_star_plus_verbose(
@@ -214,70 +186,51 @@ def refine_star_plus_verbose(
     config: EnvConfig = EnvConfig(),
     keep_rule: str = "positive",
 ) -> tuple[Trajectory, bool]:
-    """refine_star_plus plus a flag telling whether a substitution happened."""
+    """Repair one rollout: keep improving actions, splice in the expert.
+
+    Replays the rollout through the same segmenter (divergence from the
+    stored masks is an error). The default keep rule retains actions with
+    strictly positive reward gain; ``tau_diff`` instead requires the same
+    margin the generator uses. From the first rejected action onward the
+    recorded continuation is invalid, so the expert takes over under the
+    usual stop rules. Empty rollouts turn into plain expert episodes.
+    Returns (repaired trajectory, whether the expert took over).
+    """
     if keep_rule not in ("positive", "tau_diff"):
         raise ValueError(f"unknown keep rule {keep_rule!r}")
     if rollout_traj.task_id != task.id:
         raise ValueError(f"rollout for {rollout_traj.task_id!r} refined on {task.id!r}")
     if not rollout_traj.steps:
         return generate_trajectory(task, segmenter, config, rollout_traj.init), False
+    recorded = rollout_traj.steps
+
+    def replayed(state: envmod.EpisodeState):
+        return recorded[state.step].action if state.step < len(recorded) else None
+
+    def matches_then_gains(out: envmod.StepOutcome, r: float) -> bool:
+        at = out.state.step - 1
+        if out.state.mask != rle_decode(recorded[at].mask_after):
+            raise ReplayMismatchError(f"task {task.id}: replayed mask diverged at step {at}")
+        gain = out.reward - r
+        return gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff
 
     state = envmod.reset(task, rollout_traj.init, segmenter)
     r = iou(state.mask, task.target)
-    steps: list[TrajectoryStep] = []
-    corrected = False
-    reason = rollout_traj.stop_reason
-    for i, st in enumerate(rollout_traj.steps):
-        out = envmod.step(state, st.action, task, segmenter, config)
-        if out.state.mask != rle_decode(st.mask_after):
-            raise ReplayMismatchError(
-                f"task {task.id}: replayed mask diverged at step {len(steps)}"
-            )
-        gain = out.reward - r
-        keep = gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff
-        if keep:
-            steps.append(st)
-            state, r = out.state, out.reward
-            if out.done:
-                if i + 1 < len(rollout_traj.steps):
-                    raise ReplayMismatchError(
-                        f"task {task.id}: rollout carries actions past the episode end"
-                    )
-                reason = out.stop_reason
-                break
-        else:
-            corrected = True
-            reason = _expert_continuation(task, segmenter, config, state, r, steps)
-            break
-    return Trajectory(task.id, rollout_traj.init, tuple(steps), _final(steps, r), reason), corrected
-
-
-def _expert_continuation(
-    task: Task,
-    segmenter: Segmenter,
-    config: EnvConfig,
-    state: "envmod.EpisodeState",
-    r: float,
-    steps: list[TrajectoryStep],
-) -> str:
-    """Finish an episode with expert clicks under the generator's stop rules."""
-    while True:
-        if state.finished or state.step >= config.max_steps:
-            return envmod.STOP_MAX
-        action = next_click(state.mask, task.target)
-        if action is None:
-            return envmod.STOP_CONVERGED
-        out = envmod.step(state, action, task, segmenter, config)
-        if out.reward - r < config.tau_diff:
-            return envmod.STOP_LOW_IMPACT
-        steps.append(TrajectoryStep(action, rle_encode(out.state.mask), r, out.reward))
-        state, r = out.state, out.reward
-        if out.done:
-            return out.stop_reason
-
-
-def _final(steps: list[TrajectoryStep], fallback: float) -> float:
-    return steps[-1].reward_after if steps else fallback
+    replay = run_episode(task, segmenter, config, state, r, replayed, matches_then_gains)
+    kept = recorded[: len(replay.steps)]
+    if replay.stop_reason == envmod.STOP_LOW_IMPACT:
+        rest = run_episode(
+            task, segmenter, config, replay.state, replay.reward,
+            expert_chooser(task), min_gain(config.tau_diff),
+        )
+        steps = kept + encode_steps(rest.steps)
+        return Trajectory(task.id, rollout_traj.init, steps, rest.reward, rest.stop_reason), True
+    if len(kept) < len(recorded):
+        raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
+    reason = replay.stop_reason
+    if reason == envmod.STOP_CONVERGED:  # every recorded action replayed without a stop
+        reason = rollout_traj.stop_reason
+    return Trajectory(task.id, rollout_traj.init, kept, replay.reward, reason), False
 
 
 def star_filter(trajectories: Sequence[Trajectory], tau_star: float) -> list[Trajectory]:

@@ -7,12 +7,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import Task
+from . import env as envmod
+from .env import EnvConfig, InitSpec, Task
 from .errors import DegenerateInputError, MaskShapeError
-from .expert import next_click
 from .policy import Prm, prm_score
 from .raster import BitMask, iou
 from .segmenters import Segmenter
+from .trajgen import expert_chooser, run_episode
 
 
 def ciou(pairs: Sequence[tuple[BitMask, BitMask]]) -> float:
@@ -50,17 +51,12 @@ def noc(
         raise ValueError(f"target_iou out of (0, 1]: {target_iou}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    pred = BitMask.zeros(task.image.width, task.image.height)
-    clicks = []
-    for used in range(cap):
-        if iou(pred, task.target) >= target_iou:
-            return used, True
-        action = next_click(pred, task.target)
-        if action is None:
-            return used, True  # pred equals the target exactly
-        clicks.append(action)
-        pred = segmenter.segment(task, clicks, None)
-    return cap, iou(pred, task.target) >= target_iou
+    config = EnvConfig(max_steps=cap, tau_stop=target_iou, tau_diff=0.0)
+    state = envmod.reset(task, InitSpec.empty(), segmenter)
+    r = iou(state.mask, task.target)
+    ep = run_episode(task, segmenter, config, state, r, expert_chooser(task))
+    # the expert converges only once the mask equals the target
+    return len(ep.steps), ep.stop_reason != envmod.STOP_MAX
 
 
 def noc_histogram(counts: Sequence[int]) -> list[tuple[int, int]]:

@@ -197,6 +197,29 @@ class PolicyProposal:
     stated_reward: float | None = None
 
 
+def _dedupe_key(action: Action) -> tuple:
+    def q(v: float) -> int:
+        return min(999, int(v * 1000.0 + 0.5))
+
+    if action.is_click:
+        return (action.kind, q(action.point.x), q(action.point.y))
+    b = action.box
+    return (action.kind, q(b.x1), q(b.y1), q(b.x2), q(b.y2))
+
+
+def dedupe(proposals: list[PolicyProposal]) -> list[PolicyProposal]:
+    """Keep the first proposal for each action key, with coordinates taken
+    at the grammar's 1/1000 resolution."""
+    seen: set[tuple] = set()
+    out: list[PolicyProposal] = []
+    for p in proposals:
+        key = _dedupe_key(p.action)
+        if key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Perturbation model for the noisy expert: coordinate jitter plus
@@ -248,7 +271,6 @@ def expert_propose(
     ]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     proposals: list[PolicyProposal] = []
-    seen: set[tuple[str, float, float]] = set()
     for _ in range(k):
         dx, dy = rng.normal(0.0, noise.sigma, size=2)
         flip = bool(rng.random() < noise.flip_prob)
@@ -258,11 +280,8 @@ def expert_propose(
         if flip:
             kind = "negative_click" if kind == "positive_click" else "positive_click"
         action = Action.positive(x, y) if kind == "positive_click" else Action.negative(x, y)
-        key = (action.kind, action.point.x, action.point.y)
-        if key not in seen:
-            seen.add(key)
-            proposals.append(PolicyProposal(action))
-    return proposals
+        proposals.append(PolicyProposal(action))
+    return dedupe(proposals)
 
 
 class Policy(ABC):
@@ -317,21 +336,13 @@ class RemotePolicy(Policy):
         prompt = render_prompt(self.prompt_config.template_id, task.prompt)
         texts = remote.call_policy(self.endpoint, composite, prompt, k)
         proposals: list[PolicyProposal] = []
-        seen = set()
         for text in texts:
             try:
                 stated, action = parse_action(text, self.prompt_config.coord_format)
             except ActionParseError:
                 continue
-            key = (
-                (action.kind, action.point.x, action.point.y)
-                if action.is_click
-                else (action.kind, action.box.x1, action.box.y1, action.box.x2, action.box.y2)
-            )
-            if key not in seen:
-                seen.add(key)
-                proposals.append(PolicyProposal(action, stated_reward=stated))
-        return proposals
+            proposals.append(PolicyProposal(action, stated_reward=stated))
+        return dedupe(proposals)
 
 
 # --- process reward models -------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import env as envmod
 from .env import Action, EnvConfig, InitSpec, Task
-from .policy import Policy, PolicyProposal, Prm, prm_score
+from .policy import Policy, Prm, dedupe, prm_score
 from .raster import BitMask
 from .segmenters import Segmenter
 
@@ -81,27 +81,6 @@ class SearchTrace:
         }
 
 
-def _quantize_key(action: Action) -> tuple:
-    def q(v: float) -> int:
-        return min(999, int(v * 1000.0 + 0.5))
-
-    if action.is_click:
-        return (action.kind, q(action.point.x), q(action.point.y))
-    b = action.box
-    return (action.kind, q(b.x1), q(b.y1), q(b.x2), q(b.y2))
-
-
-def _dedupe(proposals: list[PolicyProposal]) -> list[PolicyProposal]:
-    seen: set[tuple] = set()
-    out: list[PolicyProposal] = []
-    for p in proposals:
-        key = _quantize_key(p.action)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
-
-
 def prm_greedy(
     task: Task,
     policy: Policy,
@@ -131,7 +110,7 @@ def prm_greedy(
     for t in range(1, config.max_steps + 1):
         if state.finished:
             break
-        proposals = _dedupe(policy.propose(task, state, config.k))
+        proposals = dedupe(policy.propose(task, state, config.k))
         if not proposals:
             break
         outcomes = [

@@ -1,8 +1,10 @@
 """Trajectory datasets: expert demonstrations, rendering, synthetic tasks.
 
 A trajectory records an episode as (action, mask after, reward before,
-reward after) steps. generate_trajectory runs the expert with two
-pruning rules: the episode stops once reward reaches tau_stop, and a
+reward after) steps. Expert, policy and replayed episodes all run on
+run_episode; they differ only in how the next action is chosen and in
+the rule for keeping a step. generate_trajectory runs the expert with
+two pruning rules: the episode stops once reward reaches tau_stop, and a
 step whose reward gain falls below tau_diff is dropped along with the
 rest of the episode (a low-impact click means the remaining headroom is
 not worth imitating).
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .raster import (
     GrayImage,
     RgbImage,
     RleMask,
-    box_to_mask,
     components,
     iou,
     render_overlay,
@@ -63,6 +64,86 @@ class Trajectory:
     stop_reason: str
 
 
+class EpisodeStep(NamedTuple):
+    """A step as the driver took it; the mask is not yet RLE-encoded."""
+
+    action: Action
+    mask_after: BitMask
+    reward_before: float
+    reward_after: float
+
+
+class Episode(NamedTuple):
+    steps: list[EpisodeStep]
+    state: envmod.EpisodeState
+    reward: float
+    stop_reason: str
+
+
+def run_episode(
+    task: Task,
+    segmenter: Segmenter,
+    config: EnvConfig,
+    state: envmod.EpisodeState,
+    r: float,
+    choose: Callable[[envmod.EpisodeState], Action | None],
+    keep: Callable[[envmod.StepOutcome, float], bool] | None = None,
+) -> Episode:
+    """The one episode loop: step ``choose(state)`` until the episode stops.
+
+    ``choose`` returning None ends the episode as converged. A step that
+    ``keep(outcome, reward_before)`` rejects is dropped and ends the
+    episode as low-impact; without ``keep`` every step is kept. Otherwise
+    the environment's own stop rules (tau_stop, max_steps) end it.
+    """
+    steps: list[EpisodeStep] = []
+    while True:
+        action = choose(state)
+        if action is None:
+            return Episode(steps, state, r, envmod.STOP_CONVERGED)
+        out = envmod.step(state, action, task, segmenter, config)
+        if keep is not None and not keep(out, r):
+            return Episode(steps, state, r, envmod.STOP_LOW_IMPACT)
+        steps.append(EpisodeStep(action, out.state.mask, r, out.reward))
+        state, r = out.state, out.reward
+        if out.done:
+            return Episode(steps, state, r, out.stop_reason)
+
+
+def expert_chooser(task: Task) -> Callable[[envmod.EpisodeState], Action | None]:
+    return lambda state: next_click(state.mask, task.target)
+
+
+def min_gain(margin: float) -> Callable[[envmod.StepOutcome, float], bool]:
+    """The generator's keep rule: a step must gain at least ``margin``."""
+    return lambda out, r: out.reward - r >= margin
+
+
+def encode_steps(steps: Sequence[EpisodeStep]) -> tuple[TrajectoryStep, ...]:
+    return tuple(
+        TrajectoryStep(st.action, rle_encode(st.mask_after), st.reward_before, st.reward_after)
+        for st in steps
+    )
+
+
+def record_episode(
+    task: Task,
+    segmenter: Segmenter,
+    config: EnvConfig,
+    init: InitSpec,
+    choose: Callable[[envmod.EpisodeState], Action | None],
+    keep: Callable[[envmod.StepOutcome, float], bool] | None = None,
+) -> Trajectory:
+    """Reset, then drive one episode unless the opening mask already
+    reaches tau_stop."""
+    state = envmod.reset(task, init, segmenter)
+    r = iou(state.mask, task.target)
+    if r >= config.tau_stop:
+        return Trajectory(task.id, init, (), r, envmod.STOP_TAU)
+    ep = run_episode(task, segmenter, config, state, r, choose, keep)
+    return Trajectory(task.id, init, encode_steps(ep.steps), ep.reward, ep.stop_reason)
+
+
 def generate_trajectory(
     task: Task,
     segmenter: Segmenter,
@@ -70,27 +151,9 @@ def generate_trajectory(
     init: InitSpec = InitSpec.empty(),
 ) -> Trajectory:
     """Run the expert on one task and record the filtered episode."""
-    state = envmod.reset(task, init, segmenter)
-    r = iou(state.mask, task.target)
-    steps: list[TrajectoryStep] = []
-    if r >= config.tau_stop:
-        return Trajectory(task.id, init, tuple(steps), r, envmod.STOP_TAU)
-    while True:
-        action = next_click(state.mask, task.target)
-        if action is None:
-            reason = envmod.STOP_CONVERGED
-            break
-        out = envmod.step(state, action, task, segmenter, config)
-        if out.reward - r < config.tau_diff:
-            # low-impact click: drop it and end the episode here
-            reason = envmod.STOP_LOW_IMPACT
-            break
-        steps.append(TrajectoryStep(action, rle_encode(out.state.mask), r, out.reward))
-        state, r = out.state, out.reward
-        if out.done:
-            reason = out.stop_reason
-            break
-    return Trajectory(task.id, init, tuple(steps), r, reason)
+    return record_episode(
+        task, segmenter, config, init, expert_chooser(task), min_gain(config.tau_diff)
+    )
 
 
 def replay_masks(
@@ -140,16 +203,9 @@ def render_sft(
     """
     if trajectory.task_id != task.id:
         raise ValueError(f"trajectory for {trajectory.task_id!r} rendered on {task.id!r}")
-    w, h = task.image.width, task.image.height
-    init = trajectory.init
-    if init.variant == envmod.INIT_EMPTY:
-        mask = BitMask.zeros(w, h)
-    elif init.variant == envmod.INIT_BOX:
-        mask = box_to_mask(init.box, w, h)
-    else:
-        if segmenter is None:
-            raise ValueError("random-click init needs a segmenter to rebuild the first mask")
-        mask = envmod.reset(task, init, segmenter).mask
+    if trajectory.init.variant == envmod.INIT_RANDOM and segmenter is None:
+        raise ValueError("random-click init needs a segmenter to rebuild the first mask")
+    mask = envmod.reset(task, trajectory.init, segmenter).mask
     prompt = render_prompt(prompt_config.template_id, task.prompt)
     samples: list[SftSample] = []
     for t, st in enumerate(trajectory.steps):

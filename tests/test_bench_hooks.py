@@ -1,0 +1,34 @@
+"""The benchmark's tracer patches package names from outside; each must exist."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import sys
+
+import pytest
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py")
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _spans()
+
+
+@pytest.mark.parametrize("modname, attr, span", spans.FUNCTIONS)
+def test_traced_function_resolves(modname, attr, span):
+    assert callable(getattr(importlib.import_module(modname), attr))
+
+
+@pytest.mark.parametrize("modname, clsname, attr, span", spans.METHODS)
+def test_traced_method_resolves(modname, clsname, attr, span):
+    cls = getattr(importlib.import_module(modname), clsname)
+    assert callable(getattr(cls, attr))

@@ -17,7 +17,6 @@ from maskloop.expert import next_click
 from maskloop.improve import (
     DatasetManifest,
     TrainHook,
-    refine_star_plus,
     refine_star_plus_verbose,
     rollout,
     star_filter,
@@ -159,7 +158,7 @@ def test_refined_rollouts_never_lose_reward(rng):
     trajs, _ = rollout(policy, tasks, OracleSegmenter(), seed=7)
     by_id = {t.id: t for t in tasks}
     for traj in trajs:
-        refined = refine_star_plus(traj, by_id[traj.task_id], OracleSegmenter())
+        refined = refine_star_plus_verbose(traj, by_id[traj.task_id], OracleSegmenter())[0]
         assert refined.final_reward >= traj.final_reward
         for st in refined.steps:
             assert st.reward_after > st.reward_before
@@ -168,7 +167,7 @@ def test_refined_rollouts_never_lose_reward(rng):
 def test_refine_empty_rollout_becomes_expert_episode():
     task = _task(["###", "###"])
     empty = Trajectory(task.id, generate_trajectory(task, OracleSegmenter()).init, (), 0.0, STOP_LOW_IMPACT)
-    refined = refine_star_plus(empty, task, OracleSegmenter())
+    refined = refine_star_plus_verbose(empty, task, OracleSegmenter())[0]
     assert refined == generate_trajectory(task, OracleSegmenter())
 
 
@@ -185,7 +184,33 @@ def test_refine_detects_mask_divergence():
     )
     damaged = Trajectory(task.id, traj.init, (bad_step,) + traj.steps[1:], traj.final_reward, traj.stop_reason)
     with pytest.raises(ReplayMismatchError):
-        refine_star_plus(damaged, task, OracleSegmenter())
+        refine_star_plus_verbose(damaged, task, OracleSegmenter())[0]
+
+
+def test_refine_detects_divergence_on_a_rejected_step():
+    task = _task(
+        [
+            "##......",
+            "##......",
+            "........",
+            ".....###",
+            ".....###",
+        ]
+    )
+    _, damaged = _with_wasted_click(task)
+    wasted = damaged.steps[1]
+    diverged = TrajectoryStep(
+        action=wasted.action,
+        mask_after=rle_encode(~rle_decode(wasted.mask_after)),
+        reward_before=wasted.reward_before,
+        reward_after=wasted.reward_after,
+    )
+    steps = damaged.steps[:1] + (diverged,) + damaged.steps[2:]
+    damaged = Trajectory(task.id, damaged.init, steps, damaged.final_reward, damaged.stop_reason)
+    # the wasted click gains nothing, so the keep rule would reject it; the
+    # mask check still comes first
+    with pytest.raises(ReplayMismatchError, match="step 1"):
+        refine_star_plus_verbose(damaged, task, OracleSegmenter())
 
 
 def test_refine_rejects_actions_past_episode_end():
@@ -196,7 +221,7 @@ def test_refine_rejects_actions_past_episode_end():
     extra = traj.steps + traj.steps  # episode already done after step 1
     damaged = Trajectory(task.id, traj.init, extra, traj.final_reward, traj.stop_reason)
     with pytest.raises(ReplayMismatchError):
-        refine_star_plus(damaged, task, OracleSegmenter())
+        refine_star_plus_verbose(damaged, task, OracleSegmenter())[0]
 
 
 def test_refine_checks_task_identity():
@@ -204,7 +229,7 @@ def test_refine_checks_task_identity():
     other = _task(["##"], task_id="zz")
     trajs, _ = rollout(ExpertPolicy(), [task], OracleSegmenter())
     with pytest.raises(ValueError):
-        refine_star_plus(trajs[0], other, OracleSegmenter())
+        refine_star_plus_verbose(trajs[0], other, OracleSegmenter())[0]
 
 
 def test_keep_rule_tau_diff_is_stricter():
@@ -219,9 +244,9 @@ def test_keep_rule_tau_diff_is_stricter():
     small_gain = traj.steps[1].reward_after - traj.steps[1].reward_before
     assert 0.0 < small_gain < config.tau_diff
 
-    kept = refine_star_plus(traj, task, OracleSegmenter(), config, keep_rule="positive")
+    kept = refine_star_plus_verbose(traj, task, OracleSegmenter(), config, keep_rule="positive")[0]
     assert kept == traj
-    trimmed = refine_star_plus(traj, task, OracleSegmenter(), config, keep_rule="tau_diff")
+    trimmed = refine_star_plus_verbose(traj, task, OracleSegmenter(), config, keep_rule="tau_diff")[0]
     assert trimmed.steps == traj.steps[:1]
     assert trimmed.stop_reason == STOP_LOW_IMPACT
 
@@ -230,7 +255,7 @@ def test_refine_validates_keep_rule():
     task = _task(["##"])
     trajs, _ = rollout(ExpertPolicy(), [task], OracleSegmenter())
     with pytest.raises(ValueError):
-        refine_star_plus(trajs[0], task, OracleSegmenter(), keep_rule="lenient")
+        refine_star_plus_verbose(trajs[0], task, OracleSegmenter(), keep_rule="lenient")[0]
 
 
 # --- filtering -----------------------------------------------------------

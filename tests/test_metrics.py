@@ -102,6 +102,16 @@ def test_noc_cap_reached():
     assert noc(task, AlwaysEmpty(), cap=5) == (5, False)
 
 
+def test_noc_names_the_task_on_a_wrong_shape_mask():
+    class WrongShape(Segmenter):
+        def segment(self, task, clicks, box=None):
+            return BitMask.zeros(task.image.width + 1, task.image.height)
+
+    task = _task(["##", ".."], task_id="odd-one")
+    with pytest.raises(MaskShapeError, match="odd-one"):
+        noc(task, WrongShape())
+
+
 def test_noc_validation():
     task = _task(["#"])
     with pytest.raises(ValueError):

@@ -293,6 +293,14 @@ def test_expert_propose_dedupes():
     assert proposals[0].action.kind == NEGATIVE_CLICK  # flipped from positive
 
 
+def test_expert_propose_dedupes_at_grammar_resolution():
+    # jitter far below 1/1000 moves no coordinate to another grammar value
+    task, state = _episode()
+    noise = NoiseConfig(sigma=1e-6, flip_prob=0.0, seed=0)
+    proposals = expert_propose(task, state, k=5, noise=noise, task_seed=5)
+    assert len(proposals) == 1
+
+
 def test_expert_propose_k_validation():
     task, state = _episode()
     with pytest.raises(ValueError):
