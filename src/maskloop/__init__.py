@@ -74,7 +74,6 @@ from .policy import (
 )
 from .raster import (
     BitMask,
-    DistanceField,
     GrayImage,
     NormBox,
     NormPoint,
@@ -128,7 +127,6 @@ __all__ = [
     "BitMask",
     "DatasetManifest",
     "DegenerateInputError",
-    "DistanceField",
     "EnvConfig",
     "EpisodeDoneError",
     "EpisodeState",

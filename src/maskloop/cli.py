@@ -23,7 +23,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Collection, Sequence
 
 from . import mock_server
@@ -57,7 +56,7 @@ from .trajgen import (
     synth_tasks,
     write_jsonl,
 )
-from .util import mix_seed
+from .util import mix_seed, parallel_map
 
 
 log = logging.getLogger(__name__)
@@ -144,22 +143,21 @@ def _prompt_config(cfg: dict) -> PromptConfig:
     )
 
 
-def _policy_factory(cfg: dict) -> Callable[[], Policy]:
+def _policy(cfg: dict) -> Policy:
     kind = cfg["policy"]
     if kind == "expert":
-        return ExpertPolicy
+        return ExpertPolicy()
     if kind == "noisy_expert":
         noise = NoiseConfig(
             sigma=float(cfg["noise_sigma"]),
             flip_prob=float(cfg["noise_flip"]),
             seed=int(cfg["noise_seed"]),
         )
-        return lambda: NoisyExpertPolicy(noise)
+        return NoisyExpertPolicy(noise)
     if kind == "remote":
         _require(cfg, "policy_url")
         endpoint = RemoteEndpoint(cfg["policy_url"], timeout=cfg["timeout"], max_retries=cfg["max_retries"])
-        prompt_config = _prompt_config(cfg)
-        return lambda: RemotePolicy(endpoint, prompt_config)
+        return RemotePolicy(endpoint, _prompt_config(cfg))
     raise UsageError(f"unknown policy {kind!r}")
 
 
@@ -189,41 +187,27 @@ def _init_spec(cfg: dict, task: Task, seed: int) -> InitSpec:
     import numpy as np
 
     choice = cfg["init"]
-    if choice.startswith("mix"):
-        if ":" in choice:
-            parts = [float(p) for p in choice.split(":", 1)[1].split(",")]
-            if len(parts) != 3 or abs(sum(parts) - 1.0) > 1e-9:
-                raise UsageError(f"init mix needs three ratios summing to 1, got {choice!r}")
-            p_empty, p_box, _ = parts
-        else:
-            p_empty, p_box = 0.8, 0.1
-        u = np.random.default_rng(mix_seed(seed, task.id, "init")).random()
-        if u < p_empty:
-            choice = "empty"
-        elif u < p_empty + p_box:
-            choice = "box"
-        else:
-            choice = "random"
-    if choice == "empty":
+    name, sep, args = choice.partition(":")
+    try:
+        if name == "mix":
+            ratios = [float(p) for p in args.split(",")] if sep else [0.8, 0.1, 0.1]
+            if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
+                raise ValueError("mix needs three ratios summing to 1")
+            u = np.random.default_rng(mix_seed(seed, task.id, "init")).random()
+            name = "empty" if u < ratios[0] else "box" if u < ratios[0] + ratios[1] else "random"
+            sep = ""
+        if name == "random":
+            counts = args.split(",") if sep else (cfg["init_n_pos"], cfg["init_n_neg"])
+            n_pos, n_neg = (int(c) for c in counts)
+    except ValueError as e:
+        raise UsageError(f"bad init {choice!r}: {e}")
+    if name == "empty" and not sep:
         return InitSpec.empty()
-    if choice == "box":
+    if name == "box" and not sep:
         return InitSpec.from_box(bbox(task.target))
-    if choice.startswith("random"):
-        n_pos, n_neg = int(cfg["init_n_pos"]), int(cfg["init_n_neg"])
-        if ":" in choice:
-            parts = choice.split(":", 1)[1].split(",")
-            if len(parts) != 2:
-                raise UsageError(f"random init takes NP,NN, got {choice!r}")
-            n_pos, n_neg = int(parts[0]), int(parts[1])
+    if name == "random":
         return InitSpec.from_random_clicks(n_pos, n_neg, mix_seed(seed, task.id, "init-seed"))
-    raise UsageError(f"unknown init {choice!r}")
-
-
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    raise UsageError(f"unknown init {choice!r}: expected empty, box, random[:NP,NN] or mix[:PE,PB,PR]")
 
 
 def _emit(obj: dict) -> None:
@@ -403,7 +387,7 @@ def cmd_gen_traj(cfg: dict) -> int:
     def one(task: Task):
         return generate_trajectory(task, segmenter, env_config, _init_spec(cfg, task, seed))
 
-    trajectories = _parallel_map(one, tasks, int(cfg["jobs"]))
+    trajectories = parallel_map(one, tasks, int(cfg["jobs"]))
     manifest_path = _write_dataset(trajectories, cfg["out"], "generated", _header("gen-traj", cfg))
     _emit(
         {
@@ -443,7 +427,7 @@ def cmd_render_sft(cfg: dict) -> int:
             recs.append({"image_path": rel, "prompt": sample.prompt, "target": sample.target})
         return recs
 
-    records = [rec for recs in _parallel_map(one, work, int(cfg["jobs"])) for rec in recs]
+    records = [rec for recs in parallel_map(one, work, int(cfg["jobs"])) for rec in recs]
     samples_path = os.path.join(cfg["out"], "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -458,20 +442,11 @@ def cmd_rollout(cfg: dict) -> int:
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter_spec(cfg).build()
     env_config = _env_config(cfg)
-    make_policy = _policy_factory(cfg)
     seed = int(cfg["seed"])
-
-    def one(task: Task):
-        return run_rollout(
-            make_policy(), [task], segmenter, env_config, seed=seed,
-            init=_init_spec(cfg, task, seed),
-        )
-
-    results = _parallel_map(one, tasks, int(cfg["jobs"]))
-    trajectories = [t for trajs, _ in results for t in trajs]
-    failures: dict[str, str] = {}
-    for _, fail in results:
-        failures.update(fail)
+    trajectories, failures = run_rollout(
+        _policy(cfg), tasks, segmenter, env_config, seed=seed,
+        init=lambda task: _init_spec(cfg, task, seed), jobs=int(cfg["jobs"]),
+    )
     header = _header("rollout", cfg)
     if failures:
         header["failures"] = failures
@@ -494,14 +469,11 @@ def cmd_rollout(cfg: dict) -> int:
 
 def cmd_star(cfg: dict) -> int:
     _require(cfg, "tasks", "seed_data", "out")
-    if int(cfg["jobs"]) > 1:
-        # every task shares one policy, so the tasks cannot run in parallel
-        raise UsageError(f"star runs serially; --jobs must be 1, got {cfg['jobs']}")
     tasks = load_tasks(cfg["tasks"])
     seed_data = DatasetManifest.load(cfg["seed_data"])
     segmenter = _segmenter_spec(cfg).build()
     env_config = _env_config(cfg)
-    policy = _policy_factory(cfg)()
+    policy = _policy(cfg)
     hook = (
         TrainHook("external_command", cfg["hook_cmd"])
         if cfg.get("hook_cmd")
@@ -520,6 +492,7 @@ def cmd_star(cfg: dict) -> int:
         tau_star=float(cfg["tau_star"]),
         seed=int(cfg["seed"]),
         keep_rule=cfg["keep_rule"],
+        jobs=int(cfg["jobs"]),
     )
     reports_path = os.path.join(cfg["out"], "reports.json")
     os.makedirs(cfg["out"], exist_ok=True)
@@ -542,7 +515,7 @@ def cmd_search(cfg: dict) -> int:
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter_spec(cfg).build()
     prm = _prm(cfg)
-    make_policy = _policy_factory(cfg)
+    policy = _policy(cfg)
     search_config = SearchConfig(
         k=int(cfg["k"]),
         max_steps=int(cfg["max_steps"]),
@@ -557,7 +530,7 @@ def cmd_search(cfg: dict) -> int:
     def one(task: Task) -> dict:
         try:
             best_mask, best_score, trace = prm_greedy(
-                task, make_policy(), prm, segmenter, search_config,
+                task, policy, prm, segmenter, search_config,
                 init=_init_spec(cfg, task, seed), seed=seed,
             )
         except (RemoteError, ProtocolError) as e:
@@ -576,7 +549,7 @@ def cmd_search(cfg: dict) -> int:
             rec["trace"] = trace.to_dict()
         return rec
 
-    outcomes = _parallel_map(one, tasks, int(cfg["jobs"]))
+    outcomes = parallel_map(one, tasks, int(cfg["jobs"]))
     results = [r for r in outcomes if "error" not in r]
     header = _header("search", cfg)
     if len(results) < len(outcomes):
@@ -630,7 +603,7 @@ def cmd_eval_noc(cfg: dict) -> int:
     def one(task: Task) -> tuple[int, bool]:
         return noc(task, segmenter, target_iou=target, cap=cap)
 
-    results = _parallel_map(one, tasks, int(cfg["jobs"]))
+    results = parallel_map(one, tasks, int(cfg["jobs"]))
     counts = [c for c, _ in results]
     reached = [ok for _, ok in results]
     if cfg.get("hist_out"):

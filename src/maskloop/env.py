@@ -298,7 +298,7 @@ def step(
     clicks, box = effective_prompts(history, state.init_box)
     mask = segmenter.segment(task, clicks, box)
     _check_mask(task, mask)
-    r = iou(mask, task.target)
+    r = reward(mask, task.target)
     n = state.step + 1
     if r >= config.tau_stop:
         done, why = True, STOP_TAU

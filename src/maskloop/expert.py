@@ -24,8 +24,8 @@ def next_click(pred: BitMask, gt: BitMask) -> Action | None:
         return None
     fn_field = edt_sq(BitMask(fn)) if fn.any() else None
     fp_field = edt_sq(BitMask(fp)) if fp.any() else None
-    fn_max = fn_field.max() if fn_field is not None else 0
-    fp_max = fp_field.max() if fp_field is not None else 0
+    fn_max = int(fn_field.max()) if fn_field is not None else 0
+    fp_max = int(fp_field.max()) if fp_field is not None else 0
     h, w = gt.shape
     if fn_max > fp_max:
         (px, py), _ = argmax_point(fn_field)

@@ -1,8 +1,10 @@
 """Policy improvement: rollouts, trajectory repair, iteration driver.
 
 Rollouts and repairs run on trajgen's episode driver (run_episode), the
-same loop that generates expert trajectories. Two refinement modes over
-a batch of policy rollouts:
+same loop that generates expert trajectories. Policies are pure, so one
+policy serves every task, and rollouts and repairs run on parallel_map's
+threads without changing a byte. Two refinement modes over a batch of
+policy rollouts:
 
   * filter mode keeps whole rollouts whose final reward clears tau_star
     and trains on the kept set alone;
@@ -23,13 +25,13 @@ import os
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import env as envmod
 from .env import EnvConfig, InitSpec, Task
 from .errors import HookError, ProtocolError, RemoteError, ReplayMismatchError
 from .policy import Policy
-from .raster import iou, rle_decode
+from .raster import rle_decode
 from .segmenters import Segmenter
 from .trajgen import (
     Trajectory,
@@ -42,7 +44,7 @@ from .trajgen import (
     run_episode,
     write_jsonl,
 )
-from .util import mix_seed
+from .util import mix_seed, parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -143,40 +145,32 @@ def rollout(
     segmenter: Segmenter,
     config: EnvConfig = EnvConfig(),
     seed: int = 0,
-    init: InitSpec = InitSpec.empty(),
+    init: Callable[[Task], InitSpec] = lambda task: InitSpec.empty(),
+    jobs: int = 1,
 ) -> tuple[list[Trajectory], dict[str, str]]:
     """Greedy episodes: take the policy's top proposal each step.
 
+    ``init(task)`` picks each episode's start; ``jobs`` threads share the
+    policy and the segmenter, and the output does not depend on them.
     Records every step, improving or not; filtering is the refiners'
     job. Remote failures are collected per task and the run continues.
-    Returns (trajectories, failures keyed by task id).
+    Returns (trajectories in task order, failures keyed by task id).
     """
-    trajectories: list[Trajectory] = []
-    failures: dict[str, str] = {}
-    for task in tasks:
+
+    def one(task: Task) -> Trajectory | str:
+        def top_proposal(state: envmod.EpisodeState):
+            proposals = policy.propose(task, state, 1, seed=seed)
+            return proposals[0].action if proposals else None
+
         try:
-            trajectories.append(_rollout_one(policy, task, segmenter, config, seed, init))
+            return record_episode(task, segmenter, config, init(task), top_proposal)
         except (RemoteError, ProtocolError) as e:
             log.warning("rollout failed for task %s: %s", task.id, e)
-            failures[task.id] = str(e)
-    return trajectories, failures
+            return str(e)
 
-
-def _rollout_one(
-    policy: Policy,
-    task: Task,
-    segmenter: Segmenter,
-    config: EnvConfig,
-    seed: int,
-    init: InitSpec,
-) -> Trajectory:
-    policy.start_task(task, seed)
-
-    def top_proposal(state: envmod.EpisodeState):
-        proposals = policy.propose(task, state, 1)
-        return proposals[0].action if proposals else None
-
-    return record_episode(task, segmenter, config, init, top_proposal)
+    results = parallel_map(one, tasks, jobs)
+    failures = {task.id: r for task, r in zip(tasks, results) if isinstance(r, str)}
+    return [r for r in results if not isinstance(r, str)], failures
 
 
 def refine_star_plus_verbose(
@@ -215,7 +209,7 @@ def refine_star_plus_verbose(
         return gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff
 
     state = envmod.reset(task, rollout_traj.init, segmenter)
-    r = iou(state.mask, task.target)
+    r = envmod.reward(state.mask, task.target)
     replay = run_episode(task, segmenter, config, state, r, replayed, matches_then_gains)
     kept = recorded[: len(replay.steps)]
     if replay.stop_reason == envmod.STOP_LOW_IMPACT:
@@ -252,15 +246,17 @@ def star_iteration(
     out_dir: str = ".",
     tau_star: float = 0.95,
     seed: int = 0,
-    init: InitSpec = InitSpec.empty(),
     keep_rule: str = "positive",
+    jobs: int = 1,
 ) -> tuple[DatasetManifest, list[dict]]:
     """Drive n_iters rollout -> refine -> hand-off rounds.
 
     mode 'star' filters rollouts by final reward and trains on the kept
     set; 'star_plus' repairs every rollout and trains on seed_data plus
-    the repaired set. Returns the last training manifest (seed_data when
-    n_iters is 0) and one report dict per iteration.
+    the repaired set. Rollouts start from an empty mask. Rollouts and
+    repairs run on ``jobs`` threads without changing the output. Returns
+    the last training manifest (seed_data when n_iters is 0) and one
+    report dict per iteration.
     """
     if mode not in ("star", "star_plus"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -274,19 +270,21 @@ def star_iteration(
     reports: list[dict] = []
     for it in range(1, n_iters + 1):
         iter_seed = mix_seed(seed, it)
-        rollouts, failures = rollout(policy, tasks, segmenter, config, seed=iter_seed, init=init)
+        rollouts, failures = rollout(policy, tasks, segmenter, config, seed=iter_seed, jobs=jobs)
         raw_mean = _mean([t.final_reward for t in rollouts])
         n_corrections = 0
         if mode == "star":
             refined = star_filter(rollouts, tau_star)
         else:
-            refined = []
-            for traj in rollouts:
-                fixed, corrected = refine_star_plus_verbose(
+            repairs = parallel_map(
+                lambda traj: refine_star_plus_verbose(
                     traj, task_by_id[traj.task_id], segmenter, config, keep_rule
-                )
-                refined.append(fixed)
-                n_corrections += int(corrected)
+                ),
+                rollouts,
+                jobs,
+            )
+            refined = [fixed for fixed, _ in repairs]
+            n_corrections = sum(corrected for _, corrected in repairs)
         refined_path = os.path.join(out_dir, f"iter{it:02d}_refined.jsonl")
         write_jsonl(refined, refined_path)
         if mode == "star":

@@ -11,7 +11,7 @@ from . import env as envmod
 from .env import EnvConfig, InitSpec, Task
 from .errors import DegenerateInputError, MaskShapeError
 from .policy import Prm, prm_score
-from .raster import BitMask, iou
+from .raster import BitMask
 from .segmenters import Segmenter
 from .trajgen import expert_chooser, run_episode
 
@@ -53,7 +53,7 @@ def noc(
         raise ValueError(f"cap must be >= 1, got {cap}")
     config = EnvConfig(max_steps=cap, tau_stop=target_iou, tau_diff=0.0)
     state = envmod.reset(task, InitSpec.empty(), segmenter)
-    r = iou(state.mask, task.target)
+    r = envmod.reward(state.mask, task.target)
     ep = run_episode(task, segmenter, config, state, r, expert_chooser(task))
     # the expert converges only once the mask equals the target
     return len(ep.steps), ep.stop_reason != envmod.STOP_MAX

@@ -11,6 +11,10 @@ Clicks carry two coordinates, boxes four. Two coordinate formats exist:
 round(x*1000) clamped to [0, 999] and parses n back as n/1000. Parsing
 is tolerant about whitespace and verb casing but rejects anything else
 with a distinct error code.
+
+Policies are pure: ``propose(task, state, k, seed)`` depends only on its
+arguments (and, for a remote policy, on the service), so rollouts, star
+and search share one policy object across tasks and threads.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,35 +289,32 @@ def expert_propose(
 
 
 class Policy(ABC):
-    """Proposal source for rollouts and search."""
-
-    def start_task(self, task: Task, seed: int | None = None) -> None:
-        """Hook for per-task reseeding; default does nothing."""
+    """Proposal source for rollouts and search; ``propose`` is a pure
+    function of its arguments, ``seed`` being the run seed."""
 
     @abstractmethod
-    def propose(self, task: Task, state: EpisodeState, k: int) -> list[PolicyProposal]:
+    def propose(
+        self, task: Task, state: EpisodeState, k: int, seed: int | None = None
+    ) -> list[PolicyProposal]:
         raise NotImplementedError
 
 
 class ExpertPolicy(Policy):
     """Zero-noise expert: one deterministic proposal."""
 
-    def propose(self, task, state, k):
+    def propose(self, task, state, k, seed=None):
         return expert_propose(task, state, k)
 
 
 class NoisyExpertPolicy(Policy):
-    """Expert plus seeded jitter and sign flips."""
+    """Expert plus seeded jitter and sign flips; the stream of each task
+    depends on the noise seed, the run seed and the task id."""
 
     def __init__(self, noise: NoiseConfig):
         self.noise = noise
-        self._task_seed: int | None = None
 
-    def start_task(self, task, seed=None):
-        self._task_seed = mix_seed(seed, task.id)
-
-    def propose(self, task, state, k):
-        return expert_propose(task, state, k, noise=self.noise, task_seed=self._task_seed)
+    def propose(self, task, state, k, seed=None):
+        return expert_propose(task, state, k, noise=self.noise, task_seed=mix_seed(seed, task.id))
 
 
 class RemotePolicy(Policy):
@@ -327,7 +328,7 @@ class RemotePolicy(Policy):
         self.endpoint = endpoint
         self.prompt_config = prompt_config
 
-    def propose(self, task, state, k):
+    def propose(self, task, state, k, seed=None):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         composite = render_overlay(

@@ -157,31 +157,6 @@ class RgbImage:
         return f"RgbImage({self.width}x{self.height})"
 
 
-class DistanceField:
-    """Squared Euclidean distances, exact integers, shape (height, width)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        a = np.array(values, dtype=np.int64)
-        if a.ndim != 2 or a.size == 0:
-            raise MaskShapeError(f"field must be 2-d and nonempty, got shape {a.shape}")
-        if a.min() < 0:
-            raise ValueError("squared distances cannot be negative")
-        self.values = _frozen(a)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    def max(self) -> int:
-        return int(self.values.max())
-
-
 @dataclass(frozen=True)
 class NormPoint:
     """Normalized image coordinates, x to the right, y down, in [0, 1)."""
@@ -246,12 +221,13 @@ def iou(a: BitMask, b: BitMask) -> float:
     return inter / union
 
 
-def edt_sq(region: BitMask) -> DistanceField:
+def edt_sq(region: BitMask) -> np.ndarray:
     """Exact squared Euclidean distance to the nearest out-of-region pixel.
 
-    Every out-of-bounds position counts as out-of-region, so the raster
-    behaves as if surrounded by a background ring. In-region values are
-    exact integers (>= 1), out-of-region pixels get 0.
+    Returns a read-only int64 array shaped like the region. Every
+    out-of-bounds position counts as out-of-region, so the raster behaves
+    as if surrounded by a background ring. In-region values are exact
+    integers (>= 1), out-of-region pixels get 0.
 
     Linear time: scipy's exact feature transform (Maurer, Qi & Raghavan,
     TPAMI 2003) runs on the region's bounding box padded by one background
@@ -269,14 +245,13 @@ def edt_sq(region: BitMask) -> DistanceField:
         feat = ndimage.distance_transform_edt(padded, return_distances=False, return_indices=True)
         delta = (feat - np.indices(padded.shape))[:, 1:-1, 1:-1]
         out[box] = (delta * delta).sum(axis=0)
-    return DistanceField(out)
+    return _frozen(out)
 
 
-def argmax_point(field: DistanceField) -> tuple[tuple[int, int], int]:
-    """First row-major maximum of the field, as ((px, py), value)."""
-    flat = int(np.argmax(field.values))
-    py, px = divmod(flat, field.width)
-    return (px, py), int(field.values[py, px])
+def argmax_point(field: np.ndarray) -> tuple[tuple[int, int], int]:
+    """First row-major maximum of a 2-d field, as ((px, py), value)."""
+    py, px = divmod(int(np.argmax(field)), field.shape[1])
+    return (px, py), int(field[py, px])
 
 
 def component_labels(mask: BitMask) -> np.ndarray:
@@ -341,21 +316,36 @@ class RleMask:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        h, w = self.size
-        if h < 1 or w < 1:
-            raise RleError(f"invalid size {self.size}")
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "size", (int(h), int(w)))
-        object.__setattr__(self, "counts", counts)
+        size, counts = tuple(self.size), tuple(self.counts)
+        if len(size) != 2:
+            raise RleError(f"size must be (height, width), got {self.size!r}")
         if not counts:
             raise RleError("counts may not be empty")
-        for i, c in enumerate(counts):
-            if c < 0:
+        # one check per distinct type: bool is an int subclass, but no count
+        kinds = set(map(type, size + counts))
+        if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
+            raise RleError(f"size and counts must be integers, got {size!r} and {counts[:8]!r}")
+        try:
+            values = np.array(size + counts, dtype=np.int64)
+        except OverflowError:
+            raise RleError("size or counts beyond int64")
+        size = tuple(values[:2].tolist())
+        h, w = size
+        if h < 1 or w < 1:
+            raise RleError(f"invalid size {size}")
+        runs = values[2:]
+        bad = runs < 0
+        bad[1:] |= runs[1:] == 0
+        if bad.any():
+            i = int(np.argmax(bad))
+            if runs[i] < 0:
                 raise RleError(f"negative run at index {i}")
-            if c == 0 and i != 0:
-                raise RleError(f"zero run at index {i} (only the first may be 0)")
-        if sum(counts) != h * w:
+            raise RleError(f"zero run at index {i} (only the first may be 0)")
+        counts = tuple(runs.tolist())
+        if sum(counts) != h * w:  # Python ints: the sum cannot overflow
             raise RleError(f"counts sum {sum(counts)} != {h}*{w}")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "counts", counts)
 
     def to_dict(self) -> dict:
         return {"size": [self.size[0], self.size[1]], "counts": list(self.counts)}
@@ -369,7 +359,9 @@ class RleMask:
             raise RleError(f"malformed rle object: {e}")
         if not isinstance(size, (list, tuple)) or len(size) != 2:
             raise RleError(f"malformed rle size: {size!r}")
-        return cls(size=(size[0], size[1]), counts=tuple(counts))
+        if not isinstance(counts, (list, tuple)):
+            raise RleError(f"malformed rle counts: {counts!r}")
+        return cls(size=tuple(size), counts=tuple(counts))
 
 
 def rle_encode(mask: BitMask) -> RleMask:
@@ -380,7 +372,7 @@ def rle_encode(mask: BitMask) -> RleMask:
     runs = np.diff(idx).tolist()
     if flat[0]:
         runs = [0] + runs
-    return RleMask(size=mask.shape, counts=tuple(int(r) for r in runs))
+    return RleMask(size=mask.shape, counts=tuple(runs))
 
 
 def rle_decode(rle: RleMask) -> BitMask:

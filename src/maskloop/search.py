@@ -97,8 +97,8 @@ def prm_greedy(
     candidate exhaustion, or once the running best fails to improve by
     more than convergence_eps for convergence_patience steps in a row.
     On score ties the earlier step and the earlier candidate win.
+    ``seed`` is the run seed, passed to every propose call.
     """
-    policy.start_task(task, seed)
     env_config = EnvConfig(max_steps=config.max_steps, tau_stop=1.0, tau_diff=0.0)
     state = envmod.reset(task, init, segmenter)
     best_mask = state.mask
@@ -110,7 +110,7 @@ def prm_greedy(
     for t in range(1, config.max_steps + 1):
         if state.finished:
             break
-        proposals = dedupe(policy.propose(task, state, config.k))
+        proposals = dedupe(policy.propose(task, state, config.k, seed=seed))
         if not proposals:
             break
         outcomes = [

@@ -39,7 +39,6 @@ from .raster import (
     RgbImage,
     RleMask,
     components,
-    iou,
     render_overlay,
     rle_decode,
     rle_encode,
@@ -137,7 +136,7 @@ def record_episode(
     """Reset, then drive one episode unless the opening mask already
     reaches tau_stop."""
     state = envmod.reset(task, init, segmenter)
-    r = iou(state.mask, task.target)
+    r = envmod.reward(state.mask, task.target)
     if r >= config.tau_stop:
         return Trajectory(task.id, init, (), r, envmod.STOP_TAU)
     ep = run_episode(task, segmenter, config, state, r, choose, keep)

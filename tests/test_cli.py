@@ -101,16 +101,47 @@ def test_jobs_do_not_change_output(tmp_path, capsys, task_manifest):
         sft[jobs] = {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
     assert len(sft["1"]) > 1
     assert sft["1"] == sft["3"]
+    roll = {}
+    for jobs in ("1", "3"):
+        path = tmp_path / f"roll{jobs}.jsonl"
+        argv = ("rollout", "--tasks", task_manifest, "--out", str(path), "--jobs", jobs,
+                "--policy", "noisy_expert", "--noise-flip", "0.3", "--init", "mix:0.34,0.33,0.33")
+        assert run(capsys, *argv)[0] == 0
+        roll[jobs] = path.read_bytes()
+    assert roll["1"] == roll["3"]
+    assert len({t.init.variant for t in read_jsonl(str(tmp_path / "roll1.jsonl"))}) > 1
 
 
-def test_star_refuses_parallel_jobs(tmp_path, capsys, task_manifest):
+def test_star_jobs_do_not_change_output(tmp_path, capsys, task_manifest):
     seed_path = str(tmp_path / "seed.jsonl")
     assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", seed_path)[0] == 0
-    code, _ = run(
-        capsys, "star", "--tasks", task_manifest, "--seed-data", seed_path + ".manifest.json",
-        "--out", str(tmp_path / "star"), "--jobs", "2",
-    )
-    assert code == 2
+    files, reports = {}, {}
+    for jobs in ("1", "3"):
+        out_dir = tmp_path / f"star{jobs}"
+        code, out = run(
+            capsys, "star", "--tasks", task_manifest, "--seed-data", seed_path + ".manifest.json",
+            "--out", str(out_dir), "--n-iters", "2", "--noise-sigma", "0.1", "--noise-flip", "0.3",
+            "--jobs", jobs,
+        )
+        assert code == 0
+        files[jobs] = {p.name: p.read_bytes() for p in out_dir.glob("iter*")}
+        # the header's config hash covers --jobs; the reports themselves must match
+        reports[jobs] = json.loads((out_dir / "reports.json").read_text())["reports"]
+        assert out["reports"] == reports[jobs]
+    assert sorted(files["1"]) == [
+        f"iter0{i}_{kind}" for i in (1, 2) for kind in ("manifest.json", "refined.jsonl", "train.jsonl")
+    ]
+    assert files["1"] == files["3"]
+    assert reports["1"] == reports["3"]
+    assert sum(r["n_corrections"] for r in reports["1"]) > 0
+
+
+def test_unknown_init_name_is_usage_error(tmp_path, capsys, task_manifest):
+    # names compare exactly: no prefix of a name, and no arguments to empty or box
+    for init in ("mixture", "randomly", "box:1"):
+        argv = ["gen-traj", "--tasks", task_manifest, "--out", str(tmp_path / "t.jsonl"), "--init", init]
+        assert dispatch(argv) == 2
+        assert repr(init) in capsys.readouterr().err
 
 
 def test_rollout_expert_solves_everything(tmp_path, capsys, task_manifest):

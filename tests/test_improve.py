@@ -49,7 +49,7 @@ def _task(rows, task_id="t0"):
 class BackgroundClicker(Policy):
     """Always clicks the top-left pixel center; useless on purpose."""
 
-    def propose(self, task, state, k):
+    def propose(self, task, state, k, seed=None):
         x = 0.5 / task.image.width
         y = 0.5 / task.image.height
         return [PolicyProposal(Action.positive(x, y))]
@@ -59,7 +59,7 @@ class FailingPolicy(Policy):
     def __init__(self, bad_ids):
         self.bad_ids = set(bad_ids)
 
-    def propose(self, task, state, k):
+    def propose(self, task, state, k, seed=None):
         if task.id in self.bad_ids:
             raise RemoteError("connection refused")
         return ExpertPolicy().propose(task, state, k)

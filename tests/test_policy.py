@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from maskloop.policy import (
 from maskloop.raster import BitMask, NormBox
 from maskloop.segmenters import OracleSegmenter
 from maskloop.trajgen import synth_tasks
+from maskloop.util import mix_seed
 
 
 # --- formatting ---------------------------------------------------------
@@ -307,17 +310,38 @@ def test_expert_propose_k_validation():
         expert_propose(task, state, k=0)
 
 
-def test_noisy_policy_start_task_changes_stream():
+def test_noisy_policy_seed_argument_changes_stream():
     task, state = _episode()
     policy = NoisyExpertPolicy(NoiseConfig(sigma=0.1, flip_prob=0.0, seed=4))
-    policy.start_task(task, seed=1)
-    a = policy.propose(task, state, 3)
-    policy.start_task(task, seed=2)
-    b = policy.propose(task, state, 3)
-    policy.start_task(task, seed=1)
-    c = policy.propose(task, state, 3)
+    a = policy.propose(task, state, 3, seed=1)
+    b = policy.propose(task, state, 3, seed=2)
+    c = policy.propose(task, state, 3, seed=1)
     assert a != b
     assert a == c
+    # the run seed and the task id pick the per-task stream
+    noise = policy.noise
+    assert a == expert_propose(task, state, 3, noise=noise, task_seed=mix_seed(1, task.id))
+
+
+def test_shared_noisy_policy_is_thread_safe():
+    # one policy object serves several tasks on several threads at once
+    policy = NoisyExpertPolicy(NoiseConfig(sigma=0.2, flip_prob=0.3, seed=9))
+    seg = OracleSegmenter()
+    work = [
+        (task, reset(task, InitSpec.empty(), seg), seed)
+        for task in synth_tasks(8, side=32, seed=5)
+        for seed in (0, 1, None)
+    ]
+
+    def propose_all(item):
+        task, state, seed = item
+        return [policy.propose(task, state, 4, seed=seed) for _ in range(20)]
+
+    serial = [propose_all(item) for item in work]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(propose_all, work))
+    assert threaded == serial
+    assert len({tuple(p) for runs in serial for p in runs}) > len(work) // 2
 
 
 def test_expert_policy_matches_expert_propose():

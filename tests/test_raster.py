@@ -82,32 +82,32 @@ def test_edt_single_true_pixel():
     m = np.zeros((5, 7), bool)
     m[2, 4] = True
     d = edt_sq(BitMask(m))
-    assert d.values[2, 4] == 1
-    assert d.values.sum() == 1
+    assert d[2, 4] == 1
+    assert d.sum() == 1
 
 
 def test_edt_3x3_all_true():
     d = edt_sq(BitMask.full(3, 3))
     expected = np.array([[1, 1, 1], [1, 4, 1], [1, 1, 1]])
-    assert np.array_equal(d.values, expected)
+    assert np.array_equal(d, expected)
 
 
 def test_edt_empty_mask_all_zero():
     d = edt_sq(BitMask.zeros(4, 4))
-    assert not d.values.any()
+    assert not d.any()
 
 
 def test_edt_values_positive_inside_zero_outside():
     m = mask_of(["..##", ".###", "..#."])
     d = edt_sq(BitMask(m.data))
-    assert (d.values[m.data] >= 1).all()
-    assert (d.values[~m.data] == 0).all()
+    assert (d[m.data] >= 1).all()
+    assert (d[~m.data] == 0).all()
 
 
 def test_edt_matches_brute_force_on_random_masks(rng):
     for _ in range(60):
         m = rand_mask(rng, int(rng.integers(1, 20)), int(rng.integers(1, 20)), float(rng.random()))
-        got = edt_sq(BitMask(m)).values if m.size else None
+        got = edt_sq(BitMask(m)) if m.size else None
         assert np.array_equal(got, brute_edt_sq(m))
 
 
@@ -123,7 +123,7 @@ def _rasters(shapes):
 @settings(max_examples=300, deadline=None)
 @given(_rasters(st.tuples(_sides, _sides)))
 def test_edt_matches_brute_force_on_any_raster(m):
-    assert np.array_equal(edt_sq(BitMask(m)).values, brute_edt_sq(m))
+    assert np.array_equal(edt_sq(BitMask(m)), brute_edt_sq(m))
 
 
 _thin = st.one_of(_sides.map(lambda n: (1, n)), _sides.map(lambda n: (n, 1)))
@@ -132,7 +132,7 @@ _thin = st.one_of(_sides.map(lambda n: (1, n)), _sides.map(lambda n: (n, 1)))
 @settings(max_examples=100, deadline=None)
 @given(_rasters(_thin))
 def test_edt_matches_brute_force_on_thin_rasters(m):
-    assert np.array_equal(edt_sq(BitMask(m)).values, brute_edt_sq(m))
+    assert np.array_equal(edt_sq(BitMask(m)), brute_edt_sq(m))
 
 
 def _block(y0, y1, x0, x1, h=9, w=11):
@@ -158,15 +158,15 @@ def _block(y0, y1, x0, x1, h=9, w=11):
     ],
 )
 def test_edt_bounding_box_crop_cases(m):
-    assert np.array_equal(edt_sq(BitMask(m)).values, brute_edt_sq(m))
+    assert np.array_equal(edt_sq(BitMask(m)), brute_edt_sq(m))
 
 
 def test_edt_out_of_bounds_counts_as_background():
     # a full row: distance grows toward the middle, bounded by top/bottom
     m = np.ones((1, 9), bool)
     d = edt_sq(BitMask(m))
-    assert d.values[0, 0] == 1
-    assert d.values[0, 4] == 1  # row of height 1: border above/below is adjacent
+    assert d[0, 0] == 1
+    assert d[0, 4] == 1  # row of height 1: border above/below is adjacent
 
 
 def test_edt_argmax_is_row_major_first():
@@ -323,6 +323,47 @@ def test_rle_rejects_bad_counts():
         RleMask(size=(2, 2), counts=(1, 0, 3))  # zero run after the first
     with pytest.raises(RleError):
         RleMask(size=(2, 2), counts=())
+
+
+@pytest.mark.parametrize(
+    "size, counts",
+    [
+        ((2, 2), (2.9, 2.1)),  # floats are not truncated to (2, 2)
+        ((2, 2), (4.0,)),
+        ((2, 2), "13"),  # a string is not read as the runs (1, 3)
+        ((2, 2), (4.5,)),
+        ((1, 1), (True,)),  # a boolean is not a run of 1
+        ((1, 2), (1, True)),
+        ((2, 2), ("4",)),
+        ((2, 2), (None,)),
+        (("2", "2"), (4,)),  # a string size
+        ((2.0, 2), (4,)),
+        ((True, 1), (0, 1)),
+        ((1, 2**63), (2**63,)),  # beyond int64
+        ((1, 2**64), (0, 2**64)),
+        ((1, 1), (-(2**63) - 1, 1)),
+        ((2,), (2,)),
+    ],
+)
+def test_rle_accepts_integers_only(size, counts):
+    with pytest.raises(RleError):
+        RleMask(size=size, counts=counts)
+
+
+def test_rle_keeps_run_checks_and_normalizes_to_python_ints():
+    with pytest.raises(RleError, match="negative run at index 1"):
+        RleMask(size=(1, 2), counts=(3, -1))
+    with pytest.raises(RleError, match="zero run at index 1"):
+        RleMask(size=(1, 2), counts=(1, 0, -1, 2))  # the first bad run is named
+    with pytest.raises(RleError, match="sum"):
+        # runs near the int64 limit: an int64 sum would wrap around to 2
+        RleMask(size=(1, 2), counts=(2**62, 2**62, 2**62, 2**62 + 2))
+    rle = RleMask(size=(np.int64(2), 2), counts=[np.int64(0), np.int32(3), 1])
+    assert rle.size == (2, 2) and rle.counts == (0, 3, 1)
+    assert all(type(v) is int for v in rle.size + rle.counts)
+    for bad in ({"size": [2, 2], "counts": "4"}, {"size": [2, 2], "counts": 4}, {"size": "22", "counts": [4]}):
+        with pytest.raises(RleError):
+            RleMask.from_dict(bad)
 
 
 def test_rle_dict_round_trip():

@@ -520,6 +520,16 @@ def test_wrong_size_segment_reply_rejected(scripted):
         call_segment(endpoint, image, [], None)
 
 
+def test_float_count_segment_reply_rejected(scripted):
+    from maskloop.raster import GrayImage
+
+    image = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+    body = json.dumps({"mask_rle": {"size": [2, 2], "counts": [2.9, 2.1]}}).encode()
+    _, endpoint = scripted([(200, body)])
+    with pytest.raises(ProtocolError, match="bad rle"):
+        call_segment(endpoint, image, [], None)
+
+
 def test_transport_failure_is_remote_error():
     endpoint = RemoteEndpoint(base_url="http://127.0.0.1:9", timeout=0.2, max_retries=0)
     with pytest.raises(RemoteError):

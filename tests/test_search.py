@@ -32,7 +32,7 @@ def _task(rows, task_id="t0"):
 class SandwichPolicy(Policy):
     """Expert click wedged between two useless background clicks."""
 
-    def propose(self, task, state, k):
+    def propose(self, task, state, k, seed=None):
         best = next_click(state.mask, task.target)
         if best is None:
             return []
@@ -43,7 +43,7 @@ class SandwichPolicy(Policy):
 
 
 class RepeatPolicy(Policy):
-    def propose(self, task, state, k):
+    def propose(self, task, state, k, seed=None):
         return [PolicyProposal(Action.positive(0.3, 0.3))] * k
 
 
@@ -127,7 +127,7 @@ def test_search_stops_after_patience_without_improvement():
     task = _task([".###", ".###"])
 
     class JunkPolicy(Policy):
-        def propose(self, task, state, k):
+        def propose(self, task, state, k, seed=None):
             w, h = task.image.width, task.image.height
             return [PolicyProposal(Action.positive(0.5 / w, 0.5 / h))]
 

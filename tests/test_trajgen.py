@@ -200,6 +200,23 @@ def test_jsonl_error_names_the_line(tmp_path):
     assert e.value.line == 1
 
 
+def test_jsonl_float_counts_name_the_line(tmp_path):
+    import json
+
+    trajs = [generate_trajectory(t, OracleSegmenter()) for t in synth_tasks(2, seed=3)]
+    good = [trajectory_to_dict(t) for t in trajs]
+    bad = json.loads(json.dumps(good[1]))
+    counts = bad["steps"][0]["mask_after"]["counts"]
+    counts[-1] = counts[-1] + 0.5
+    counts[-2] = counts[-2] - 0.5  # the sum still matches; only the type is wrong
+    path = tmp_path / "floats.jsonl"
+    path.write_text(json.dumps(good[0]) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(JsonlError) as e:
+        read_jsonl(str(path))
+    assert e.value.line == 2
+    assert "integers" in str(e.value)
+
+
 def test_jsonl_skips_blank_lines(tmp_path):
     traj = generate_trajectory(synth_tasks(1)[0], OracleSegmenter())
     path = tmp_path / "t.jsonl"
