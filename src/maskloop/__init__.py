@@ -60,7 +60,6 @@ from .policy import (
     NoisyPrm,
     OraclePrm,
     Policy,
-    PolicyProposal,
     Prm,
     PromptConfig,
     RemotePolicy,
@@ -102,7 +101,6 @@ from .segmenters import (
     RegionGrowSegmenter,
     RemoteSegmenter,
     Segmenter,
-    SegmenterSpec,
     oracle_segment,
     region_grow_segment,
 )
@@ -145,7 +143,6 @@ __all__ = [
     "OracleSegmenter",
     "PnmError",
     "Policy",
-    "PolicyProposal",
     "Prm",
     "PromptConfig",
     "ProtocolError",
@@ -162,7 +159,6 @@ __all__ = [
     "SearchConfig",
     "SearchTrace",
     "Segmenter",
-    "SegmenterSpec",
     "SftSample",
     "StepOutcome",
     "Task",

@@ -17,6 +17,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -48,7 +49,7 @@ from .policy import (
 from .raster import bbox, iou, read_pgm_mask, write_pgm, write_ppm
 from .remote import RemoteEndpoint
 from .search import SearchConfig, prm_greedy
-from .segmenters import SegmenterSpec
+from .segmenters import OracleSegmenter, RegionGrowSegmenter, RemoteSegmenter, Segmenter
 from .trajgen import (
     generate_trajectory,
     read_jsonl,
@@ -79,6 +80,32 @@ def _parse_color(v) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+# what a config-file value may be, by the type of the key's default: the
+# rule its flag applies
+_FILE_TYPES = {
+    bool: (bool, "a JSON bool"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    type(None): (str, "a string"),
+}
+
+
+def _typed(key: str, value, default):
+    """Check a config-file value against its key's rule; a number for a
+    float key comes back as a float. mask_color takes what _parse_color takes."""
+    if key == "mask_color":
+        with contextlib.suppress(TypeError, ValueError):
+            _parse_color(value)
+            return value
+        raise UsageError(f"config key {key!r} takes R,G,B, got {value!r}")
+    types, what = _FILE_TYPES[type(default)]
+    # a JSON bool is a Python int, but only a bool key takes one
+    if not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool):
+        raise UsageError(f"config key {key!r} takes {what}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
     effective = dict(defaults)
@@ -91,7 +118,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise UsageError(f"{config_path}: unknown config keys {sorted(unknown)}")
-        effective.update(file_cfg)
+        effective.update((k, _typed(k, v, defaults[k])) for k, v in file_cfg.items())
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -99,16 +126,18 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     return effective
 
 
-def _config_hash(command: str, effective: dict) -> str:
-    blob = json.dumps({"command": command, "config": effective}, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+# options that do not change what a run writes: where the options came
+# from, and how many threads run the per-task work
+_UNHASHED = ("config", "jobs")
 
 
 def _header(command: str, effective: dict) -> dict:
+    hashed = {k: v for k, v in effective.items() if k not in _UNHASHED}
+    blob = json.dumps({"command": command, "config": hashed}, sort_keys=True, default=str)
     return {
         "command": command,
-        "config_hash": _config_hash(command, effective),
-        "seed": effective.get("seed"),
+        "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16],
+        "seed": effective["seed"],
     }
 
 
@@ -118,29 +147,28 @@ def _require(effective: dict, *keys: str) -> None:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
-def _segmenter_spec(cfg: dict) -> SegmenterSpec:
+def _endpoint(cfg: dict, url_key: str) -> RemoteEndpoint:
+    _require(cfg, url_key)
+    return RemoteEndpoint(cfg[url_key], timeout=cfg["timeout"], max_retries=cfg["max_retries"])
+
+
+def _prompt_config(cfg: dict, *keys: str) -> PromptConfig:
+    """A PromptConfig from the named option keys; other fields keep their defaults."""
+    fields = {"template_id" if key == "template" else key: cfg[key] for key in keys}
+    if "mask_color" in fields:
+        fields["mask_color"] = _parse_color(fields["mask_color"])
+    return PromptConfig(**fields)
+
+
+def _segmenter(cfg: dict) -> Segmenter:
     kind = cfg["segmenter"]
-    endpoint = None
+    if kind == "oracle":
+        return OracleSegmenter(r_neg=cfg["r_neg"])
+    if kind == "region_grow":
+        return RegionGrowSegmenter(delta=cfg["delta"], cap=cfg["cap"])
     if kind == "remote":
-        _require(cfg, "segmenter_url")
-        endpoint = RemoteEndpoint(cfg["segmenter_url"], timeout=cfg["timeout"], max_retries=cfg["max_retries"])
-    return SegmenterSpec(
-        kind=kind,
-        r_neg=int(cfg["r_neg"]),
-        delta=int(cfg["delta"]),
-        cap=int(cfg["cap"]),
-        endpoint=endpoint,
-    )
-
-
-def _prompt_config(cfg: dict) -> PromptConfig:
-    return PromptConfig(
-        coord_format=cfg["coord_format"],
-        mask_color=_parse_color(cfg["mask_color"]),
-        alpha=float(cfg["alpha"]),
-        template_id=cfg["template"],
-        miou_line=bool(cfg.get("miou_line", False)),
-    )
+        return RemoteSegmenter(_endpoint(cfg, "segmenter_url"))
+    raise UsageError(f"unknown segmenter {kind!r}")
 
 
 def _policy(cfg: dict) -> Policy:
@@ -148,16 +176,12 @@ def _policy(cfg: dict) -> Policy:
     if kind == "expert":
         return ExpertPolicy()
     if kind == "noisy_expert":
-        noise = NoiseConfig(
-            sigma=float(cfg["noise_sigma"]),
-            flip_prob=float(cfg["noise_flip"]),
-            seed=int(cfg["noise_seed"]),
-        )
+        noise = NoiseConfig(sigma=cfg["noise_sigma"], flip_prob=cfg["noise_flip"], seed=cfg["noise_seed"])
         return NoisyExpertPolicy(noise)
     if kind == "remote":
-        _require(cfg, "policy_url")
-        endpoint = RemoteEndpoint(cfg["policy_url"], timeout=cfg["timeout"], max_retries=cfg["max_retries"])
-        return RemotePolicy(endpoint, _prompt_config(cfg))
+        return RemotePolicy(
+            _endpoint(cfg, "policy_url"), _prompt_config(cfg, "coord_format", "mask_color", "alpha", "template")
+        )
     raise UsageError(f"unknown policy {kind!r}")
 
 
@@ -166,20 +190,14 @@ def _prm(cfg: dict) -> Prm:
     if kind == "oracle":
         return OraclePrm()
     if kind == "noisy":
-        return NoisyPrm(sigma=float(cfg["prm_sigma"]), seed=int(cfg["prm_seed"]))
+        return NoisyPrm(sigma=cfg["prm_sigma"], seed=cfg["prm_seed"])
     if kind == "remote":
-        _require(cfg, "prm_url")
-        endpoint = RemoteEndpoint(cfg["prm_url"], timeout=cfg["timeout"], max_retries=cfg["max_retries"])
-        return RemotePrm(endpoint, _prompt_config(cfg))
+        return RemotePrm(_endpoint(cfg, "prm_url"), _prompt_config(cfg, "mask_color", "alpha", "template"))
     raise UsageError(f"unknown prm {kind!r}")
 
 
 def _env_config(cfg: dict) -> EnvConfig:
-    return EnvConfig(
-        max_steps=int(cfg["max_steps"]),
-        tau_stop=float(cfg["tau_stop"]),
-        tau_diff=float(cfg["tau_diff"]),
-    )
+    return EnvConfig(max_steps=cfg["max_steps"], tau_stop=cfg["tau_stop"], tau_diff=cfg["tau_diff"])
 
 
 def _init_spec(cfg: dict, task: Task, seed: int) -> InitSpec:
@@ -216,13 +234,15 @@ def _emit(obj: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared defaults
+# option groups: each holds exactly the keys its builder reads
 
-_COMMON = {
-    "config": None,
-    "seed": 0,
-    "jobs": 1,
-}
+_COMMON = {"config": None}
+
+# read by _endpoint, for every component that can be remote
+_REMOTE = {"timeout": 10.0, "max_retries": 2}
+
+# read by the overlay rendering of remote policies, remote PRMs and the mock
+_OVERLAY = {"mask_color": "0,255,0", "alpha": 0.5}
 
 _SEG = {
     "segmenter": "oracle",
@@ -230,8 +250,7 @@ _SEG = {
     "delta": 16,
     "cap": 10_000,
     "segmenter_url": None,
-    "timeout": 10.0,
-    "max_retries": 2,
+    **_REMOTE,
 }
 
 _ENV = {
@@ -240,20 +259,16 @@ _ENV = {
     "tau_diff": 0.01,
 }
 
-_PROMPT = {
-    "coord_format": COORD_DECIMAL,
-    "mask_color": "0,255,0",
-    "alpha": 0.5,
-    "template": "default",
-    "miou_line": False,
-}
-
 _POLICY = {
     "policy": "expert",
     "noise_sigma": 0.1,
     "noise_flip": 0.0,
     "noise_seed": 0,
     "policy_url": None,
+    **_REMOTE,
+    "coord_format": COORD_DECIMAL,
+    **_OVERLAY,
+    "template": "default",
 }
 
 _PRM = {
@@ -261,6 +276,9 @@ _PRM = {
     "prm_sigma": 0.05,
     "prm_seed": 0,
     "prm_url": None,
+    **_REMOTE,
+    **_OVERLAY,
+    "template": "default",
 }
 
 _INIT = {
@@ -270,9 +288,10 @@ _INIT = {
 }
 
 DEFAULTS: dict[str, dict] = {
-    "synth": {**_COMMON, "n": 100, "side": 64, "out": None},
+    "synth": {**_COMMON, "seed": 0, "n": 100, "side": 64, "out": None},
     "gen-traj": {
         **_COMMON,
+        "seed": 0, "jobs": 1,
         **_SEG,
         **_ENV,
         **_INIT,
@@ -282,28 +301,32 @@ DEFAULTS: dict[str, dict] = {
     },
     "render-sft": {
         **_COMMON,
+        "jobs": 1,
         **_SEG,
-        **_PROMPT,
+        "coord_format": COORD_DECIMAL,
+        **_OVERLAY,
+        "template": "default",
+        "miou_line": False,
         "traj": None,
         "tasks": None,
         "out": None,
     },
     "rollout": {
         **_COMMON,
+        "seed": 0, "jobs": 1,
         **_SEG,
         **_ENV,
         **_POLICY,
-        **_PROMPT,
         **_INIT,
         "tasks": None,
         "out": None,
     },
     "star": {
         **_COMMON,
+        "seed": 0, "jobs": 1,
         **_SEG,
         **_ENV,
         **_POLICY,
-        **_PROMPT,
         "policy": "noisy_expert",
         "tasks": None,
         "seed_data": None,
@@ -316,10 +339,10 @@ DEFAULTS: dict[str, dict] = {
     },
     "search": {
         **_COMMON,
+        "seed": 0, "jobs": 1,
         **_SEG,
-        **_ENV,
+        "max_steps": 7,
         **_POLICY,
-        **_PROMPT,
         **_PRM,
         **_INIT,
         "tasks": None,
@@ -333,6 +356,7 @@ DEFAULTS: dict[str, dict] = {
     "eval-ciou": {**_COMMON, "pred": None, "gt": None},
     "eval-noc": {
         **_COMMON,
+        "jobs": 1,
         **_SEG,
         "tasks": None,
         "target_iou": 0.95,
@@ -347,7 +371,14 @@ DEFAULTS: dict[str, dict] = {
         "masks": None,
         "threshold": 0.8,
     },
-    "serve-mock": {**_COMMON, **_PROMPT, "tasks": None, "port": 8008, "r_neg": 2},
+    "serve-mock": {
+        **_COMMON,
+        "coord_format": COORD_DECIMAL,
+        **_OVERLAY,
+        "tasks": None,
+        "port": 8008,
+        "r_neg": 2,
+    },
 }
 
 
@@ -357,7 +388,7 @@ DEFAULTS: dict[str, dict] = {
 
 def cmd_synth(cfg: dict) -> int:
     _require(cfg, "out")
-    tasks = synth_tasks(int(cfg["n"]), side=int(cfg["side"]), seed=int(cfg["seed"]))
+    tasks = synth_tasks(cfg["n"], side=cfg["side"], seed=cfg["seed"])
     path = write_task_dir(tasks, cfg["out"], header=_header("synth", cfg))
     _emit({"manifest": path, "n_tasks": len(tasks)})
     return 0
@@ -380,14 +411,14 @@ def _write_dataset(trajectories: list, out: str, provenance: str, header: dict) 
 def cmd_gen_traj(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
     tasks = load_tasks(cfg["tasks"])
-    segmenter = _segmenter_spec(cfg).build()
+    segmenter = _segmenter(cfg)
     env_config = _env_config(cfg)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
 
     def one(task: Task):
         return generate_trajectory(task, segmenter, env_config, _init_spec(cfg, task, seed))
 
-    trajectories = parallel_map(one, tasks, int(cfg["jobs"]))
+    trajectories = parallel_map(one, tasks, cfg["jobs"])
     manifest_path = _write_dataset(trajectories, cfg["out"], "generated", _header("gen-traj", cfg))
     _emit(
         {
@@ -404,8 +435,8 @@ def cmd_render_sft(cfg: dict) -> int:
     _require(cfg, "traj", "tasks", "out")
     trajectories = read_jsonl(cfg["traj"])
     tasks = {t.id: t for t in load_tasks(cfg["tasks"])}
-    prompt_config = _prompt_config(cfg)
-    segmenter = _segmenter_spec(cfg).build()
+    prompt_config = _prompt_config(cfg, "coord_format", "mask_color", "alpha", "template", "miou_line")
+    segmenter = _segmenter(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     seen: dict[str, int] = {}
     work = []
@@ -427,7 +458,7 @@ def cmd_render_sft(cfg: dict) -> int:
             recs.append({"image_path": rel, "prompt": sample.prompt, "target": sample.target})
         return recs
 
-    records = [rec for recs in parallel_map(one, work, int(cfg["jobs"])) for rec in recs]
+    records = [rec for recs in parallel_map(one, work, cfg["jobs"]) for rec in recs]
     samples_path = os.path.join(cfg["out"], "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -440,12 +471,12 @@ def cmd_render_sft(cfg: dict) -> int:
 def cmd_rollout(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
     tasks = load_tasks(cfg["tasks"])
-    segmenter = _segmenter_spec(cfg).build()
+    segmenter = _segmenter(cfg)
     env_config = _env_config(cfg)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     trajectories, failures = run_rollout(
         _policy(cfg), tasks, segmenter, env_config, seed=seed,
-        init=lambda task: _init_spec(cfg, task, seed), jobs=int(cfg["jobs"]),
+        init=lambda task: _init_spec(cfg, task, seed), jobs=cfg["jobs"],
     )
     header = _header("rollout", cfg)
     if failures:
@@ -471,12 +502,12 @@ def cmd_star(cfg: dict) -> int:
     _require(cfg, "tasks", "seed_data", "out")
     tasks = load_tasks(cfg["tasks"])
     seed_data = DatasetManifest.load(cfg["seed_data"])
-    segmenter = _segmenter_spec(cfg).build()
+    segmenter = _segmenter(cfg)
     env_config = _env_config(cfg)
     policy = _policy(cfg)
     hook = (
         TrainHook("external_command", cfg["hook_cmd"])
-        if cfg.get("hook_cmd")
+        if cfg["hook_cmd"]
         else TrainHook("emit_only")
     )
     final, reports = star_iteration(
@@ -484,15 +515,15 @@ def cmd_star(cfg: dict) -> int:
         policy=policy,
         seed_data=seed_data,
         tasks=tasks,
-        n_iters=int(cfg["n_iters"]),
+        n_iters=cfg["n_iters"],
         hook=hook,
         segmenter=segmenter,
         config=env_config,
         out_dir=cfg["out"],
-        tau_star=float(cfg["tau_star"]),
-        seed=int(cfg["seed"]),
+        tau_star=cfg["tau_star"],
+        seed=cfg["seed"],
         keep_rule=cfg["keep_rule"],
-        jobs=int(cfg["jobs"]),
+        jobs=cfg["jobs"],
     )
     reports_path = os.path.join(cfg["out"], "reports.json")
     os.makedirs(cfg["out"], exist_ok=True)
@@ -513,17 +544,17 @@ def cmd_star(cfg: dict) -> int:
 def cmd_search(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
     tasks = load_tasks(cfg["tasks"])
-    segmenter = _segmenter_spec(cfg).build()
+    segmenter = _segmenter(cfg)
     prm = _prm(cfg)
     policy = _policy(cfg)
     search_config = SearchConfig(
-        k=int(cfg["k"]),
-        max_steps=int(cfg["max_steps"]),
-        convergence_eps=float(cfg["eps"]),
-        convergence_patience=int(cfg["patience"]),
+        k=cfg["k"],
+        max_steps=cfg["max_steps"],
+        convergence_eps=cfg["eps"],
+        convergence_patience=cfg["patience"],
     )
-    seed = int(cfg["seed"])
-    masks_out = cfg.get("masks_out")
+    seed = cfg["seed"]
+    masks_out = cfg["masks_out"]
     if masks_out:
         os.makedirs(masks_out, exist_ok=True)
 
@@ -545,11 +576,11 @@ def cmd_search(cfg: dict) -> int:
             "n_steps": len(trace.steps),
             "final_iou": iou(best_mask, task.target),
         }
-        if cfg.get("trace"):
+        if cfg["trace"]:
             rec["trace"] = trace.to_dict()
         return rec
 
-    outcomes = parallel_map(one, tasks, int(cfg["jobs"]))
+    outcomes = parallel_map(one, tasks, cfg["jobs"])
     results = [r for r in outcomes if "error" not in r]
     header = _header("search", cfg)
     if len(results) < len(outcomes):
@@ -596,17 +627,17 @@ def cmd_eval_ciou(cfg: dict) -> int:
 def cmd_eval_noc(cfg: dict) -> int:
     _require(cfg, "tasks")
     tasks = load_tasks(cfg["tasks"])
-    segmenter = _segmenter_spec(cfg).build()
-    target = float(cfg["target_iou"])
-    cap = int(cfg["cap_clicks"])
+    segmenter = _segmenter(cfg)
+    target = cfg["target_iou"]
+    cap = cfg["cap_clicks"]
 
     def one(task: Task) -> tuple[int, bool]:
         return noc(task, segmenter, target_iou=target, cap=cap)
 
-    results = parallel_map(one, tasks, int(cfg["jobs"]))
+    results = parallel_map(one, tasks, cfg["jobs"])
     counts = [c for c, _ in results]
     reached = [ok for _, ok in results]
-    if cfg.get("hist_out"):
+    if cfg["hist_out"]:
         with open(cfg["hist_out"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["click_count", "frequency"])
@@ -645,12 +676,12 @@ def cmd_eval_filter(cfg: dict) -> int:
         if path is None:
             raise UsageError(f"no mask file for task {task.id!r} in {cfg['masks']}")
         pairs.append((task, read_pgm_mask(path)))
-    kept, rejected = filter_masks(prm, pairs, float(cfg["threshold"]))
+    kept, rejected = filter_masks(prm, pairs, cfg["threshold"])
     _emit(
         {
             "kept": [t.id for t, _ in kept],
             "rejected": [t.id for t, _ in rejected],
-            "threshold": float(cfg["threshold"]),
+            "threshold": cfg["threshold"],
         }
     )
     return 0
@@ -661,9 +692,9 @@ def cmd_serve_mock(cfg: dict) -> int:
     tasks = load_tasks(cfg["tasks"])
     server, thread = mock_server.serve(
         tasks,
-        port=int(cfg["port"]),
-        prompt_config=_prompt_config(cfg),
-        r_neg=int(cfg["r_neg"]),
+        port=cfg["port"],
+        prompt_config=_prompt_config(cfg, "coord_format", "mask_color", "alpha"),
+        r_neg=cfg["r_neg"],
     )
     host, port = server.server_address[:2]
     print(f"mock server on http://{host}:{port} with {len(tasks)} tasks", file=sys.stderr)

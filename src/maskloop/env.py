@@ -141,16 +141,6 @@ class EnvConfig:
         if not (0.0 <= self.tau_diff <= 1.0):
             raise ValueError(f"tau_diff out of [0, 1]: {self.tau_diff}")
 
-    @classmethod
-    def simple_profile(cls) -> "EnvConfig":
-        """Short episodes for mostly-convex single objects."""
-        return cls(max_steps=7)
-
-    @classmethod
-    def complex_profile(cls) -> "EnvConfig":
-        """Longer budget for thin or multi-part objects."""
-        return cls(max_steps=11)
-
 
 INIT_EMPTY = "empty"
 INIT_BOX = "from_box"

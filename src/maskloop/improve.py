@@ -160,7 +160,7 @@ def rollout(
     def one(task: Task) -> Trajectory | str:
         def top_proposal(state: envmod.EpisodeState):
             proposals = policy.propose(task, state, 1, seed=seed)
-            return proposals[0].action if proposals else None
+            return proposals[0] if proposals else None
 
         try:
             return record_episode(task, segmenter, config, init(task), top_proposal)

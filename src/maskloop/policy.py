@@ -193,34 +193,16 @@ def parse_action(text: str, coord_format: str = COORD_DECIMAL) -> tuple[float | 
 # --- policies -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolicyProposal:
-    """A candidate action, possibly with the policy's own score claim."""
-
-    action: Action
-    stated_reward: float | None = None
-
-
-def _dedupe_key(action: Action) -> tuple:
-    def q(v: float) -> int:
-        return min(999, int(v * 1000.0 + 0.5))
-
-    if action.is_click:
-        return (action.kind, q(action.point.x), q(action.point.y))
-    b = action.box
-    return (action.kind, q(b.x1), q(b.y1), q(b.x2), q(b.y2))
-
-
-def dedupe(proposals: list[PolicyProposal]) -> list[PolicyProposal]:
-    """Keep the first proposal for each action key, with coordinates taken
-    at the grammar's 1/1000 resolution."""
-    seen: set[tuple] = set()
-    out: list[PolicyProposal] = []
-    for p in proposals:
-        key = _dedupe_key(p.action)
+def dedupe(actions: list[Action]) -> list[Action]:
+    """Keep the first of the actions that print the same in integer_0_1000:
+    coordinates taken at the grammar's 1/1000 resolution."""
+    seen: set[str] = set()
+    out: list[Action] = []
+    for a in actions:
+        key = format_action(a, COORD_INT)
         if key not in seen:
             seen.add(key)
-            out.append(p)
+            out.append(a)
     return out
 
 
@@ -253,8 +235,8 @@ def expert_propose(
     k: int,
     noise: NoiseConfig | None = None,
     task_seed: int | None = None,
-) -> list[PolicyProposal]:
-    """Up to k proposals around the expert click.
+) -> list[Action]:
+    """Up to k proposed actions around the expert click.
 
     Pure in its arguments: the perturbation RNG is derived from the noise
     seed, the per-task seed, and the episode position, so identical calls
@@ -266,7 +248,7 @@ def expert_propose(
     if base is None:
         return []
     if noise is None or (noise.sigma == 0.0 and noise.flip_prob == 0.0):
-        return [PolicyProposal(base)]
+        return [base]
     entropy = [
         noise.seed & 0xFFFFFFFF,
         (task_seed if task_seed is not None else mix_seed(task.id)) & 0xFFFFFFFF,
@@ -274,7 +256,7 @@ def expert_propose(
         len(state.history),
     ]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    proposals: list[PolicyProposal] = []
+    proposals: list[Action] = []
     for _ in range(k):
         dx, dy = rng.normal(0.0, noise.sigma, size=2)
         flip = bool(rng.random() < noise.flip_prob)
@@ -283,8 +265,7 @@ def expert_propose(
         kind = base.kind
         if flip:
             kind = "negative_click" if kind == "positive_click" else "positive_click"
-        action = Action.positive(x, y) if kind == "positive_click" else Action.negative(x, y)
-        proposals.append(PolicyProposal(action))
+        proposals.append(Action.positive(x, y) if kind == "positive_click" else Action.negative(x, y))
     return dedupe(proposals)
 
 
@@ -295,7 +276,7 @@ class Policy(ABC):
     @abstractmethod
     def propose(
         self, task: Task, state: EpisodeState, k: int, seed: int | None = None
-    ) -> list[PolicyProposal]:
+    ) -> list[Action]:
         raise NotImplementedError
 
 
@@ -321,7 +302,8 @@ class RemotePolicy(Policy):
     """Samples action texts from a remote service and parses them.
 
     Unparseable replies are dropped rather than raised; transport errors
-    propagate.
+    propagate. A leading 'Current mIoU' line is checked by the parser and
+    then dropped.
     """
 
     def __init__(self, endpoint: remote.RemoteEndpoint, prompt_config: PromptConfig = PromptConfig()):
@@ -336,13 +318,13 @@ class RemotePolicy(Policy):
         )
         prompt = render_prompt(self.prompt_config.template_id, task.prompt)
         texts = remote.call_policy(self.endpoint, composite, prompt, k)
-        proposals: list[PolicyProposal] = []
+        proposals: list[Action] = []
         for text in texts:
             try:
-                stated, action = parse_action(text, self.prompt_config.coord_format)
+                _, action = parse_action(text, self.prompt_config.coord_format)
             except ActionParseError:
                 continue
-            proposals.append(PolicyProposal(action, stated_reward=stated))
+            proposals.append(action)
         return dedupe(proposals)
 
 

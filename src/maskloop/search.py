@@ -40,14 +40,6 @@ class SearchConfig:
         if self.convergence_patience < 1:
             raise ValueError(f"convergence_patience must be >= 1, got {self.convergence_patience}")
 
-    @classmethod
-    def simple_profile(cls) -> "SearchConfig":
-        return cls(k=1, max_steps=7)
-
-    @classmethod
-    def complex_profile(cls) -> "SearchConfig":
-        return cls(k=3, max_steps=11)
-
 
 @dataclass(frozen=True)
 class StepTrace:
@@ -110,17 +102,15 @@ def prm_greedy(
     for t in range(1, config.max_steps + 1):
         if state.finished:
             break
-        proposals = dedupe(policy.propose(task, state, config.k, seed=seed))
-        if not proposals:
+        candidates = dedupe(policy.propose(task, state, config.k, seed=seed))
+        if not candidates:
             break
-        outcomes = [
-            envmod.step(state, p.action, task, segmenter, env_config) for p in proposals
-        ]
+        outcomes = [envmod.step(state, a, task, segmenter, env_config) for a in candidates]
         scores = [prm_score(prm, task, o.state.mask) for o in outcomes]
         chosen = int(np.argmax(scores))
         traces.append(
             StepTrace(
-                candidates=tuple(p.action for p in proposals),
+                candidates=tuple(candidates),
                 scores=tuple(scores),
                 chosen=chosen,
             )

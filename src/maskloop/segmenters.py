@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -154,6 +153,8 @@ class OracleSegmenter(Segmenter):
     """Wraps oracle_segment; peeks at the task's target and its cached labels."""
 
     def __init__(self, r_neg: int = 2):
+        if r_neg < 0:
+            raise ValueError(f"r_neg must be >= 0, got {r_neg}")
         self.r_neg = r_neg
 
     def segment(self, task, clicks, box=None):
@@ -164,6 +165,10 @@ class RegionGrowSegmenter(Segmenter):
     """Wraps region_grow_segment; only looks at the task's image."""
 
     def __init__(self, delta: int = 16, cap: int = 10_000):
+        if not (0 <= delta <= 255):
+            raise ValueError(f"delta out of [0, 255]: {delta}")
+        if cap < 1:
+            raise ValueError(f"cap must be >= 1, got {cap}")
         self.delta = delta
         self.cap = cap
 
@@ -180,32 +185,3 @@ class RemoteSegmenter(Segmenter):
     def segment(self, task, clicks, box=None):
         return remote.call_segment(self.endpoint, task.image, clicks, box)
 
-
-@dataclass(frozen=True)
-class SegmenterSpec:
-    """Declarative segmenter choice, buildable from config or CLI flags."""
-
-    kind: str
-    r_neg: int = 2
-    delta: int = 16
-    cap: int = 10_000
-    endpoint: remote.RemoteEndpoint | None = None
-
-    def __post_init__(self):
-        if self.r_neg < 0:
-            raise ValueError(f"r_neg must be >= 0, got {self.r_neg}")
-        if not (0 <= self.delta <= 255):
-            raise ValueError(f"delta out of [0, 255]: {self.delta}")
-        if self.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {self.cap}")
-
-    def build(self) -> Segmenter:
-        if self.kind == "oracle":
-            return OracleSegmenter(r_neg=self.r_neg)
-        if self.kind == "region_grow":
-            return RegionGrowSegmenter(delta=self.delta, cap=self.cap)
-        if self.kind == "remote":
-            if self.endpoint is None:
-                raise ValueError("remote segmenter needs an endpoint")
-            return RemoteSegmenter(self.endpoint)
-        raise ValueError(f"unknown segmenter kind {self.kind!r}")

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
 
-from maskloop.cli import DEFAULTS, _merge_config, build_parser, dispatch
-from maskloop.raster import read_pgm_mask, write_pgm
-from maskloop.trajgen import read_jsonl
+from maskloop import mock_server
+from maskloop.cli import _HANDLERS, DEFAULTS, _merge_config, build_parser, dispatch
+from maskloop.env import load_tasks, write_task_dir
+from maskloop.raster import BitMask, read_pgm_mask, write_pgm
+from maskloop.trajgen import read_jsonl, synth_tasks
 
 
 def run(capsys, *argv):
@@ -93,6 +97,12 @@ def test_jobs_do_not_change_output(tmp_path, capsys, task_manifest):
     assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", a, "--jobs", "1")[0] == 0
     assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", b, "--jobs", "3")[0] == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+    # the manifest names its file by absolute path, so compare it at one path
+    manifest = {}
+    for jobs in ("1", "3"):
+        assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", a, "--jobs", jobs)[0] == 0
+        manifest[jobs] = (tmp_path / "a.jsonl.manifest.json").read_bytes()
+    assert manifest["1"] == manifest["3"]
     sft = {}
     for jobs in ("1", "3"):
         out_dir = tmp_path / f"sft{jobs}"
@@ -116,8 +126,8 @@ def test_star_jobs_do_not_change_output(tmp_path, capsys, task_manifest):
     seed_path = str(tmp_path / "seed.jsonl")
     assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", seed_path)[0] == 0
     files, reports = {}, {}
+    out_dir = tmp_path / "star"  # one path: the header's hash covers --out
     for jobs in ("1", "3"):
-        out_dir = tmp_path / f"star{jobs}"
         code, out = run(
             capsys, "star", "--tasks", task_manifest, "--seed-data", seed_path + ".manifest.json",
             "--out", str(out_dir), "--n-iters", "2", "--noise-sigma", "0.1", "--noise-flip", "0.3",
@@ -125,15 +135,14 @@ def test_star_jobs_do_not_change_output(tmp_path, capsys, task_manifest):
         )
         assert code == 0
         files[jobs] = {p.name: p.read_bytes() for p in out_dir.glob("iter*")}
-        # the header's config hash covers --jobs; the reports themselves must match
-        reports[jobs] = json.loads((out_dir / "reports.json").read_text())["reports"]
-        assert out["reports"] == reports[jobs]
+        reports[jobs] = (out_dir / "reports.json").read_bytes()
+        assert out["reports"] == json.loads(reports[jobs])["reports"]
     assert sorted(files["1"]) == [
         f"iter0{i}_{kind}" for i in (1, 2) for kind in ("manifest.json", "refined.jsonl", "train.jsonl")
     ]
     assert files["1"] == files["3"]
     assert reports["1"] == reports["3"]
-    assert sum(r["n_corrections"] for r in reports["1"]) > 0
+    assert sum(r["n_corrections"] for r in json.loads(reports["1"])["reports"]) > 0
 
 
 def test_unknown_init_name_is_usage_error(tmp_path, capsys, task_manifest):
@@ -377,3 +386,205 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     assert dispatch(argv) == e.value.code
     assert capsys.readouterr() == full
     assert full.out if "--help" in argv else full.err
+
+
+# --- each command takes exactly the options it reads --------------------------
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A small task set with the inputs every command needs, and the mock serving it."""
+    root = tmp_path_factory.mktemp("served")
+    tasks = synth_tasks(4, side=32, seed=1)
+    manifest = write_task_dir(tasks, str(root / "tasks"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["gen-traj", "--tasks", manifest, "--out", str(root / "traj.jsonl"), "--init", "random"]) == 0
+    _write_masks(root / "masks", tasks)
+    (root / "scores.json").write_text(json.dumps({"pred": [1, 2, 4], "truth": [1, 3, 2]}))
+    server, thread = mock_server.serve(tasks)
+    url = "http://%s:%d" % server.server_address[:2]
+    yield root, manifest, url
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5.0)
+
+
+def _write_masks(directory, tasks) -> None:
+    """The target for even task positions (IoU 1), an empty mask for odd (IoU 0)."""
+    directory.mkdir(exist_ok=True)
+    for i, task in enumerate(tasks):
+        mask = task.target if i % 2 == 0 else BitMask.zeros(task.image.width, task.image.height)
+        write_pgm(mask, str(directory / f"{task.id}.pgm"))
+
+
+class _ReadRecorder(dict):
+    """A config that records every key read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _variants(command: str, root, t: str, url: str) -> list[list[str]]:
+    """Argument lists that between them take every code path reading options."""
+    segs = [[], ["--segmenter", "region_grow"], ["--segmenter", "remote", "--segmenter-url", url]]
+    o = str(root / "out" / command)
+    traj, masks = str(root / "traj.jsonl"), str(root / "masks")
+    return {
+        "synth": [["--out", o]],
+        "gen-traj": [["--tasks", t, "--out", o, *v] for v in segs + [["--init", "random"]]],
+        "render-sft": [["--traj", traj, "--tasks", t, "--out", o, *v] for v in segs],
+        "rollout": [
+            ["--tasks", t, "--out", o, *v]
+            for v in segs + [["--policy", "noisy_expert", "--init", "random"], ["--policy", "remote", "--policy-url", url]]
+        ],
+        "star": [
+            ["--tasks", t, "--seed-data", traj + ".manifest.json", "--out", o, *v]
+            for v in segs + [["--policy", "remote", "--policy-url", url]]
+        ],
+        "search": [
+            ["--tasks", t, "--out", o, *v]
+            for v in segs + [
+                ["--policy", "noisy_expert", "--prm", "noisy", "--init", "random"],
+                ["--policy", "remote", "--policy-url", url, "--prm", "remote", "--prm-url", url],
+            ]
+        ],
+        "eval-ciou": [["--pred", masks, "--gt", masks]],
+        "eval-noc": [["--tasks", t, *v] for v in segs],
+        "eval-regression": [["--data", str(root / "scores.json")]],
+        "eval-filter": [
+            ["--tasks", t, "--masks", masks, *v]
+            for v in ([], ["--prm", "noisy"], ["--prm", "remote", "--prm-url", url])
+        ],
+        "serve-mock": [["--tasks", t, "--port", "0"]],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_every_option_of_a_command_is_read(served, capsys, monkeypatch, command):
+    root, t, url = served
+    (root / "out").mkdir(exist_ok=True)
+
+    class _Idle:
+        server_address = ("127.0.0.1", 0)
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(mock_server, "serve", lambda *a, **kw: (_Idle(), _Idle()))
+    read: set[str] = set()
+    for argv in _variants(command, root, t, url):
+        cfg = _ReadRecorder(_merge_config(build_parser().parse_args([command, *argv]), DEFAULTS[command]))
+        assert _HANDLERS[command](cfg) == 0, argv
+        read |= cfg.read
+    capsys.readouterr()
+    assert sorted(set(DEFAULTS[command]) - {"config"} - read) == []
+
+
+REMOVED_FLAGS = [
+    ("synth", "--jobs"),
+    ("render-sft", "--seed"),
+    ("rollout", "--miou-line"),
+    ("star", "--miou-line"),
+    ("search", "--tau-stop"),
+    ("search", "--tau-diff"),
+    ("search", "--miou-line"),
+    ("eval-ciou", "--seed"),
+    ("eval-ciou", "--jobs"),
+    ("eval-noc", "--seed"),
+    ("eval-regression", "--seed"),
+    ("eval-regression", "--jobs"),
+    ("eval-filter", "--seed"),
+    ("eval-filter", "--jobs"),
+    ("serve-mock", "--seed"),
+    ("serve-mock", "--jobs"),
+    ("serve-mock", "--template"),
+    ("serve-mock", "--miou-line"),
+]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, command, flag):
+    value = [] if flag == "--miou-line" else ["1"]
+    assert dispatch([command, flag, *value]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert flag[2:].replace("-", "_") not in DEFAULTS[command]
+
+
+def test_eval_filter_with_remote_prm_matches_oracle(served, tmp_path, capsys):
+    _, t, url = served
+    _write_masks(tmp_path / "masks", load_tasks(t))
+    argv = ["eval-filter", "--tasks", t, "--masks", str(tmp_path / "masks")]
+    code, oracle = run(capsys, *argv, "--prm", "oracle")
+    assert code == 0
+    code, remote = run(capsys, *argv, "--prm", "remote", "--prm-url", url, "--timeout", "5", "--max-retries", "0")
+    assert code == 0
+    assert remote == oracle
+    assert len(oracle["kept"]) == 2 and len(oracle["rejected"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("render-sft", "miou_line", "false"),  # bool keys take a JSON bool
+        ("synth", "n", True),  # int keys take an int, not a bool
+        ("synth", "n", 5.0),
+        ("rollout", "timeout", "10"),  # float keys take an int or a float
+        ("rollout", "alpha", False),
+        ("gen-traj", "out", 5),  # string keys take a string
+        ("gen-traj", "init", ["empty"]),
+        ("rollout", "policy_url", None),  # so do keys without a default
+        ("render-sft", "mask_color", [0, 255]),  # mask_color takes R,G,B
+        ("render-sft", "mask_color", "0,255,green"),
+        ("render-sft", "mask_color", None),
+    ],
+)
+def test_config_file_values_must_have_the_flags_type(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert dispatch([command, "--config", str(cfg)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_file_values_are_typed_like_flags(tmp_path, capsys, task_manifest):
+    traj = str(tmp_path / "t.jsonl")
+    assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", traj, "--init", "empty")[0] == 0
+    targets = {}
+    for name, cfg in [
+        ("off", {"miou_line": False, "alpha": 1, "mask_color": [255, 0, 0]}),
+        ("on", {"miou_line": True, "alpha": 1.0, "mask_color": "255,0,0"}),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        code, _ = run(capsys, "render-sft", "--config", str(path), "--traj", traj, "--tasks", task_manifest,
+                      "--out", str(out))
+        assert code == 0
+        lines = (out / "samples.jsonl").read_text().splitlines()
+        targets[name] = [json.loads(line)["target"] for line in lines]
+        assert (out / json.loads(lines[0])["image_path"]).read_bytes() == (
+            tmp_path / "off" / json.loads(lines[0])["image_path"]
+        ).read_bytes()
+    assert not any(x.startswith("Current mIoU") for x in targets["off"])
+    assert all(x.startswith("Current mIoU") for x in targets["on"])
+    assert [x.split("\n")[-1] for x in targets["on"]] == targets["off"]
+
+
+def test_config_file_stays_out_of_the_header(tmp_path, capsys, task_manifest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    out, manifest = str(tmp_path / "t.jsonl"), tmp_path / "t.jsonl.manifest.json"
+    headers = []
+    for extra in ([], ["--config", str(cfg)], ["--seed", "1"]):
+        assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", out, *extra)[0] == 0
+        headers.append(json.loads(manifest.read_text())["header"])
+    assert headers[0] == headers[1]
+    assert headers[2]["config_hash"] != headers[0]["config_hash"]

@@ -98,8 +98,6 @@ def test_env_config_validation():
         EnvConfig(tau_stop=1.5)
     with pytest.raises(ValueError):
         EnvConfig(tau_diff=-0.1)
-    assert EnvConfig.simple_profile().max_steps == 7
-    assert EnvConfig.complex_profile().max_steps == 11
 
 
 # --- reset ---------------------------------------------------------------

@@ -27,7 +27,6 @@ from maskloop.policy import (
     NoiseConfig,
     NoisyExpertPolicy,
     Policy,
-    PolicyProposal,
 )
 from maskloop.raster import GrayImage, rle_decode, rle_encode
 from maskloop.segmenters import OracleSegmenter
@@ -52,7 +51,7 @@ class BackgroundClicker(Policy):
     def propose(self, task, state, k, seed=None):
         x = 0.5 / task.image.width
         y = 0.5 / task.image.height
-        return [PolicyProposal(Action.positive(x, y))]
+        return [Action.positive(x, y)]
 
 
 class FailingPolicy(Policy):

@@ -247,7 +247,7 @@ def test_expert_propose_zero_noise_single_proposal():
     assert len(proposals) == 1
     from maskloop.expert import next_click
 
-    assert proposals[0].action == next_click(state.mask, task.target)
+    assert proposals[0] == next_click(state.mask, task.target)
 
 
 def test_expert_propose_exhausted_returns_empty():
@@ -283,9 +283,9 @@ def test_expert_propose_noise_seeds_differ():
 def test_expert_propose_noisy_proposals_in_range():
     task, state = _episode()
     noise = NoiseConfig(sigma=0.4, flip_prob=0.3, seed=3)
-    for proposal in expert_propose(task, state, k=8, noise=noise, task_seed=1):
-        assert 0.0 <= proposal.action.point.x < 1.0
-        assert 0.0 <= proposal.action.point.y < 1.0
+    for action in expert_propose(task, state, k=8, noise=noise, task_seed=1):
+        assert 0.0 <= action.point.x < 1.0
+        assert 0.0 <= action.point.y < 1.0
 
 
 def test_expert_propose_dedupes():
@@ -293,7 +293,7 @@ def test_expert_propose_dedupes():
     noise = NoiseConfig(sigma=0.0, flip_prob=1.0, seed=0)  # same flip every draw
     proposals = expert_propose(task, state, k=6, noise=noise, task_seed=5)
     assert len(proposals) == 1
-    assert proposals[0].action.kind == NEGATIVE_CLICK  # flipped from positive
+    assert proposals[0].kind == NEGATIVE_CLICK  # flipped from positive
 
 
 def test_expert_propose_dedupes_at_grammar_resolution():

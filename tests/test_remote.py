@@ -110,8 +110,7 @@ def test_remote_policy_returns_parseable_expert_click(mock):
     state = reset(task, InitSpec.empty(), OracleSegmenter())
     proposals = policy.propose(task, state, 3)
     assert len(proposals) == 1  # mock repeats one deterministic answer
-    assert proposals[0].stated_reward == 0.0
-    out = OracleSegmenter().segment(task, [proposals[0].action], None)
+    out = OracleSegmenter().segment(task, proposals, None)
     assert iou(out, task.target) > 0.0
 
 

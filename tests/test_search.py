@@ -14,7 +14,6 @@ from maskloop.policy import (
     NoisyExpertPolicy,
     OraclePrm,
     Policy,
-    PolicyProposal,
     Prm,
 )
 from maskloop.raster import GrayImage, NormBox, box_to_mask, components, iou
@@ -39,12 +38,12 @@ class SandwichPolicy(Policy):
         w, h = task.image.width, task.image.height
         junk1 = Action.positive(0.5 / w, 0.5 / h)
         junk2 = Action.positive(1.5 / w, 0.5 / h)
-        return [PolicyProposal(junk1), PolicyProposal(best), PolicyProposal(junk2)][:k]
+        return [junk1, best, junk2][:k]
 
 
 class RepeatPolicy(Policy):
     def propose(self, task, state, k, seed=None):
-        return [PolicyProposal(Action.positive(0.3, 0.3))] * k
+        return [Action.positive(0.3, 0.3)] * k
 
 
 class InvertedPrm(Prm):
@@ -54,7 +53,7 @@ class InvertedPrm(Prm):
         return 1.0 - iou(mask, task.target)
 
 
-def test_search_config_validation_and_profiles():
+def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(k=0)
     with pytest.raises(ValueError):
@@ -63,8 +62,6 @@ def test_search_config_validation_and_profiles():
         SearchConfig(convergence_eps=-1e-9)
     with pytest.raises(ValueError):
         SearchConfig(convergence_patience=0)
-    assert SearchConfig.simple_profile() == SearchConfig(k=1, max_steps=7)
-    assert SearchConfig.complex_profile() == SearchConfig(k=3, max_steps=11)
 
 
 def test_expert_policy_with_oracle_prm_solves_synth_tasks():
@@ -129,7 +126,7 @@ def test_search_stops_after_patience_without_improvement():
     class JunkPolicy(Policy):
         def propose(self, task, state, k, seed=None):
             w, h = task.image.width, task.image.height
-            return [PolicyProposal(Action.positive(0.5 / w, 0.5 / h))]
+            return [Action.positive(0.5 / w, 0.5 / h)]
 
     config = SearchConfig(k=1, max_steps=10, convergence_patience=2)
     mask, score, trace = prm_greedy(task, JunkPolicy(), OraclePrm(), OracleSegmenter(), config)

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import maskloop.segmenters as segmenters
-from maskloop.env import Action, Task
+from maskloop.cli import DEFAULTS, _segmenter, dispatch
+from maskloop.env import Action, Task, write_task_dir
 from maskloop.errors import MaskShapeError
 from maskloop.raster import BitMask, GrayImage, NormBox, component_labels, pixel_center
 from maskloop.segmenters import (
     OracleSegmenter,
     RegionGrowSegmenter,
-    SegmenterSpec,
+    RemoteSegmenter,
     oracle_segment,
     region_grow_segment,
 )
+from maskloop.trajgen import synth_tasks
 
 from conftest import flood_components, rand_mask
 
@@ -155,25 +157,42 @@ def test_region_grow_matches_flood_oracle_under_threshold(rng):
         assert got == want
 
 
-# --- SegmenterSpec / wrappers ---------------------------------------------------
+# --- wrappers ---------------------------------------------------------------
 
 
-def test_segmenter_spec_builds_each_kind():
-    assert isinstance(SegmenterSpec(kind="oracle").build(), OracleSegmenter)
-    assert isinstance(SegmenterSpec(kind="region_grow").build(), RegionGrowSegmenter)
+def test_segmenter_constructors_validate_parameters():
     with pytest.raises(ValueError):
-        SegmenterSpec(kind="nonsense").build()
+        OracleSegmenter(r_neg=-1)
+    for delta in (-1, 256):
+        with pytest.raises(ValueError):
+            RegionGrowSegmenter(delta=delta)
     with pytest.raises(ValueError):
-        SegmenterSpec(kind="remote").build()  # needs an endpoint
+        RegionGrowSegmenter(cap=0)
+    # the bounds themselves are valid
+    assert OracleSegmenter(r_neg=0).r_neg == 0
+    assert RegionGrowSegmenter(delta=255, cap=1).delta == 255
+    assert RegionGrowSegmenter(delta=0).delta == 0
 
 
-def test_segmenter_spec_validates_parameters():
-    with pytest.raises(ValueError):
-        SegmenterSpec(kind="oracle", r_neg=-1)
-    with pytest.raises(ValueError):
-        SegmenterSpec(kind="region_grow", delta=300)
-    with pytest.raises(ValueError):
-        SegmenterSpec(kind="region_grow", cap=0)
+def test_cli_builds_each_segmenter_kind():
+    cfg = dict(DEFAULTS["eval-noc"], r_neg=3, delta=20, cap=50, segmenter_url="http://127.0.0.1:9", timeout=2.0)
+    oracle = _segmenter({**cfg, "segmenter": "oracle"})
+    assert isinstance(oracle, OracleSegmenter) and oracle.r_neg == 3
+    grow = _segmenter({**cfg, "segmenter": "region_grow"})
+    assert isinstance(grow, RegionGrowSegmenter) and (grow.delta, grow.cap) == (20, 50)
+    remote = _segmenter({**cfg, "segmenter": "remote"})
+    assert isinstance(remote, RemoteSegmenter)
+    assert (remote.endpoint.base_url, remote.endpoint.timeout) == ("http://127.0.0.1:9", 2.0)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--segmenter", "nonsense"], ["--segmenter", "remote"]], ids=["unknown", "remote-without-url"]
+)
+def test_cli_segmenter_choice_errors_are_usage_errors(tmp_path, capsys, argv):
+    manifest = write_task_dir(synth_tasks(2, side=16, seed=0), str(tmp_path / "tasks"))
+    code = dispatch(["eval-noc", "--tasks", manifest, *argv])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_oracle_segmenter_wrapper_uses_task_target():
