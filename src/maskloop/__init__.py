@@ -101,8 +101,6 @@ from .segmenters import (
     RegionGrowSegmenter,
     RemoteSegmenter,
     Segmenter,
-    oracle_segment,
-    region_grow_segment,
 )
 from .trajgen import (
     SftSample,
@@ -111,7 +109,6 @@ from .trajgen import (
     generate_trajectory,
     read_jsonl,
     render_sft,
-    replay_masks,
     run_episode,
     synth_tasks,
     write_jsonl,
@@ -180,7 +177,6 @@ __all__ = [
     "next_click",
     "noc",
     "noc_histogram",
-    "oracle_segment",
     "parse_action",
     "parse_stated_miou",
     "pixel_center",
@@ -192,12 +188,10 @@ __all__ = [
     "read_pgm_mask",
     "read_ppm",
     "refine_star_plus_verbose",
-    "region_grow_segment",
     "regression_metrics",
     "render_overlay",
     "render_prompt",
     "render_sft",
-    "replay_masks",
     "reset",
     "reward",
     "rle_decode",

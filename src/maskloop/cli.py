@@ -71,13 +71,15 @@ class UsageError(Exception):
 # option plumbing
 
 
-def _parse_color(v) -> tuple[int, int, int]:
-    if isinstance(v, (list, tuple)) and len(v) == 3:
-        return tuple(int(c) for c in v)
-    parts = str(v).split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected R,G,B, got {v!r}")
-    return tuple(int(p) for p in parts)
+def _parse_color(value) -> tuple[int, int, int]:
+    """mask_color from a flag or a config file: "R,G,B", or a list of three
+    from a config file, each channel in [0, 255]."""
+    parts = value if isinstance(value, list) else str(value).split(",")
+    with contextlib.suppress(TypeError, ValueError):
+        rgb = tuple(int(p) for p in parts)
+        if len(rgb) == 3 and all(0 <= c <= 255 for c in rgb):
+            return rgb
+    raise UsageError(f"option 'mask_color' takes R,G,B, each in [0, 255], got {value!r}")
 
 
 # what a config-file value may be, by the type of the key's default: the
@@ -95,10 +97,8 @@ def _typed(key: str, value, default):
     """Check a config-file value against its key's rule; a number for a
     float key comes back as a float. mask_color takes what _parse_color takes."""
     if key == "mask_color":
-        with contextlib.suppress(TypeError, ValueError):
-            _parse_color(value)
-            return value
-        raise UsageError(f"config key {key!r} takes R,G,B, got {value!r}")
+        _parse_color(value)
+        return value
     types, what = _FILE_TYPES[type(default)]
     # a JSON bool is a Python int, but only a bool key takes one
     if not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool):
@@ -145,6 +145,13 @@ def _require(effective: dict, *keys: str) -> None:
     missing = [k for k in keys if effective.get(k) in (None, "")]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
+
+
+def _make_parent(path: str | None) -> None:
+    """Create the directory an output file goes in; commands call this
+    before any work, so a missing directory costs nothing."""
+    if path:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def _endpoint(cfg: dict, url_key: str) -> RemoteEndpoint:
@@ -410,6 +417,7 @@ def _write_dataset(trajectories: list, out: str, provenance: str, header: dict) 
 
 def cmd_gen_traj(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
+    _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter(cfg)
     env_config = _env_config(cfg)
@@ -470,6 +478,7 @@ def cmd_render_sft(cfg: dict) -> int:
 
 def cmd_rollout(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
+    _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter(cfg)
     env_config = _env_config(cfg)
@@ -500,6 +509,7 @@ def cmd_rollout(cfg: dict) -> int:
 
 def cmd_star(cfg: dict) -> int:
     _require(cfg, "tasks", "seed_data", "out")
+    os.makedirs(cfg["out"], exist_ok=True)
     tasks = load_tasks(cfg["tasks"])
     seed_data = DatasetManifest.load(cfg["seed_data"])
     segmenter = _segmenter(cfg)
@@ -526,7 +536,6 @@ def cmd_star(cfg: dict) -> int:
         jobs=cfg["jobs"],
     )
     reports_path = os.path.join(cfg["out"], "reports.json")
-    os.makedirs(cfg["out"], exist_ok=True)
     with open(reports_path, "w", encoding="utf-8") as fh:
         json.dump({"header": _header("star", cfg), "reports": reports}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -543,6 +552,7 @@ def cmd_star(cfg: dict) -> int:
 
 def cmd_search(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
+    _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter(cfg)
     prm = _prm(cfg)
@@ -626,6 +636,7 @@ def cmd_eval_ciou(cfg: dict) -> int:
 
 def cmd_eval_noc(cfg: dict) -> int:
     _require(cfg, "tasks")
+    _make_parent(cfg["hist_out"])
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter(cfg)
     target = cfg["target_iou"]
@@ -783,6 +794,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         effective = _merge_config(args, DEFAULTS[args.command])
+        if "mask_color" in effective:  # a flag's value, checked like a file's
+            _parse_color(effective["mask_color"])
         return _HANDLERS[args.command](effective)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

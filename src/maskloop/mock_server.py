@@ -47,7 +47,7 @@ from .raster import (
     render_overlay,  # noqa: F401 - unused here; bench/mock_launcher.py wraps this name
     rle_encode,
 )
-from .segmenters import oracle_segment
+from .segmenters import OracleSegmenter
 
 log = logging.getLogger(__name__)
 
@@ -75,7 +75,7 @@ class MockService:
             raise ValueError("mock service needs at least one task")
         self.tasks = list(tasks)
         self.prompt_config = prompt_config
-        self.r_neg = r_neg
+        self.segmenter = OracleSegmenter(r_neg)
         self._by_pgm: dict[str, Task] = {}
         shadowed: list[str] = []
         for task in self.tasks:
@@ -104,7 +104,7 @@ class MockService:
             raise MockRequestError("unknown image")
         clicks = _parse_clicks(payload.get("clicks", []))
         box = _parse_box(payload.get("box"))
-        mask = oracle_segment(task.target, clicks, box, r_neg=self.r_neg, labels=task.target_labels)
+        mask = self.segmenter.segment(task, clicks, box)
         return {"mask_rle": rle_encode(mask).to_dict()}
 
     def act(self, payload: dict) -> dict:

@@ -3,30 +3,27 @@
 Three implementations share one interface: a ground-truth oracle used
 for dataset generation and mock services, a deterministic region grower
 that only looks at the image, and a thin client for a remote service.
-All of them receive the full click history on every call.
+All of them receive the full click history on every call. The two local
+ones are a fold over per-click regions and share one combine step.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from . import remote
-from .env import Action, Task
-from .errors import MaskShapeError
-from .raster import (
-    FOUR_CONNECTED,
-    BitMask,
-    GrayImage,
-    NormBox,
-    box_to_mask,
-    component_labels,
-    point_to_pixel,
-)
+from .env import NEGATIVE_CLICK, POSITIVE_CLICK, Action, Task
+from .raster import FOUR_CONNECTED, BitMask, NormBox, box_to_mask, point_to_pixel
+
+# maps the (x, y) pixels of one sign's clicks, possibly none, to the union
+# of their regions as a new array
+RegionRule = Callable[[list[tuple[int, int]]], np.ndarray]
 
 
 class Segmenter(ABC):
@@ -39,84 +36,40 @@ class Segmenter(ABC):
         raise NotImplementedError
 
 
-def oracle_segment(
-    gt: BitMask,
+def _combine(
+    shape: tuple[int, int],
     clicks: Sequence[Action],
-    box: NormBox | None = None,
-    r_neg: int = 2,
-    labels: np.ndarray | None = None,
+    box: NormBox | None,
+    positive: RegionRule,
+    negative: RegionRule,
 ) -> BitMask:
-    """Ground-truth-aware segmentation.
-
-    The union of the target's 4-connected components hit by at least one
-    positive click, minus a (2*r_neg+1) square around every negative
-    click, intersected with the box raster when a box is given. ``labels``
-    may pass in ``component_labels(gt)`` computed beforehand.
-    """
-    if r_neg < 0:
-        raise ValueError(f"r_neg must be >= 0, got {r_neg}")
-    h, w = gt.shape
-    if labels is None:
-        labels = component_labels(gt)
-    elif labels.shape != gt.shape:
-        raise MaskShapeError(f"labels {labels.shape} do not match target {gt.shape}")
-    keep: set[int] = set()
+    """The positive clicks' regions minus the negative clicks' regions,
+    intersected with the box raster when a box is given."""
+    h, w = shape
+    pixels: dict[str, list[tuple[int, int]]] = {POSITIVE_CLICK: [], NEGATIVE_CLICK: []}
     for a in clicks:
-        if a.kind != "positive_click":
-            continue
-        px, py = point_to_pixel(a.point, w, h)
-        lab = int(labels[py, px])
-        if lab:
-            keep.add(lab)
-    if keep:
-        out = np.isin(labels, sorted(keep))
-    else:
-        out = np.zeros((h, w), dtype=bool)
-    for a in clicks:
-        if a.kind != "negative_click":
-            continue
-        px, py = point_to_pixel(a.point, w, h)
-        out[max(0, py - r_neg) : py + r_neg + 1, max(0, px - r_neg) : px + r_neg + 1] = False
+        if a.is_click:
+            pixels[a.kind].append(point_to_pixel(a.point, w, h))
+    out = positive(pixels[POSITIVE_CLICK])
+    if pixels[NEGATIVE_CLICK]:
+        out &= ~negative(pixels[NEGATIVE_CLICK])
     if box is not None:
         out &= box_to_mask(box, w, h).data
     return BitMask(out)
 
 
-def region_grow_segment(
-    image: GrayImage,
-    clicks: Sequence[Action],
-    box: NormBox | None = None,
-    delta: int = 16,
-    cap: int = 10_000,
-) -> BitMask:
-    """Image-only segmentation by capped intensity flood fill.
+def _components(labels: np.ndarray, pixels: list[tuple[int, int]]) -> np.ndarray:
+    """The labelled components hit by at least one pixel, in one np.isin."""
+    hit = {int(labels[py, px]) for px, py in pixels} - {0}
+    return np.isin(labels, sorted(hit)) if hit else np.zeros(labels.shape, dtype=bool)
 
-    Each click grows a 4-connected region of pixels within ``delta`` gray
-    levels of the seed, visited in breadth-first order (neighbors tried
-    north, west, east, south) and truncated at ``cap`` pixels. The result
-    is the union of positive regions minus the union of negative regions,
-    intersected with the box raster when one is given.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    h, w = image.shape
-    pos = np.zeros((h, w), dtype=bool)
-    neg = np.zeros((h, w), dtype=bool)
-    for a in clicks:
-        if not a.is_click:
-            continue
-        px, py = point_to_pixel(a.point, w, h)
-        region = _grow(image.data, px, py, delta, cap)
-        if a.kind == "positive_click":
-            pos |= region
-        else:
-            neg |= region
-    out = pos & ~neg
-    if box is not None:
-        out &= box_to_mask(box, w, h).data
-    return BitMask(out)
+
+def _squares(shape: tuple[int, int], r: int, pixels: list[tuple[int, int]]) -> np.ndarray:
+    """A (2r+1) square around every pixel, clipped at the border."""
+    out = np.zeros(shape, dtype=bool)
+    for px, py in pixels:
+        out[max(0, py - r) : py + r + 1, max(0, px - r) : px + r + 1] = True
+    return out
 
 
 # neighbor order for the capped flood fill: N, W, E, S
@@ -149,8 +102,20 @@ def _grow(img: np.ndarray, sx: int, sy: int, delta: int, cap: int) -> np.ndarray
     return visited
 
 
+def _grown(img: np.ndarray, delta: int, cap: int, pixels: list[tuple[int, int]]) -> np.ndarray:
+    """The union of the capped grows from every pixel."""
+    out = np.zeros(img.shape, dtype=bool)
+    for px, py in pixels:
+        out |= _grow(img, px, py, delta, cap)
+    return out
+
+
 class OracleSegmenter(Segmenter):
-    """Wraps oracle_segment; peeks at the task's target and its cached labels."""
+    """Ground-truth-aware segmentation; reads the task's cached target labels.
+
+    The union of the target's 4-connected components hit by at least one
+    positive click, minus a (2*r_neg+1) square around every negative click.
+    """
 
     def __init__(self, r_neg: int = 2):
         if r_neg < 0:
@@ -158,11 +123,20 @@ class OracleSegmenter(Segmenter):
         self.r_neg = r_neg
 
     def segment(self, task, clicks, box=None):
-        return oracle_segment(task.target, clicks, box, r_neg=self.r_neg, labels=task.target_labels)
+        labels = task.target_labels
+        return _combine(
+            labels.shape, clicks, box, partial(_components, labels), partial(_squares, labels.shape, self.r_neg)
+        )
 
 
 class RegionGrowSegmenter(Segmenter):
-    """Wraps region_grow_segment; only looks at the task's image."""
+    """Image-only segmentation by capped intensity flood fill.
+
+    Each click grows a 4-connected region of pixels within ``delta`` gray
+    levels of the seed, visited in breadth-first order (neighbors tried
+    north, west, east, south) and truncated at ``cap`` pixels. Positive
+    regions are unioned and negative ones subtracted.
+    """
 
     def __init__(self, delta: int = 16, cap: int = 10_000):
         if not (0 <= delta <= 255):
@@ -173,7 +147,8 @@ class RegionGrowSegmenter(Segmenter):
         self.cap = cap
 
     def segment(self, task, clicks, box=None):
-        return region_grow_segment(task.image, clicks, box, delta=self.delta, cap=self.cap)
+        grown = partial(_grown, task.image.data, self.delta, self.cap)
+        return _combine(task.image.shape, clicks, box, grown, grown)
 
 
 class RemoteSegmenter(Segmenter):
@@ -184,4 +159,3 @@ class RemoteSegmenter(Segmenter):
 
     def segment(self, task, clicks, box=None):
         return remote.call_segment(self.endpoint, task.image, clicks, box)
-

@@ -155,28 +155,6 @@ def generate_trajectory(
     )
 
 
-def replay_masks(
-    trajectory: Trajectory,
-    task: Task,
-    segmenter: Segmenter,
-    config: EnvConfig = EnvConfig(),
-) -> list[BitMask]:
-    """Re-run a trajectory's actions; returns [m0, m1, ...] as recomputed.
-
-    Callers compare against the stored masks to confirm a segmenter
-    reproduces the recording.
-    """
-    if trajectory.task_id != task.id:
-        raise ValueError(f"trajectory for {trajectory.task_id!r} replayed on {task.id!r}")
-    state = envmod.reset(task, trajectory.init, segmenter)
-    masks = [state.mask]
-    for st in trajectory.steps:
-        out = envmod.step(state, st.action, task, segmenter, config)
-        masks.append(out.state.mask)
-        state = out.state
-    return masks
-
-
 @dataclass(frozen=True)
 class SftSample:
     """One training sample: overlay image, prompt, expected reply text."""

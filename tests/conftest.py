@@ -8,6 +8,8 @@ not tautology.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,66 @@ def flood_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
                         queue.append((nx, ny))
             comps.append(comp)
     return comps
+
+
+def click_pixel(action, w: int, h: int) -> tuple[int, int]:
+    """The (x, y) pixel a click's normalized point falls in, clamped in bounds."""
+    return min(int(action.point.x * w), w - 1), min(int(action.point.y * h), h - 1)
+
+
+def in_box(mask: np.ndarray, box) -> np.ndarray:
+    """Keep the pixels whose centre lies in the half-open box, one by one."""
+    h, w = mask.shape
+    out = mask.copy()
+    if box is not None:
+        for y in range(h):
+            for x in range(w):
+                cx, cy = (x + 0.5) / w, (y + 0.5) / h
+                if not (box.x1 <= cx < box.x2 and box.y1 <= cy < box.y2):
+                    out[y, x] = False
+    return out
+
+
+def oracle_reference(gt: np.ndarray, clicks, box, r_neg: int) -> np.ndarray:
+    """The target components a positive click lands in, minus an explicit
+    (2*r_neg+1) square around every negative click, clipped to the box."""
+    gt = np.asarray(gt, dtype=bool)
+    h, w = gt.shape
+    comps = flood_components(gt)
+    kept: set[tuple[int, int]] = set()
+    for a in clicks:
+        if a.kind == "positive_click":
+            p = click_pixel(a, w, h)
+            kept |= next((c for c in comps if p in c), set())
+    for a in clicks:
+        if a.kind == "negative_click":
+            px, py = click_pixel(a, w, h)
+            kept -= {(x, y) for x in range(px - r_neg, px + r_neg + 1) for y in range(py - r_neg, py + r_neg + 1)}
+    out = np.zeros((h, w), dtype=bool)
+    for x, y in kept:
+        out[y, x] = True
+    return in_box(out, box)
+
+
+def bfs_grow(img: np.ndarray, sx: int, sy: int, delta: int, cap: int) -> np.ndarray:
+    """Capped flood fill by a plain deque BFS: 4-neighbours tried north,
+    west, east, south, pixels within delta gray levels of the seed, and the
+    search stops once cap pixels are taken. No component shortcut."""
+    img = np.asarray(img, dtype=np.int64)
+    h, w = img.shape
+    taken = np.zeros((h, w), dtype=bool)
+    taken[sy, sx] = True
+    n = 1
+    queue = deque([(sx, sy)])
+    while queue and n < cap:
+        x, y = queue.popleft()
+        for nx, ny in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
+            if n < cap and 0 <= nx < w and 0 <= ny < h and not taken[ny, nx]:
+                if abs(img[ny, nx] - img[sy, sx]) <= delta:
+                    taken[ny, nx] = True
+                    n += 1
+                    queue.append((nx, ny))
+    return taken
 
 
 def blend_overlay(gray: np.ndarray, mask: np.ndarray, color, alpha: float) -> np.ndarray:

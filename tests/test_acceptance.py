@@ -57,7 +57,6 @@ from maskloop.segmenters import (
 from maskloop.trajgen import (
     generate_trajectory,
     read_jsonl,
-    replay_masks,
     synth_tasks,
     write_jsonl,
 )
@@ -185,11 +184,10 @@ def test_trajectory_invariants_and_round_trips(tmp_path):
         traj = generate_trajectory(task, seg, config, init)
         for st in traj.steps:
             assert st.reward_after - st.reward_before >= config.tau_diff
-        masks = replay_masks(traj, task, seg, config)
-        for st, mask in zip(traj.steps, masks[1:]):
-            stored = rle_decode(st.mask_after)
-            assert stored == mask
-            assert rle_encode(stored) == st.mask_after
+        # the repair replay re-segments every step against the stored masks
+        assert refine_star_plus_verbose(traj, task, seg, config, keep_rule="tau_diff") == (traj, False)
+        for st in traj.steps:
+            assert rle_encode(rle_decode(st.mask_after)) == st.mask_after
         trajectories.append(traj)
 
     path = str(tmp_path / "accept.jsonl")

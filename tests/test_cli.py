@@ -545,6 +545,10 @@ def test_eval_filter_with_remote_prm_matches_oracle(served, tmp_path, capsys):
         ("render-sft", "mask_color", [0, 255]),  # mask_color takes R,G,B
         ("render-sft", "mask_color", "0,255,green"),
         ("render-sft", "mask_color", None),
+        ("render-sft", "mask_color", "red"),  # and each channel is in [0, 255]
+        ("render-sft", "mask_color", "300,0,0"),
+        ("render-sft", "mask_color", [0, 0, 256]),
+        ("search", "mask_color", "0,-1,0"),
     ],
 )
 def test_config_file_values_must_have_the_flags_type(tmp_path, capsys, command, key, value):
@@ -552,6 +556,32 @@ def test_config_file_values_must_have_the_flags_type(tmp_path, capsys, command, 
     cfg.write_text(json.dumps({key: value}))
     assert dispatch([command, "--config", str(cfg)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["render-sft", "rollout", "search", "serve-mock"])
+@pytest.mark.parametrize("value", ["red", "300,0,0", "0,255", "0,-1,0"])
+def test_bad_mask_color_flags_are_usage_errors(capsys, command, value):
+    # checked by the same rule as a config-file value, whether or not the
+    # run would render an overlay
+    assert dispatch([command, "--mask-color", value]) == 2
+    assert "'mask_color'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-traj", "--out", "g.jsonl"],
+        ["rollout", "--out", "r.jsonl"],
+        ["search", "--out", "s.json"],
+        ["eval-noc", "--hist-out", "h.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_create_the_directory_of_each_output_file(tmp_path, capsys, task_manifest, argv):
+    command, flag, name = argv
+    path = tmp_path / "not" / "yet" / name
+    assert run(capsys, command, "--tasks", task_manifest, flag, str(path))[0] == 0
+    assert path.is_file()
 
 
 def test_config_file_values_are_typed_like_flags(tmp_path, capsys, task_manifest):

@@ -41,7 +41,7 @@ from maskloop.remote import (
     image_to_pgm_b64,
     image_to_ppm_b64,
 )
-from maskloop.segmenters import OracleSegmenter, RemoteSegmenter, oracle_segment
+from maskloop.segmenters import OracleSegmenter, RemoteSegmenter
 from maskloop.trajgen import synth_tasks
 from maskloop.util import round_half_up
 
@@ -88,7 +88,7 @@ def test_remote_segment_with_negative_click_and_box(mock):
 
     box = NormBox(0.0, 0.0, 0.9, 0.9)
     got = call_segment(endpoint, task.image, clicks, box)
-    assert got == oracle_segment(task.target, clicks, box, r_neg=2)
+    assert got == OracleSegmenter().segment(task, clicks, box)
 
 
 def test_remote_segment_unknown_image_is_client_error(mock):
@@ -169,6 +169,19 @@ def test_mock_service_rejects_malformed_payloads():
         svc.handle("/v1/unknown", {})
 
 
+def test_mock_service_checks_r_neg_before_serving():
+    tasks = synth_tasks(1, side=32, seed=51)
+    for build in (lambda: MockService(tasks, r_neg=-1), lambda: serve(tasks, port=0, r_neg=-1)):
+        with pytest.raises(ValueError, match="r_neg"):
+            build()
+    task = tasks[0]
+    ys, xs = np.nonzero(task.target.data)
+    clicks = [Action.positive(*_pc(task, int(xs[0]), int(ys[0]))), Action.negative(*_pc(task, int(xs[1]), int(ys[1])))]
+    wire = [{"sign": a.sign, "x": a.point.x, "y": a.point.y} for a in clicks]
+    reply = MockService(tasks, r_neg=0).segment({"image_pgm_b64": image_to_pgm_b64(task.image), "clicks": wire})
+    assert reply["mask_rle"] == rle_encode(OracleSegmenter(r_neg=0).segment(task, clicks)).to_dict()
+
+
 def test_mock_service_rejects_foreign_composite():
     tasks = synth_tasks(1, side=32, seed=52)
     svc = MockService(tasks)
@@ -202,7 +215,7 @@ def test_coords_next_to_one_stay_inside_the_unit_interval(mock):
     clicks = [Action.positive(top, top)]
     box = NormBox(0.0, 0.0, 1.0 - 1e-7, top)
     got = call_segment(endpoint, task.image, clicks, box)
-    assert got == oracle_segment(task.target, clicks, box, r_neg=2)
+    assert got == OracleSegmenter().segment(task, clicks, box)
 
 
 # --- composite matching ---------------------------------------------------------
@@ -583,7 +596,7 @@ def test_one_pooled_connection_per_client_thread(mock, monkeypatch):
             expected = round_half_up(100.0 * iou(mask, task.target)) / 100.0
             assert call_prm(endpoint, render_overlay(task.image, mask), "p") == expected
             clicks = [Action.positive(*_pc(task, int(xs[k]), int(ys[k])))]
-            assert call_segment(endpoint, task.image, clicks) == oracle_segment(task.target, clicks)
+            assert call_segment(endpoint, task.image, clicks) == OracleSegmenter().segment(task, clicks)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -671,7 +684,7 @@ def test_endpoints_on_one_host_share_one_connection(mock, monkeypatch):
     def calls():
         ys, xs = np.nonzero(task.target.data)
         clicks = [Action.positive(*_pc(task, int(xs[0]), int(ys[0])))]
-        assert call_segment(segment, task.image, clicks) == oracle_segment(task.target, clicks)
+        assert call_segment(segment, task.image, clicks) == OracleSegmenter().segment(task, clicks)
         assert len(call_policy(act, composite, render_prompt("default", task.prompt), 2)) == 2
         assert call_prm(score, composite, "p") == 1.0
         sock = opened[0][1].sock

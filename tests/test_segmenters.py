@@ -6,21 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import maskloop.segmenters as segmenters
+import maskloop.env as env
 from maskloop.cli import DEFAULTS, _segmenter, dispatch
 from maskloop.env import Action, Task, write_task_dir
-from maskloop.errors import MaskShapeError
 from maskloop.raster import BitMask, GrayImage, NormBox, component_labels, pixel_center
-from maskloop.segmenters import (
-    OracleSegmenter,
-    RegionGrowSegmenter,
-    RemoteSegmenter,
-    oracle_segment,
-    region_grow_segment,
-)
+from maskloop.segmenters import OracleSegmenter, RegionGrowSegmenter, RemoteSegmenter
 from maskloop.trajgen import synth_tasks
 
-from conftest import flood_components, rand_mask
+from conftest import bfs_grow, click_pixel, flood_components, in_box, oracle_reference, rand_mask
 
 
 def _pos(px: int, py: int, w: int, h: int) -> Action:
@@ -31,6 +24,16 @@ def _pos(px: int, py: int, w: int, h: int) -> Action:
 def _neg(px: int, py: int, w: int, h: int) -> Action:
     pt = pixel_center(px, py, w, h)
     return Action.negative(pt.x, pt.y)
+
+
+def _oracle(gt: BitMask, clicks, box=None, r_neg: int = 2) -> BitMask:
+    task = Task(id="x", image=GrayImage(np.zeros(gt.shape, np.uint8)), target=gt, prompt="p")
+    return OracleSegmenter(r_neg).segment(task, clicks, box)
+
+
+def _region_grow(image: GrayImage, clicks, box=None, delta: int = 16, cap: int = 10_000) -> BitMask:
+    task = Task(id="x", image=image, target=BitMask.full(*image.shape[::-1]), prompt="p")
+    return RegionGrowSegmenter(delta, cap).segment(task, clicks, box)
 
 
 def _two_blob_gt(side: int = 16) -> BitMask:
@@ -45,13 +48,13 @@ def _two_blob_gt(side: int = 16) -> BitMask:
 
 def test_oracle_no_positive_clicks_empty():
     gt = _two_blob_gt()
-    assert oracle_segment(gt, []).is_empty()
-    assert oracle_segment(gt, [_neg(3, 3, 16, 16)]).is_empty()
+    assert _oracle(gt, []).is_empty()
+    assert _oracle(gt, [_neg(3, 3, 16, 16)]).is_empty()
 
 
 def test_oracle_click_selects_exactly_one_component():
     gt = _two_blob_gt()
-    out = oracle_segment(gt, [_pos(3, 3, 16, 16)])
+    out = _oracle(gt, [_pos(3, 3, 16, 16)])
     want = np.zeros((16, 16), bool)
     want[2:6, 2:6] = True
     assert np.array_equal(out.data, want)
@@ -59,7 +62,7 @@ def test_oracle_click_selects_exactly_one_component():
 
 def test_oracle_negative_click_carves_square():
     gt = _two_blob_gt()
-    out = oracle_segment(gt, [_pos(3, 3, 16, 16), _neg(2, 2, 16, 16)], r_neg=2)
+    out = _oracle(gt, [_pos(3, 3, 16, 16), _neg(2, 2, 16, 16)], r_neg=2)
     want = np.zeros((16, 16), bool)
     want[2:6, 2:6] = True
     want[0:5, 0:5] = False  # 5x5 square at (2,2), clipped at the border
@@ -68,14 +71,14 @@ def test_oracle_negative_click_carves_square():
 
 def test_oracle_background_click_adds_nothing():
     gt = _two_blob_gt()
-    out = oracle_segment(gt, [_pos(0, 15, 16, 16)])
+    out = _oracle(gt, [_pos(0, 15, 16, 16)])
     assert out.is_empty()
 
 
 def test_oracle_box_restricts_output():
     gt = _two_blob_gt()
     box = NormBox(0.0, 0.0, 0.5, 0.5)
-    out = oracle_segment(gt, [_pos(3, 3, 16, 16), _pos(11, 11, 16, 16)], box=box)
+    out = _oracle(gt, [_pos(3, 3, 16, 16), _pos(11, 11, 16, 16)], box=box)
     want = np.zeros((16, 16), bool)
     want[2:6, 2:6] = True  # component B lies outside the box raster
     assert np.array_equal(out.data, want)
@@ -83,7 +86,7 @@ def test_oracle_box_restricts_output():
 
 def test_oracle_r_neg_zero_removes_single_pixel():
     gt = _two_blob_gt()
-    out = oracle_segment(gt, [_pos(3, 3, 16, 16), _neg(3, 3, 16, 16)], r_neg=0)
+    out = _oracle(gt, [_pos(3, 3, 16, 16), _neg(3, 3, 16, 16)], r_neg=0)
     assert not out.data[3, 3]
     assert out.area() == 15
 
@@ -93,19 +96,19 @@ def test_oracle_r_neg_zero_removes_single_pixel():
 
 def test_region_grow_no_clicks():
     img = GrayImage(np.zeros((8, 8), np.uint8))
-    assert region_grow_segment(img, []).is_empty()
+    assert _region_grow(img, []).is_empty()
 
 
 def test_region_grow_uniform_image_fills_everything():
     img = GrayImage(np.full((9, 9), 77, np.uint8))
-    out = region_grow_segment(img, [_pos(4, 4, 9, 9)], cap=10_000)
+    out = _region_grow(img, [_pos(4, 4, 9, 9)], cap=10_000)
     assert out.data.all()
 
 
 def test_region_grow_intensity_barrier():
     img = np.zeros((8, 8), np.uint8)
     img[:, 4:] = 255
-    out = region_grow_segment(GrayImage(img), [_pos(1, 1, 8, 8)], delta=16)
+    out = _region_grow(GrayImage(img), [_pos(1, 1, 8, 8)], delta=16)
     want = np.zeros((8, 8), bool)
     want[:, :4] = True
     assert np.array_equal(out.data, want)
@@ -113,7 +116,7 @@ def test_region_grow_intensity_barrier():
 
 def test_region_grow_cap_truncates_in_bfs_order():
     img = GrayImage(np.zeros((5, 5), np.uint8))
-    out = region_grow_segment(img, [_pos(2, 2, 5, 5)], cap=5)
+    out = _region_grow(img, [_pos(2, 2, 5, 5)], cap=5)
     # seed plus its 4-neighborhood: N, W, E, S explored first
     want = np.zeros((5, 5), bool)
     want[2, 2] = want[1, 2] = want[2, 1] = want[2, 3] = want[3, 2] = True
@@ -125,7 +128,7 @@ def test_region_grow_negative_removes_region():
     img = np.zeros((8, 8), np.uint8)
     img[:, 4:] = 255
     clicks = [_pos(1, 1, 8, 8), _pos(6, 6, 8, 8), _neg(5, 5, 8, 8)]
-    out = region_grow_segment(GrayImage(img), clicks, delta=16)
+    out = _region_grow(GrayImage(img), clicks, delta=16)
     want = np.zeros((8, 8), bool)
     want[:, :4] = True  # right half grown then removed by the negative seed
     assert np.array_equal(out.data, want)
@@ -134,7 +137,7 @@ def test_region_grow_negative_removes_region():
 def test_region_grow_respects_box():
     img = GrayImage(np.zeros((10, 10), np.uint8))
     box = NormBox(0.0, 0.0, 0.5, 0.5)
-    out = region_grow_segment(img, [_pos(2, 2, 10, 10)], box=box)
+    out = _region_grow(img, [_pos(2, 2, 10, 10)], box=box)
     ys, xs = np.nonzero(out.data)
     assert xs.max() < 5 and ys.max() < 5
 
@@ -148,7 +151,7 @@ def test_region_grow_matches_flood_oracle_under_threshold(rng):
         if seeds.size == 0:
             continue
         py, px = map(int, seeds[0])
-        out = region_grow_segment(
+        out = _region_grow(
             GrayImage(img), [_pos(px, py, 10, 10)], delta=16, cap=10_000
         )
         comps = flood_components(img == 200)
@@ -228,17 +231,37 @@ def _oracle_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_oracle_cases())
-def test_oracle_with_precomputed_labels_equals_without(case):
+def test_oracle_segmenter_equals_reference(case):
     gt, clicks, box, r_neg = case
-    labels = component_labels(gt)
-    assert not labels.flags.writeable
-    assert oracle_segment(gt, clicks, box, r_neg, labels=labels) == oracle_segment(gt, clicks, box, r_neg)
+    assert np.array_equal(_oracle(gt, clicks, box, r_neg).data, oracle_reference(gt.data, clicks, box, r_neg))
 
 
-def test_oracle_rejects_labels_of_another_shape():
-    gt = _two_blob_gt()
-    with pytest.raises(MaskShapeError):
-        oracle_segment(gt, [_pos(3, 3, 16, 16)], labels=np.zeros((16, 15), np.int32))
+@st.composite
+def _grow_cases(draw):
+    # the oracle cases' shapes, clicks and boxes over a few gray levels, so
+    # regions both stop at intensity edges and run into the cap
+    gt, clicks, box, _ = draw(_oracle_cases())
+    h, w = gt.shape
+    img = draw(arrays(np.uint8, (h, w), elements=st.integers(0, 3)))
+    delta = draw(st.integers(0, 2))
+    cap = draw(st.sampled_from([1, 2, 3, 5, h * w]))  # h * w: no grow is capped
+    return GrayImage(img), clicks, box, delta, cap
+
+
+def _region_grow_reference(img: np.ndarray, clicks, box, delta: int, cap: int) -> np.ndarray:
+    h, w = img.shape
+    grown = {"positive_click": np.zeros((h, w), bool), "negative_click": np.zeros((h, w), bool)}
+    for a in clicks:
+        grown[a.kind] |= bfs_grow(img, *click_pixel(a, w, h), delta, cap)
+    return in_box(grown["positive_click"] & ~grown["negative_click"], box)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grow_cases())
+def test_region_grow_segmenter_equals_bfs_reference(case):
+    img, clicks, box, delta, cap = case
+    want = _region_grow_reference(img.data, clicks, box, delta, cap)
+    assert np.array_equal(_region_grow(img, clicks, box, delta, cap).data, want)
 
 
 def test_task_labels_are_computed_once_and_used_by_the_oracle(monkeypatch):
@@ -250,7 +273,7 @@ def test_task_labels_are_computed_once_and_used_by_the_oracle(monkeypatch):
     def relabel(mask):
         raise AssertionError("the oracle relabelled the target")
 
-    monkeypatch.setattr(segmenters, "component_labels", relabel)
+    monkeypatch.setattr(env, "component_labels", relabel)
     out = OracleSegmenter().segment(task, [_pos(3, 3, 16, 16), _pos(11, 11, 16, 16)])
     assert out == task.target
 
