@@ -21,14 +21,13 @@ import contextlib
 import csv
 import hashlib
 import json
-import logging
 import os
 import sys
 from typing import Callable, Collection, Sequence
 
 from . import mock_server
 from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
-from .errors import MaskLoopError, ProtocolError, RemoteError
+from .errors import MaskLoopError
 from .improve import DatasetManifest, TrainHook
 from .improve import rollout as run_rollout
 from .improve import star_iteration
@@ -57,10 +56,7 @@ from .trajgen import (
     synth_tasks,
     write_jsonl,
 )
-from .util import mix_seed, parallel_map
-
-
-log = logging.getLogger(__name__)
+from .util import map_tasks, mix_seed, parallel_map
 
 
 class UsageError(Exception):
@@ -127,8 +123,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 # options that do not change what a run writes: where the options came
-# from, and how many threads run the per-task work
-_UNHASHED = ("config", "jobs")
+# from, how many threads run the per-task work, and where the outputs go
+_UNHASHED = ("config", "jobs", "out", "masks_out", "hist_out")
 
 
 def _header(command: str, effective: dict) -> dict:
@@ -569,14 +565,10 @@ def cmd_search(cfg: dict) -> int:
         os.makedirs(masks_out, exist_ok=True)
 
     def one(task: Task) -> dict:
-        try:
-            best_mask, best_score, trace = prm_greedy(
-                task, policy, prm, segmenter, search_config,
-                init=_init_spec(cfg, task, seed), seed=seed,
-            )
-        except (RemoteError, ProtocolError) as e:
-            log.warning("search failed for task %s: %s", task.id, e)
-            return {"task_id": task.id, "error": str(e)}
+        best_mask, best_score, trace = prm_greedy(
+            task, policy, prm, segmenter, search_config,
+            init=_init_spec(cfg, task, seed), seed=seed,
+        )
         if masks_out:
             write_pgm(best_mask, os.path.join(masks_out, f"{task.id}.pgm"))
         rec = {
@@ -590,11 +582,10 @@ def cmd_search(cfg: dict) -> int:
             rec["trace"] = trace.to_dict()
         return rec
 
-    outcomes = parallel_map(one, tasks, cfg["jobs"])
-    results = [r for r in outcomes if "error" not in r]
+    results, failures = map_tasks("search", one, tasks, lambda task: task.id, cfg["jobs"])
     header = _header("search", cfg)
-    if len(results) < len(outcomes):
-        header["failures"] = {r["task_id"]: r["error"] for r in outcomes if "error" in r}
+    if failures:
+        header["failures"] = failures
     with open(cfg["out"], "w", encoding="utf-8") as fh:
         json.dump({"header": header, "results": results}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -602,7 +593,7 @@ def cmd_search(cfg: dict) -> int:
         {
             "out": cfg["out"],
             "n_tasks": len(results),
-            "n_failures": len(outcomes) - len(results),
+            "n_failures": len(failures),
             "mean_best_reward": (
                 sum(r["best_reward"] for r in results) / len(results) if results else 0.0
             ),

@@ -55,7 +55,7 @@ class JsonlError(MaskLoopError, ValueError):
 
 
 class ReplayMismatchError(MaskLoopError, RuntimeError):
-    """Replaying recorded actions diverged from the stored masks."""
+    """A recorded trajectory holds steps past the end of its episode."""
 
 
 class HookError(MaskLoopError, RuntimeError):

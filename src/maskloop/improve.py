@@ -2,16 +2,16 @@
 
 Rollouts and repairs run on trajgen's episode driver (run_episode), the
 same loop that generates expert trajectories. Policies are pure, so one
-policy serves every task, and rollouts and repairs run on parallel_map's
-threads without changing a byte. Two refinement modes over a batch of
-policy rollouts:
+policy serves every task, and rollouts and repairs run on threads
+(util.map_tasks, which also collects remote failures per task) without
+changing a byte. Two refinement modes over a batch of policy rollouts:
 
   * filter mode keeps whole rollouts whose final reward clears tau_star
     and trains on the kept set alone;
-  * repair mode (refine_star_plus_verbose) replays each rollout step by
-    step, keeps improving actions, and at the first rejected action lets
-    the expert finish the episode; training then uses the seed dataset
-    plus the repaired rollouts.
+  * repair mode (refine_star_plus_verbose) reads each rollout's record,
+    keeps its actions up to the first rejected one, and lets the expert
+    finish the episode; training then uses the seed dataset plus the
+    repaired rollouts.
 
 Neither mode trains anything itself: a TrainHook hands the merged
 dataset path to an external command (or just records it).
@@ -24,12 +24,12 @@ import logging
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import env as envmod
 from .env import EnvConfig, InitSpec, Task
-from .errors import HookError, ProtocolError, RemoteError, ReplayMismatchError
+from .errors import HookError, ReplayMismatchError
 from .policy import Policy
 from .raster import rle_decode
 from .segmenters import Segmenter
@@ -44,7 +44,7 @@ from .trajgen import (
     run_episode,
     write_jsonl,
 )
-from .util import mix_seed, parallel_map
+from .util import map_tasks, mix_seed
 
 log = logging.getLogger(__name__)
 
@@ -157,20 +157,14 @@ def rollout(
     Returns (trajectories in task order, failures keyed by task id).
     """
 
-    def one(task: Task) -> Trajectory | str:
+    def one(task: Task) -> Trajectory:
         def top_proposal(state: envmod.EpisodeState):
             proposals = policy.propose(task, state, 1, seed=seed)
             return proposals[0] if proposals else None
 
-        try:
-            return record_episode(task, segmenter, config, init(task), top_proposal)
-        except (RemoteError, ProtocolError) as e:
-            log.warning("rollout failed for task %s: %s", task.id, e)
-            return str(e)
+        return record_episode(task, segmenter, config, init(task), top_proposal)
 
-    results = parallel_map(one, tasks, jobs)
-    failures = {task.id: r for task, r in zip(tasks, results) if isinstance(r, str)}
-    return [r for r in results if not isinstance(r, str)], failures
+    return map_tasks("rollout", one, tasks, lambda task: task.id, jobs)
 
 
 def refine_star_plus_verbose(
@@ -182,13 +176,14 @@ def refine_star_plus_verbose(
 ) -> tuple[Trajectory, bool]:
     """Repair one rollout: keep improving actions, splice in the expert.
 
-    Replays the rollout through the same segmenter (divergence from the
-    stored masks is an error). The default keep rule retains actions with
-    strictly positive reward gain; ``tau_diff`` instead requires the same
-    margin the generator uses. From the first rejected action onward the
-    recorded continuation is invalid, so the expert takes over under the
-    usual stop rules. Empty rollouts turn into plain expert episodes.
-    Returns (repaired trajectory, whether the expert took over).
+    Reads the rollout's record, so no kept step is segmented again. The
+    default keep rule retains actions with strictly positive recorded
+    gain; ``tau_diff`` instead requires the same margin the generator
+    uses. From the first rejected action onward the record is invalid, so
+    the expert takes over from the last kept mask under the usual stop
+    rules; with none rejected the rollout comes back unchanged. Empty
+    rollouts turn into plain expert episodes. Returns (repaired
+    trajectory, whether the expert took over).
     """
     if keep_rule not in ("positive", "tau_diff"):
         raise ValueError(f"unknown keep rule {keep_rule!r}")
@@ -197,34 +192,31 @@ def refine_star_plus_verbose(
     if not rollout_traj.steps:
         return generate_trajectory(task, segmenter, config, rollout_traj.init), False
     recorded = rollout_traj.steps
-
-    def replayed(state: envmod.EpisodeState):
-        return recorded[state.step].action if state.step < len(recorded) else None
-
-    def matches_then_gains(out: envmod.StepOutcome, r: float) -> bool:
-        at = out.state.step - 1
-        if out.state.mask != rle_decode(recorded[at].mask_after):
-            raise ReplayMismatchError(f"task {task.id}: replayed mask diverged at step {at}")
-        gain = out.reward - r
-        return gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff
-
+    n = 0  # the kept prefix: steps before the first one the rule rejects
+    for st in recorded:
+        gain = st.reward_after - st.reward_before
+        if not (gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff):
+            break
+        n += 1
+        ends = st.reward_after >= config.tau_stop or n >= config.max_steps
+        if ends and n < len(recorded):
+            raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
+    if n == len(recorded):
+        return rollout_traj, False
+    kept = recorded[:n]
     state = envmod.reset(task, rollout_traj.init, segmenter)
-    r = envmod.reward(state.mask, task.target)
-    replay = run_episode(task, segmenter, config, state, r, replayed, matches_then_gains)
-    kept = recorded[: len(replay.steps)]
-    if replay.stop_reason == envmod.STOP_LOW_IMPACT:
-        rest = run_episode(
-            task, segmenter, config, replay.state, replay.reward,
-            expert_chooser(task), min_gain(config.tau_diff),
-        )
-        steps = kept + encode_steps(rest.steps)
-        return Trajectory(task.id, rollout_traj.init, steps, rest.reward, rest.stop_reason), True
-    if len(kept) < len(recorded):
-        raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
-    reason = replay.stop_reason
-    if reason == envmod.STOP_CONVERGED:  # every recorded action replayed without a stop
-        reason = rollout_traj.stop_reason
-    return Trajectory(task.id, rollout_traj.init, kept, replay.reward, reason), False
+    if kept:
+        actions = tuple(st.action for st in kept)
+        mask = rle_decode(kept[-1].mask_after)
+        state = replace(state, step=n, mask=mask, history=state.history + actions)
+        r = kept[-1].reward_after
+    else:
+        r = envmod.reward(state.mask, task.target)
+    rest = run_episode(
+        task, segmenter, config, state, r, expert_chooser(task), min_gain(config.tau_diff)
+    )
+    steps = kept + encode_steps(rest.steps)
+    return Trajectory(task.id, rollout_traj.init, steps, rest.reward, rest.stop_reason), True
 
 
 def star_filter(trajectories: Sequence[Trajectory], tau_star: float) -> list[Trajectory]:
@@ -254,9 +246,10 @@ def star_iteration(
     mode 'star' filters rollouts by final reward and trains on the kept
     set; 'star_plus' repairs every rollout and trains on seed_data plus
     the repaired set. Rollouts start from an empty mask. Rollouts and
-    repairs run on ``jobs`` threads without changing the output. Returns
-    the last training manifest (seed_data when n_iters is 0) and one
-    report dict per iteration.
+    repairs run on ``jobs`` threads without changing the output; a remote
+    failure in either leaves that task out of the iteration and counts in
+    its report's n_failures. Returns the last training manifest (seed_data
+    when n_iters is 0) and one report dict per iteration.
     """
     if mode not in ("star", "star_plus"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -266,49 +259,39 @@ def star_iteration(
         return seed_data, []
     os.makedirs(out_dir, exist_ok=True)
     task_by_id = {t.id: t for t in tasks}
-    current = seed_data
+    seed_trajs = seed_data.load_trajectories() if mode == "star_plus" else []
+
+    def repair(traj: Trajectory) -> tuple[Trajectory, bool]:
+        return refine_star_plus_verbose(traj, task_by_id[traj.task_id], segmenter, config, keep_rule)
+
     reports: list[dict] = []
     for it in range(1, n_iters + 1):
-        iter_seed = mix_seed(seed, it)
-        rollouts, failures = rollout(policy, tasks, segmenter, config, seed=iter_seed, jobs=jobs)
-        raw_mean = _mean([t.final_reward for t in rollouts])
-        n_corrections = 0
+        rollouts, failures = rollout(policy, tasks, segmenter, config, mix_seed(seed, it), jobs=jobs)
+        refined_path = os.path.join(out_dir, f"iter{it:02d}_refined.jsonl")
         if mode == "star":
-            refined = star_filter(rollouts, tau_star)
+            refined, n_corrections = star_filter(rollouts, tau_star), 0
+            train, train_path, provenance = refined, refined_path, "refined"
         else:
-            repairs = parallel_map(
-                lambda traj: refine_star_plus_verbose(
-                    traj, task_by_id[traj.task_id], segmenter, config, keep_rule
-                ),
-                rollouts,
-                jobs,
+            repairs, repair_failures = map_tasks(
+                "repair", repair, rollouts, lambda traj: traj.task_id, jobs
             )
+            failures.update(repair_failures)
             refined = [fixed for fixed, _ in repairs]
             n_corrections = sum(corrected for _, corrected in repairs)
-        refined_path = os.path.join(out_dir, f"iter{it:02d}_refined.jsonl")
-        write_jsonl(refined, refined_path)
-        if mode == "star":
-            train_path = refined_path
-            train_count = len(refined)
-            train_files: tuple[str, ...] = (refined_path,)
-            provenance = "refined"
-        else:
             # the training set is always the seed dataset plus this
             # iteration's repaired rollouts
+            train = seed_trajs + refined
             train_path = os.path.join(out_dir, f"iter{it:02d}_train.jsonl")
-            seed_trajs = seed_data.load_trajectories()
-            write_jsonl(seed_trajs + refined, train_path)
-            train_count = len(seed_trajs) + len(refined)
-            train_files = (train_path,)
             provenance = "merged"
+            write_jsonl(train, train_path)
+        write_jsonl(refined, refined_path)
         manifest = DatasetManifest(
             name=f"{mode}-iter{it:02d}",
-            files=train_files,
+            files=(train_path,),
             provenance=provenance,
-            n_trajectories=train_count,
+            n_trajectories=len(train),
         )
-        manifest_path = os.path.join(out_dir, f"iter{it:02d}_manifest.json")
-        manifest.save(manifest_path)
+        manifest.save(os.path.join(out_dir, f"iter{it:02d}_manifest.json"))
         hook.invoke(train_path)
         reports.append(
             {
@@ -316,12 +299,11 @@ def star_iteration(
                 "n_rollouts": len(rollouts),
                 "n_failures": len(failures),
                 "n_corrections": n_corrections,
-                "mean_reward_raw": raw_mean,
+                "mean_reward_raw": _mean([t.final_reward for t in rollouts]),
                 "mean_reward_refined": _mean([t.final_reward for t in refined]),
             }
         )
-        current = manifest
-    return current, reports
+    return manifest, reports
 
 
 def _mean(values: list[float]) -> float:

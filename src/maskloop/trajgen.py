@@ -1,13 +1,13 @@
 """Trajectory datasets: expert demonstrations, rendering, synthetic tasks.
 
 A trajectory records an episode as (action, mask after, reward before,
-reward after) steps. Expert, policy and replayed episodes all run on
-run_episode; they differ only in how the next action is chosen and in
-the rule for keeping a step. generate_trajectory runs the expert with
-two pruning rules: the episode stops once reward reaches tau_stop, and a
-step whose reward gain falls below tau_diff is dropped along with the
-rest of the episode (a low-impact click means the remaining headroom is
-not worth imitating).
+reward after) steps. Expert and policy episodes, and the expert's
+continuation of a repaired rollout, all run on run_episode; they differ
+only in how the next action is chosen and in the rule for keeping a
+step. generate_trajectory runs the expert with two pruning rules: the
+episode stops once reward reaches tau_stop, and a step whose reward gain
+falls below tau_diff is dropped along with the rest of the episode (a
+low-impact click means the remaining headroom is not worth imitating).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class EpisodeStep(NamedTuple):
 
 class Episode(NamedTuple):
     steps: list[EpisodeStep]
-    state: envmod.EpisodeState
     reward: float
     stop_reason: str
 
@@ -99,14 +98,14 @@ def run_episode(
     while True:
         action = choose(state)
         if action is None:
-            return Episode(steps, state, r, envmod.STOP_CONVERGED)
+            return Episode(steps, r, envmod.STOP_CONVERGED)
         out = envmod.step(state, action, task, segmenter, config)
         if keep is not None and not keep(out, r):
-            return Episode(steps, state, r, envmod.STOP_LOW_IMPACT)
+            return Episode(steps, r, envmod.STOP_LOW_IMPACT)
         steps.append(EpisodeStep(action, out.state.mask, r, out.reward))
         state, r = out.state, out.reward
         if out.done:
-            return Episode(steps, state, r, out.stop_reason)
+            return Episode(steps, r, out.stop_reason)
 
 
 def expert_chooser(task: Task) -> Callable[[envmod.EpisodeState], Action | None]:

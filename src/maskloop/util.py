@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
+
+from .errors import ProtocolError, RemoteError
+
+log = logging.getLogger(__name__)
 
 _MASK32 = 0xFFFFFFFF
 
@@ -37,3 +42,22 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+def map_tasks(
+    what: str, fn: Callable, items: Sequence, task_id: Callable[..., str], jobs: int
+) -> tuple[list, dict[str, str]]:
+    """parallel_map that collects remote failures per task: a failed item
+    is logged and left out. Returns (results in item order, failure
+    messages keyed by task id)."""
+
+    def one(item):
+        try:
+            return fn(item)
+        except (RemoteError, ProtocolError) as e:
+            log.warning("%s failed for task %s: %s", what, task_id(item), e)
+            return str(e)
+
+    results = parallel_map(one, items, jobs)
+    failures = {task_id(x): r for x, r in zip(items, results) if isinstance(r, str)}
+    return [r for r in results if not isinstance(r, str)], failures

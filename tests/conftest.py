@@ -13,7 +13,11 @@ from collections import deque
 import numpy as np
 import pytest
 
-from maskloop.raster import BitMask
+from maskloop import env
+from maskloop.errors import ReplayMismatchError
+from maskloop.expert import next_click
+from maskloop.raster import BitMask, rle_decode, rle_encode
+from maskloop.trajgen import Trajectory, TrajectoryStep, generate_trajectory
 
 
 def brute_edt_sq(mask: np.ndarray) -> np.ndarray:
@@ -138,6 +142,51 @@ def blend_overlay(gray: np.ndarray, mask: np.ndarray, color, alpha: float) -> np
     col = np.array(color, dtype=np.float64)
     blended = np.floor((1.0 - alpha) * g.astype(np.float64)[..., None] + alpha * col[None, None, :] + 0.5)
     return np.where(np.asarray(mask, dtype=bool)[..., None], blended.astype(np.uint8), base)
+
+
+def replay_repair(traj, task, segmenter, config, keep_rule):
+    """Repair a rollout by replaying it: step every recorded action through
+    env.step, fail on any mask that differs from the record, keep steps up
+    to the first freshly computed gain the keep rule rejects, then let the
+    expert click until a stop rule ends the episode or a click gains less
+    than tau_diff. A rollout whose every step is kept comes back with its
+    own stop reason unless a kept step ended the episode. Returns
+    (trajectory, whether the expert took over)."""
+    if not traj.steps:
+        return generate_trajectory(task, segmenter, config, traj.init), False
+    state = env.reset(task, traj.init, segmenter)
+    r = env.reward(state.mask, task.target)
+    steps = []
+    for i, rec in enumerate(traj.steps):
+        out = env.step(state, rec.action, task, segmenter, config)
+        if out.state.mask != rle_decode(rec.mask_after):
+            raise ReplayMismatchError(f"task {task.id}: replayed mask diverged at step {i}")
+        gain = out.reward - r
+        if not (gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff):
+            break
+        steps.append(rec)
+        state, r = out.state, out.reward
+        if out.done:
+            if i + 1 < len(traj.steps):
+                raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
+            return Trajectory(task.id, traj.init, tuple(steps), r, out.stop_reason), False
+    else:
+        return Trajectory(task.id, traj.init, tuple(steps), r, traj.stop_reason), False
+    while True:
+        action = next_click(state.mask, task.target)
+        if action is None:
+            reason = env.STOP_CONVERGED
+            break
+        out = env.step(state, action, task, segmenter, config)
+        if out.reward - r < config.tau_diff:
+            reason = env.STOP_LOW_IMPACT
+            break
+        steps.append(TrajectoryStep(action, rle_encode(out.state.mask), r, out.reward))
+        state, r = out.state, out.reward
+        if out.done:
+            reason = out.stop_reason
+            break
+    return Trajectory(task.id, traj.init, tuple(steps), r, reason), True
 
 
 def rand_mask(rng: np.random.Generator, h: int, w: int, p: float = 0.5) -> np.ndarray:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import brute_edt_sq, mask_of, rand_mask
+from conftest import brute_edt_sq, mask_of, rand_mask, replay_repair
 
 from maskloop.env import Action, EnvConfig, InitSpec, Task, reset
 from maskloop.errors import ActionParseError
@@ -184,8 +184,8 @@ def test_trajectory_invariants_and_round_trips(tmp_path):
         traj = generate_trajectory(task, seg, config, init)
         for st in traj.steps:
             assert st.reward_after - st.reward_before >= config.tau_diff
-        # the repair replay re-segments every step against the stored masks
-        assert refine_star_plus_verbose(traj, task, seg, config, keep_rule="tau_diff") == (traj, False)
+        # the replay re-segments every step against the stored masks
+        assert replay_repair(traj, task, seg, config, "tau_diff") == (traj, False)
         for st in traj.steps:
             assert rle_encode(rle_decode(st.mask_after)) == st.mask_after
         trajectories.append(traj)

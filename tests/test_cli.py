@@ -126,7 +126,7 @@ def test_star_jobs_do_not_change_output(tmp_path, capsys, task_manifest):
     seed_path = str(tmp_path / "seed.jsonl")
     assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", seed_path)[0] == 0
     files, reports = {}, {}
-    out_dir = tmp_path / "star"  # one path: the header's hash covers --out
+    out_dir = tmp_path / "star"
     for jobs in ("1", "3"):
         code, out = run(
             capsys, "star", "--tasks", task_manifest, "--seed-data", seed_path + ".manifest.json",
@@ -143,6 +143,31 @@ def test_star_jobs_do_not_change_output(tmp_path, capsys, task_manifest):
     assert files["1"] == files["3"]
     assert reports["1"] == reports["3"]
     assert sum(r["n_corrections"] for r in json.loads(reports["1"])["reports"]) > 0
+
+
+def test_runs_into_two_directories_write_the_same_bytes(tmp_path, capsys, task_manifest):
+    # output paths stay out of config_hash (input paths are still hashed,
+    # so both runs read the same files)
+    seed_data = str(tmp_path / "seed.jsonl")
+    assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", seed_data)[0] == 0
+    trees = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        for argv in (
+            ["synth", "--n", "4", "--side", "32", "--out", str(d / "tasks")],
+            ["gen-traj", "--tasks", task_manifest, "--out", str(d / "g.jsonl")],
+            ["rollout", "--tasks", task_manifest, "--out", str(d / "r.jsonl"), "--policy", "noisy_expert",
+             "--noise-flip", "0.3"],
+            ["star", "--tasks", task_manifest, "--seed-data", seed_data + ".manifest.json", "--out", str(d / "star"),
+             "--noise-flip", "0.3", "--n-iters", "2"],
+            ["search", "--tasks", task_manifest, "--out", str(d / "s.json"), "--masks-out", str(d / "masks"),
+             "--k", "2"],
+        ):
+            assert run(capsys, *argv)[0] == 0
+        trees.append({str(p.relative_to(d)): p.read_bytes() for p in d.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1]
+    headers = {"tasks/manifest.json", "g.jsonl.manifest.json", "r.jsonl.manifest.json", "star/reports.json", "s.json"}
+    assert headers <= set(trees[0])
 
 
 def test_unknown_init_name_is_usage_error(tmp_path, capsys, task_manifest):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import mask_of
+from conftest import mask_of, replay_repair
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskloop.env import (
     STOP_LOW_IMPACT,
@@ -10,6 +14,7 @@ from maskloop.env import (
     STOP_TAU,
     Action,
     EnvConfig,
+    InitSpec,
     Task,
 )
 from maskloop.errors import HookError, RemoteError, ReplayMismatchError
@@ -28,12 +33,13 @@ from maskloop.policy import (
     NoisyExpertPolicy,
     Policy,
 )
-from maskloop.raster import GrayImage, rle_decode, rle_encode
-from maskloop.segmenters import OracleSegmenter
+from maskloop.raster import GrayImage, NormBox, bbox, rle_decode
+from maskloop.segmenters import OracleSegmenter, RegionGrowSegmenter
 from maskloop.trajgen import (
     Trajectory,
     TrajectoryStep,
     generate_trajectory,
+    read_jsonl,
     synth_tasks,
     write_jsonl,
 )
@@ -62,6 +68,32 @@ class FailingPolicy(Policy):
         if task.id in self.bad_ids:
             raise RemoteError("connection refused")
         return ExpertPolicy().propose(task, state, k)
+
+
+class CountingSegmenter(OracleSegmenter):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def segment(self, task, clicks, box):
+        self.calls += 1
+        return super().segment(task, clicks, box)
+
+
+class RepairFailingSegmenter(OracleSegmenter):
+    """Fails remotely, for some tasks, on any history holding a click other
+    than BackgroundClicker's: those tasks' rollouts go through and their
+    repairs fail."""
+
+    def __init__(self, bad_ids):
+        super().__init__()
+        self.bad_ids = set(bad_ids)
+
+    def segment(self, task, clicks, box):
+        corner = BackgroundClicker().propose(task, None, 1)[0]
+        if task.id in self.bad_ids and any(c != corner for c in clicks):
+            raise RemoteError("connection reset")
+        return super().segment(task, clicks, box)
 
 
 # --- rollout -----------------------------------------------------------
@@ -170,57 +202,103 @@ def test_refine_empty_rollout_becomes_expert_episode():
     assert refined == generate_trajectory(task, OracleSegmenter())
 
 
-def test_refine_detects_mask_divergence():
-    task = _task(["##..", "....", "..##"])
-    trajs, _ = rollout(ExpertPolicy(), [task], OracleSegmenter())
-    traj = trajs[0]
-    flipped = ~rle_decode(traj.steps[0].mask_after)
-    bad_step = TrajectoryStep(
-        action=traj.steps[0].action,
-        mask_after=rle_encode(flipped),
-        reward_before=traj.steps[0].reward_before,
-        reward_after=traj.steps[0].reward_after,
-    )
-    damaged = Trajectory(task.id, traj.init, (bad_step,) + traj.steps[1:], traj.final_reward, traj.stop_reason)
-    with pytest.raises(ReplayMismatchError):
-        refine_star_plus_verbose(damaged, task, OracleSegmenter())[0]
-
-
-def test_refine_detects_divergence_on_a_rejected_step():
-    task = _task(
-        [
-            "##......",
-            "##......",
-            "........",
-            ".....###",
-            ".....###",
-        ]
-    )
-    _, damaged = _with_wasted_click(task)
-    wasted = damaged.steps[1]
-    diverged = TrajectoryStep(
-        action=wasted.action,
-        mask_after=rle_encode(~rle_decode(wasted.mask_after)),
-        reward_before=wasted.reward_before,
-        reward_after=wasted.reward_after,
-    )
-    steps = damaged.steps[:1] + (diverged,) + damaged.steps[2:]
-    damaged = Trajectory(task.id, damaged.init, steps, damaged.final_reward, damaged.stop_reason)
-    # the wasted click gains nothing, so the keep rule would reject it; the
-    # mask check still comes first
-    with pytest.raises(ReplayMismatchError, match="step 1"):
-        refine_star_plus_verbose(damaged, task, OracleSegmenter())
-
-
 def test_refine_rejects_actions_past_episode_end():
     task = _task(["##", "##"])
     trajs, _ = rollout(ExpertPolicy(), [task], OracleSegmenter())
     traj = trajs[0]
     assert traj.final_reward == 1.0
-    extra = traj.steps + traj.steps  # episode already done after step 1
+    extra = traj.steps + traj.steps  # tau_stop ends the episode after step 1
     damaged = Trajectory(task.id, traj.init, extra, traj.final_reward, traj.stop_reason)
-    with pytest.raises(ReplayMismatchError):
-        refine_star_plus_verbose(damaged, task, OracleSegmenter())[0]
+    with pytest.raises(ReplayMismatchError, match="past the episode end"):
+        refine_star_plus_verbose(damaged, task, OracleSegmenter())
+    # three improving clicks, but a budget of two steps ends the episode
+    # after the second
+    task = _task(["#.#.#"])
+    trajs, _ = rollout(ExpertPolicy(), [task], OracleSegmenter())
+    assert len(trajs[0].steps) == 3
+    with pytest.raises(ReplayMismatchError, match="past the episode end"):
+        refine_star_plus_verbose(trajs[0], task, OracleSegmenter(), EnvConfig(max_steps=2))
+
+
+@st.composite
+def _repair_cases(draw):
+    """A noisy rollout and the EnvConfig to repair it under: the rollout's
+    own, or one with a smaller step budget or a lower tau_stop, under which
+    the record can run past the episode end."""
+    side = draw(st.sampled_from([16, 24]))
+    task = synth_tasks(5, side=side, seed=draw(st.integers(0, 20)))[draw(st.integers(0, 4))]
+    segmenter = draw(st.sampled_from([OracleSegmenter(), RegionGrowSegmenter(delta=8, cap=40)]))
+    variant = draw(st.sampled_from(["empty", "box", "random"]))
+    if variant == "empty":
+        init = InitSpec.empty()
+    elif variant == "box":
+        b = bbox(task.target)
+        init = InitSpec.from_box(draw(st.sampled_from([b, NormBox(0.0, 0.0, b.x2, b.y2)])))
+    else:
+        n_pos = draw(st.integers(0, 2))
+        init = InitSpec.from_random_clicks(n_pos, draw(st.integers(1 - min(n_pos, 1), 2)), draw(st.integers(0, 99)))
+    taus = [0.5, 0.8, 0.95, 1.0]
+    recorded_under = EnvConfig(max_steps=draw(st.integers(1, 8)), tau_stop=draw(st.sampled_from(taus)))
+    tighter = draw(st.booleans())
+    config = EnvConfig(
+        max_steps=draw(st.integers(1, recorded_under.max_steps)) if tighter else recorded_under.max_steps,
+        tau_stop=draw(st.sampled_from([t for t in taus if t <= recorded_under.tau_stop]))
+        if tighter
+        else recorded_under.tau_stop,
+        tau_diff=draw(st.sampled_from([0.0, 0.01, 0.05])),
+    )
+    noise = NoiseConfig(
+        sigma=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        flip_prob=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        seed=draw(st.integers(0, 99)),
+    )
+    trajs, failures = rollout(
+        NoisyExpertPolicy(noise), [task], segmenter, recorded_under, seed=draw(st.integers(0, 99)),
+        init=lambda _: init,
+    )
+    assert failures == {}
+    return trajs[0], task, segmenter, config, draw(st.sampled_from(["positive", "tau_diff"])), tighter
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repair_cases())
+def test_refine_equals_replay_repair(case):
+    traj, task, segmenter, config, keep_rule, tighter = case
+    try:
+        expected = replay_repair(traj, task, segmenter, config, keep_rule)
+    except ReplayMismatchError as e:
+        assert "past the episode end" in str(e)
+        with pytest.raises(ReplayMismatchError, match="past the episode end"):
+            refine_star_plus_verbose(traj, task, segmenter, config, keep_rule)
+        return
+    if tighter and not expected[1]:
+        # an uncut rollout comes back as recorded, while the replay names
+        # its stop reason under the tighter config
+        expected = (replace(expected[0], stop_reason=traj.stop_reason), False)
+    assert refine_star_plus_verbose(traj, task, segmenter, config, keep_rule) == expected
+
+
+def test_refine_segments_only_the_expert_continuation():
+    tasks = synth_tasks(12, side=32, seed=6)
+    policy = NoisyExpertPolicy(NoiseConfig(sigma=0.25, flip_prob=0.25, seed=8))
+    trajs, _ = rollout(policy, tasks, OracleSegmenter(), seed=7)
+    by_id = {t.id: t for t in tasks}
+    n_corrected = 0
+    for traj in trajs:
+        seg = CountingSegmenter()
+        refined, corrected = refine_star_plus_verbose(traj, by_id[traj.task_id], seg)
+        if not corrected:
+            # a rollout with no cut comes back as it is, without a segment call
+            assert refined == traj and seg.calls == 0
+            continue
+        n_corrected += 1
+        kept = 0
+        while traj.steps[kept].reward_after > traj.steps[kept].reward_before:
+            kept += 1
+        # one call per expert click, plus the click the tau_diff margin rejected
+        rejected = refined.stop_reason == STOP_LOW_IMPACT
+        assert seg.calls == len(refined.steps) - kept + rejected
+    assert 0 < n_corrected < len(trajs)
 
 
 def test_refine_checks_task_identity():
@@ -434,6 +512,29 @@ def test_star_plus_counts_corrections(tmp_path):
     )
     assert reports[0]["n_corrections"] == 3
     assert reports[0]["mean_reward_refined"] == 1.0
+
+
+def test_star_plus_collects_repair_failures_per_task(tmp_path, caplog):
+    manifest, _, tasks, seed_trajs = _seed_manifest(tmp_path, n=3)
+    out = tmp_path / "runs"
+    # BackgroundClicker never gains, so every rollout is corrected and the
+    # repair calls the segmenter for the expert's clicks
+    final, reports = star_iteration(
+        "star_plus",
+        BackgroundClicker(),
+        manifest,
+        tasks,
+        1,
+        TrainHook(),
+        RepairFailingSegmenter([tasks[1].id]),
+        out_dir=str(out),
+    )
+    assert reports[0]["n_rollouts"] == 3
+    assert reports[0]["n_failures"] == 1
+    assert reports[0]["n_corrections"] == 2
+    assert [t.task_id for t in read_jsonl(str(out / "iter01_refined.jsonl"))] == [tasks[0].id, tasks[2].id]
+    assert final.n_trajectories == len(seed_trajs) + 2
+    assert f"repair failed for task {tasks[1].id}" in caplog.text
 
 
 def test_star_iteration_is_reproducible(tmp_path):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import mask_of
+from conftest import mask_of, replay_repair
 
 from maskloop.env import (
     STOP_CONVERGED,
@@ -15,7 +15,6 @@ from maskloop.env import (
     Task,
 )
 from maskloop.errors import JsonlError, TemplateError
-from maskloop.improve import refine_star_plus_verbose
 from maskloop.policy import COORD_INT, PromptConfig
 from maskloop.raster import BitMask, GrayImage, components, iou, rle_decode
 from maskloop.segmenters import OracleSegmenter, Segmenter
@@ -144,11 +143,12 @@ def test_stop_reason_converged_under_loose_tau():
 
 
 def test_replay_reproduces_recorded_masks():
-    # the repair replay raises on any mask that differs from the recording,
-    # and under the generator's own keep rule it keeps every step
+    # the replay re-segments every step and raises on any mask that differs
+    # from the recording; under the generator's own keep rule it keeps
+    # every step
     for task in synth_tasks(10, side=32, seed=5):
         traj = generate_trajectory(task, OracleSegmenter())
-        assert refine_star_plus_verbose(traj, task, OracleSegmenter(), keep_rule="tau_diff") == (traj, False)
+        assert replay_repair(traj, task, OracleSegmenter(), EnvConfig(), "tau_diff") == (traj, False)
 
 
 # --- JSONL round trip ----------------------------------------------------
