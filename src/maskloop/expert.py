@@ -5,32 +5,60 @@ annotator would make: find the false-negative and false-positive
 regions, and click the point deepest inside the larger-error region
 (measured by squared distance to the region boundary, with the raster
 border counting as boundary). Misses win ties go to removal, i.e. equal
-depths produce a negative click.
+depths produce a negative click. Each region's distance transform covers
+only its bounding box.
+
+``next_click`` is the pure rule. ``click_for`` is what the pipeline
+calls: it remembers each task's last mask and click, because an episode
+often asks again about the mask it just asked about (a noisy click that
+changed nothing, a repair resuming from a state its rollout reached).
 """
 
 from __future__ import annotations
 
-from .env import Action
+import numpy as np
+
+from .env import Action, Task
 from .raster import BitMask, argmax_point, edt_sq, pixel_center
+
+
+def _deepest(region: np.ndarray) -> tuple[int, tuple[int, int]]:
+    """The region's largest squared depth and its first row-major pixel
+    (px, py); (0, (0, 0)) for an empty region."""
+    if not region.any():
+        return 0, (0, 0)
+    field, (x0, y0) = edt_sq(BitMask(region))
+    (px, py), depth = argmax_point(field)
+    return depth, (x0 + px, y0 + py)
 
 
 def next_click(pred: BitMask, gt: BitMask) -> Action | None:
     """The expert's next click, or None once pred equals gt."""
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    fn = gt.data & ~pred.data
-    fp = ~gt.data & pred.data
-    if not fn.any() and not fp.any():
+    fn_max, fn_at = _deepest(gt.data & ~pred.data)
+    fp_max, fp_at = _deepest(~gt.data & pred.data)
+    if fn_max == fp_max == 0:
         return None
-    fn_field = edt_sq(BitMask(fn)) if fn.any() else None
-    fp_field = edt_sq(BitMask(fp)) if fp.any() else None
-    fn_max = int(fn_field.max()) if fn_field is not None else 0
-    fp_max = int(fp_field.max()) if fp_field is not None else 0
     h, w = gt.shape
     if fn_max > fp_max:
-        (px, py), _ = argmax_point(fn_field)
-        p = pixel_center(px, py, w, h)
+        p = pixel_center(*fn_at, w, h)
         return Action.positive(p.x, p.y)
-    (px, py), _ = argmax_point(fp_field)
-    p = pixel_center(px, py, w, h)
+    p = pixel_center(*fp_at, w, h)
     return Action.negative(p.x, p.y)
+
+
+def click_for(task: Task, mask: BitMask) -> Action | None:
+    """``next_click(mask, task.target)``, computed once per run of equal masks.
+
+    The task keeps only its last (mask, click) pair, as one tuple in its
+    instance dict (like ``Task.target_labels``), so threads sharing a task
+    always read a matching pair, and the task's fields, equality and repr
+    do not change.
+    """
+    last = task.__dict__.get("_expert_last")
+    if last is not None and last[0] == mask:
+        return last[1]
+    click = next_click(mask, task.target)
+    task.__dict__["_expert_last"] = (mask, click)
+    return click

@@ -34,7 +34,7 @@ import numpy as np
 
 from .env import Action, Task
 from .errors import PnmError
-from .expert import next_click
+from .expert import click_for
 from .policy import PromptConfig, format_action, miou_percent
 from .raster import (
     BitMask,
@@ -113,7 +113,7 @@ class MockService:
             raise MockRequestError(f"bad n_samples: {n!r} (1 to {MAX_N_SAMPLES})")
         task, mask = self._match_composite(_decode_ppm(_b64_bytes(payload, "image_ppm_b64")))
         pct = miou_percent(iou(mask, task.target))
-        action = next_click(mask, task.target)
+        action = click_for(task, mask)
         if action is None:
             text = f"Current mIoU: {pct}"
         else:

@@ -29,7 +29,7 @@ import numpy as np
 from . import remote
 from .env import Action, EpisodeState, Task
 from .errors import ActionParseError, TemplateError
-from .expert import next_click
+from .expert import click_for
 from .raster import BitMask, GREEN, NormBox, iou, render_overlay
 from .util import mix_seed, round_half_up
 
@@ -244,7 +244,7 @@ def expert_propose(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    base = next_click(state.mask, task.target)
+    base = click_for(task, state.mask)
     if base is None:
         return []
     if noise is None or (noise.sigma == 0.0 and noise.flip_prob == 0.0):

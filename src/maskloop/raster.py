@@ -221,31 +221,37 @@ def iou(a: BitMask, b: BitMask) -> float:
     return inter / union
 
 
-def edt_sq(region: BitMask) -> np.ndarray:
-    """Exact squared Euclidean distance to the nearest out-of-region pixel.
+def edt_sq(region: BitMask) -> tuple[np.ndarray, tuple[int, int]]:
+    """Exact squared Euclidean distance to the nearest out-of-region pixel,
+    over the region's bounding box.
 
-    Returns a read-only int64 array shaped like the region. Every
-    out-of-bounds position counts as out-of-region, so the raster behaves
-    as if surrounded by a background ring. In-region values are exact
-    integers (>= 1), out-of-region pixels get 0.
+    Returns ``(field, (x0, y0))``: a read-only int64 array shaped like the
+    region's bounding box, and the box's top-left pixel, so ``field[y, x]``
+    belongs to raster pixel ``(x0 + x, y0 + y)``. In-region values are
+    exact integers (>= 1); out-of-region pixels, in the box or outside it,
+    are at distance 0. Every out-of-bounds position counts as
+    out-of-region, so the raster behaves as if surrounded by a background
+    ring. An empty region gives a 0x0 field at (0, 0).
 
     Linear time: scipy's exact feature transform (Maurer, Qi & Raghavan,
-    TPAMI 2003) runs on the region's bounding box padded by one background
-    pixel, and dy^2 + dx^2 to each nearest background pixel is rebuilt in
-    integers. The crop is exact: all outside the box is background, and a
-    pixel beyond the pad ring is no nearer the region than its clamp on it.
+    TPAMI 2003) runs on the box padded by one background pixel, and
+    dy^2 + dx^2 to each nearest background pixel is rebuilt in integers.
+    The crop is exact: all outside the box is background, and a pixel
+    beyond the pad ring is no nearer the region than its clamp on it.
     """
     inside = region.data
-    out = np.zeros(inside.shape, dtype=np.int64)
     rows = np.flatnonzero(inside.any(axis=1))
-    if rows.size:
-        cols = np.flatnonzero(inside.any(axis=0))
-        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-        padded = np.pad(inside[box], 1)
-        feat = ndimage.distance_transform_edt(padded, return_distances=False, return_indices=True)
-        delta = (feat - np.indices(padded.shape))[:, 1:-1, 1:-1]
-        out[box] = (delta * delta).sum(axis=0)
-    return _frozen(out)
+    if not rows.size:
+        return _frozen(np.zeros((0, 0), dtype=np.int64)), (0, 0)
+    cols = np.flatnonzero(inside.any(axis=0))
+    y0, x0 = int(rows[0]), int(cols[0])
+    h, w = int(rows[-1]) + 1 - y0, int(cols[-1]) + 1 - x0
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = inside[y0 : y0 + h, x0 : x0 + w]
+    fy, fx = ndimage.distance_transform_edt(padded, return_distances=False, return_indices=True)
+    dy = fy[1:-1, 1:-1] - np.arange(1, h + 1, dtype=np.int64)[:, None]
+    dx = fx[1:-1, 1:-1] - np.arange(1, w + 1, dtype=np.int64)
+    return _frozen(dy * dy + dx * dx), (x0, y0)
 
 
 def argmax_point(field: np.ndarray) -> tuple[tuple[int, int], int]:

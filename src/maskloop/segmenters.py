@@ -59,9 +59,11 @@ def _combine(
 
 
 def _components(labels: np.ndarray, pixels: list[tuple[int, int]]) -> np.ndarray:
-    """The labelled components hit by at least one pixel, in one np.isin."""
-    hit = {int(labels[py, px]) for px, py in pixels} - {0}
-    return np.isin(labels, sorted(hit)) if hit else np.zeros(labels.shape, dtype=bool)
+    """The labelled components hit by at least one pixel, OR-ed label by label."""
+    out = np.zeros(labels.shape, dtype=bool)
+    for label in {int(labels[py, px]) for px, py in pixels} - {0}:
+        out |= labels == label
+    return out
 
 
 def _squares(shape: tuple[int, int], r: int, pixels: list[tuple[int, int]]) -> np.ndarray:

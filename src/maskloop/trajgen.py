@@ -31,7 +31,7 @@ from .env import (
     init_to_dict,
 )
 from .errors import JsonlError
-from .expert import next_click
+from .expert import click_for
 from .policy import PromptConfig, format_action, miou_percent, render_prompt
 from .raster import (
     BitMask,
@@ -109,7 +109,7 @@ def run_episode(
 
 
 def expert_chooser(task: Task) -> Callable[[envmod.EpisodeState], Action | None]:
-    return lambda state: next_click(state.mask, task.target)
+    return lambda state: click_for(task, state.mask)
 
 
 def min_gain(margin: float) -> Callable[[envmod.StepOutcome, float], bool]:

@@ -16,7 +16,7 @@ import pytest
 from maskloop import env
 from maskloop.errors import ReplayMismatchError
 from maskloop.expert import next_click
-from maskloop.raster import BitMask, rle_decode, rle_encode
+from maskloop.raster import BitMask, edt_sq, rle_decode, rle_encode
 from maskloop.trajgen import Trajectory, TrajectoryStep, generate_trajectory
 
 
@@ -45,6 +45,27 @@ def brute_edt_sq(mask: np.ndarray) -> np.ndarray:
     all_zy = np.concatenate([zy, np.array(ring_y, dtype=np.int64)])
     d2 = (xs[:, None] - all_zx[None, :]) ** 2 + (ys[:, None] - all_zy[None, :]) ** 2
     out[ys, xs] = d2.min(axis=1)
+    return out
+
+
+def embedded_edt_sq(mask: np.ndarray) -> np.ndarray:
+    """``edt_sq`` on ``mask``, embedded at its origin in a zero raster.
+
+    Checks the box contract on the way: the field is a read-only int64
+    array shaped like the mask's bounding box, with the box's top-left
+    pixel as origin; an empty mask gives a 0x0 field at (0, 0).
+    """
+    mask = np.asarray(mask, dtype=bool)
+    field, (x0, y0) = edt_sq(BitMask(mask))
+    assert field.dtype == np.int64 and not field.flags.writeable
+    ys, xs = np.nonzero(mask)
+    if ys.size:
+        assert (x0, y0) == (xs.min(), ys.min())
+        assert field.shape == (ys.max() - ys.min() + 1, xs.max() - xs.min() + 1)
+    else:
+        assert field.shape == (0, 0) and (x0, y0) == (0, 0)
+    out = np.zeros(mask.shape, dtype=np.int64)
+    out[y0 : y0 + field.shape[0], x0 : x0 + field.shape[1]] = field
     return out
 
 

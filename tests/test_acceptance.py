@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import brute_edt_sq, mask_of, rand_mask, replay_repair
+from conftest import brute_edt_sq, embedded_edt_sq, mask_of, rand_mask, replay_repair
 
 from maskloop.env import Action, EnvConfig, InitSpec, Task, reset
 from maskloop.errors import ActionParseError
@@ -39,7 +39,6 @@ from maskloop.raster import (
     bbox,
     box_to_mask,
     components,
-    edt_sq,
     iou,
     point_to_pixel,
     read_pgm_mask,
@@ -93,7 +92,7 @@ def test_distance_transform_is_exact():
     for side, count in ((16, 500), (32, 100)):
         for _ in range(count):
             raw = rand_mask(rng, side, side, rng.uniform(0.2, 0.8))
-            got = edt_sq(BitMask(raw))
+            got = embedded_edt_sq(raw)
             want = brute_edt_sq(raw)
             total += 1
             mismatches += int(not np.array_equal(got, want))

@@ -40,7 +40,7 @@ from maskloop.raster import (
     write_ppm,
 )
 
-from conftest import blend_overlay, brute_edt_sq, flood_components, mask_of, rand_mask
+from conftest import blend_overlay, brute_edt_sq, embedded_edt_sq, flood_components, mask_of, rand_mask
 
 
 # --- iou ---------------------------------------------------------------
@@ -81,25 +81,30 @@ def test_iou_shape_mismatch():
 def test_edt_single_true_pixel():
     m = np.zeros((5, 7), bool)
     m[2, 4] = True
-    d = edt_sq(BitMask(m))
+    field, origin = edt_sq(BitMask(m))
+    assert field.shape == (1, 1) and origin == (4, 2)
+    d = embedded_edt_sq(m)
     assert d[2, 4] == 1
     assert d.sum() == 1
 
 
 def test_edt_3x3_all_true():
-    d = edt_sq(BitMask.full(3, 3))
+    d = embedded_edt_sq(np.ones((3, 3), bool))
     expected = np.array([[1, 1, 1], [1, 4, 1], [1, 1, 1]])
     assert np.array_equal(d, expected)
 
 
 def test_edt_empty_mask_all_zero():
-    d = edt_sq(BitMask.zeros(4, 4))
-    assert not d.any()
+    # an empty region has an empty bounding box: a 0x0 field at (0, 0)
+    field, origin = edt_sq(BitMask.zeros(4, 4))
+    assert field.shape == (0, 0) and field.dtype == np.int64 and not field.flags.writeable
+    assert origin == (0, 0)
+    assert not embedded_edt_sq(np.zeros((4, 4), bool)).any()
 
 
 def test_edt_values_positive_inside_zero_outside():
     m = mask_of(["..##", ".###", "..#."])
-    d = edt_sq(BitMask(m.data))
+    d = embedded_edt_sq(m.data)
     assert (d[m.data] >= 1).all()
     assert (d[~m.data] == 0).all()
 
@@ -107,8 +112,7 @@ def test_edt_values_positive_inside_zero_outside():
 def test_edt_matches_brute_force_on_random_masks(rng):
     for _ in range(60):
         m = rand_mask(rng, int(rng.integers(1, 20)), int(rng.integers(1, 20)), float(rng.random()))
-        got = edt_sq(BitMask(m)) if m.size else None
-        assert np.array_equal(got, brute_edt_sq(m))
+        assert np.array_equal(embedded_edt_sq(m), brute_edt_sq(m))
 
 
 _sides = st.integers(1, 24)
@@ -123,7 +127,7 @@ def _rasters(shapes):
 @settings(max_examples=300, deadline=None)
 @given(_rasters(st.tuples(_sides, _sides)))
 def test_edt_matches_brute_force_on_any_raster(m):
-    assert np.array_equal(edt_sq(BitMask(m)), brute_edt_sq(m))
+    assert np.array_equal(embedded_edt_sq(m), brute_edt_sq(m))
 
 
 _thin = st.one_of(_sides.map(lambda n: (1, n)), _sides.map(lambda n: (n, 1)))
@@ -132,7 +136,7 @@ _thin = st.one_of(_sides.map(lambda n: (1, n)), _sides.map(lambda n: (n, 1)))
 @settings(max_examples=100, deadline=None)
 @given(_rasters(_thin))
 def test_edt_matches_brute_force_on_thin_rasters(m):
-    assert np.array_equal(edt_sq(BitMask(m)), brute_edt_sq(m))
+    assert np.array_equal(embedded_edt_sq(m), brute_edt_sq(m))
 
 
 def _block(y0, y1, x0, x1, h=9, w=11):
@@ -158,28 +162,32 @@ def _block(y0, y1, x0, x1, h=9, w=11):
     ],
 )
 def test_edt_bounding_box_crop_cases(m):
-    assert np.array_equal(edt_sq(BitMask(m)), brute_edt_sq(m))
+    assert np.array_equal(embedded_edt_sq(m), brute_edt_sq(m))
 
 
 def test_edt_out_of_bounds_counts_as_background():
     # a full row: distance grows toward the middle, bounded by top/bottom
     m = np.ones((1, 9), bool)
-    d = edt_sq(BitMask(m))
+    d = embedded_edt_sq(m)
     assert d[0, 0] == 1
     assert d[0, 4] == 1  # row of height 1: border above/below is adjacent
 
 
 def test_edt_argmax_is_row_major_first():
-    m = np.array([[False, True], [True, True]])
-    d = edt_sq(BitMask(m))
-    point, value = argmax_point(d)
+    m = np.zeros((4, 5), bool)
+    m[1:3, 2:4] = [[False, True], [True, True]]
+    field, (x0, y0) = edt_sq(BitMask(m))
+    (px, py), value = argmax_point(field)
     assert value == 1
-    assert point == (1, 0)  # (x, y) of the first maximum in row-major order
+    # (x, y) of the first maximum in row-major order, on the box and on the raster
+    assert (px, py) == (1, 0)
+    assert (x0 + px, y0 + py) == (3, 1)
 
 
 def test_edt_argmax_center_of_full_5x5():
-    d = edt_sq(BitMask.full(5, 5))
-    point, value = argmax_point(d)
+    field, origin = edt_sq(BitMask.full(5, 5))
+    point, value = argmax_point(field)
+    assert origin == (0, 0)
     assert point == (2, 2)
     assert value == 9
 
