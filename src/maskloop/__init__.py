@@ -80,7 +80,6 @@ from .raster import (
     RleMask,
     bbox,
     box_to_mask,
-    components,
     edt_sq,
     iou,
     pixel_center,
@@ -166,7 +165,6 @@ __all__ = [
     "bbox",
     "box_to_mask",
     "ciou",
-    "components",
     "edt_sq",
     "expert_propose",
     "filter_masks",

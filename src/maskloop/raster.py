@@ -261,20 +261,20 @@ def argmax_point(field: np.ndarray) -> tuple[tuple[int, int], int]:
 
 
 def component_labels(mask: BitMask) -> np.ndarray:
-    """Read-only int32 labels of the 4-connected components; 0 is background."""
-    labels, _ = ndimage.label(mask.data, structure=FOUR_CONNECTED)
+    """Read-only int32 labels of the 4-connected components; 0 is background.
+
+    Label k is the component with the k-th first row-major pixel. Only the
+    mask's bounding box is labelled: nothing outside it is foreground, and
+    inside it row-major order is the raster's, so the labels are the same.
+    """
+    inside = mask.data
+    labels = np.zeros(inside.shape, dtype=np.int32)
+    rows = np.flatnonzero(inside.any(axis=1))
+    if rows.size:
+        cols = np.flatnonzero(inside.any(axis=0))
+        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        ndimage.label(inside[box], structure=FOUR_CONNECTED, output=labels[box])
     return _frozen(labels)
-
-
-def components(mask: BitMask) -> list[BitMask]:
-    """4-connected components, ordered by their first row-major pixel."""
-    if mask.is_empty():
-        return []
-    labels = component_labels(mask)
-    flat = labels.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    order = sorted((idx, lab) for lab, idx in zip(uniq.tolist(), first.tolist()) if lab != 0)
-    return [BitMask(labels == lab) for _, lab in order]
 
 
 def bbox(mask: BitMask) -> NormBox:

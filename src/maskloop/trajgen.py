@@ -38,7 +38,7 @@ from .raster import (
     GrayImage,
     RgbImage,
     RleMask,
-    components,
+    component_labels,
     render_overlay,
     rle_decode,
     rle_encode,
@@ -313,19 +313,20 @@ def _make_shape(family: str, side: int, rng: np.random.Generator) -> np.ndarray:
     builder: Callable[[int, np.random.Generator], tuple[np.ndarray, int]] = _BUILDERS[family]
     for _ in range(64):
         mask, expected = builder(side, rng)
-        if mask.any() and len(components(BitMask(mask))) == expected:
+        if int(component_labels(BitMask(mask)).max()) == expected:
             return mask
     raise RuntimeError(f"could not synthesize a valid {family} shape")  # pragma: no cover
 
 
-def _grid(side: int) -> tuple[np.ndarray, np.ndarray]:
-    ys, xs = np.mgrid[0:side, 0:side]
-    return xs, ys
-
-
 def _disk_at(side: int, cx: int, cy: int, r: int) -> np.ndarray:
-    xs, ys = _grid(side)
-    return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+    """(x - cx)^2 + (y - cy)^2 <= r^2, evaluated on the disk's bounding box
+    clipped to the raster."""
+    mask = np.zeros((side, side), dtype=bool)
+    x0, y0 = max(cx - r, 0), max(cy - r, 0)
+    xs = np.arange(x0, min(cx + r + 1, side)) - cx
+    ys = np.arange(y0, min(cy + r + 1, side)) - cy
+    mask[y0 : y0 + ys.size, x0 : x0 + xs.size] = ys[:, None] ** 2 + xs**2 <= r * r
+    return mask
 
 
 def _build_disk(side: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:

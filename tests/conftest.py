@@ -94,6 +94,16 @@ def flood_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
     return comps
 
 
+def disk_reference(side: int, cx: int, cy: int, r: int) -> np.ndarray:
+    """The pixels within distance r of (cx, cy), tested one by one over the
+    whole side x side raster."""
+    out = np.zeros((side, side), dtype=bool)
+    for y in range(side):
+        for x in range(side):
+            out[y, x] = (x - cx) ** 2 + (y - cy) ** 2 <= r * r
+    return out
+
+
 def click_pixel(action, w: int, h: int) -> tuple[int, int]:
     """The (x, y) pixel a click's normalized point falls in, clamped in bounds."""
     return min(int(action.point.x * w), w - 1), min(int(action.point.y * h), h - 1)

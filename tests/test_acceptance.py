@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import brute_edt_sq, embedded_edt_sq, mask_of, rand_mask, replay_repair
+from conftest import brute_edt_sq, embedded_edt_sq, flood_components, mask_of, rand_mask, replay_repair
 
 from maskloop.env import Action, EnvConfig, InitSpec, Task, reset
 from maskloop.errors import ActionParseError
@@ -38,7 +38,6 @@ from maskloop.raster import (
     NormBox,
     bbox,
     box_to_mask,
-    components,
     iou,
     point_to_pixel,
     read_pgm_mask,
@@ -157,7 +156,7 @@ def test_expert_converges_in_component_count_steps():
     solved = 0
     for task in tasks:
         traj = generate_trajectory(task, OracleSegmenter())
-        budget = len(components(task.target))
+        budget = len(flood_components(task.target.data))
         solved += int(traj.final_reward >= 0.95 and len(traj.steps) <= budget)
     elapsed = time.monotonic() - t0
     check(
@@ -360,7 +359,7 @@ def test_metric_fixtures():
     for target in fixtures:
         img = GrayImage(np.where(target.data, 220, 30).astype(np.uint8))
         task = Task(id="m", image=img, target=target, prompt="the blobs")
-        k = len(components(target))
+        k = len(flood_components(target.data))
         noc_ok += int(noc(task, OracleSegmenter(), target_iou=1.0) == (k, True))
     check(
         "metric fixtures",

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import mask_of, rand_mask
+from conftest import flood_components, mask_of, rand_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +10,7 @@ from maskloop.env import Task
 from maskloop.errors import DegenerateInputError, MaskShapeError
 from maskloop.metrics import average_ranks, ciou, filter_masks, noc, noc_histogram, regression_metrics
 from maskloop.policy import NoisyPrm, OraclePrm
-from maskloop.raster import BitMask, GrayImage, components, iou
+from maskloop.raster import BitMask, GrayImage, iou
 from maskloop.segmenters import OracleSegmenter, Segmenter
 from maskloop.trajgen import synth_tasks
 
@@ -81,7 +81,7 @@ def test_noc_counts_components():
             "...#...",
         ]
     )
-    n = len(components(task.target))
+    n = len(flood_components(task.target.data))
     assert noc(task, OracleSegmenter(), target_iou=1.0) == (n, True)
 
 

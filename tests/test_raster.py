@@ -20,7 +20,7 @@ from maskloop.raster import (
     argmax_point,
     bbox,
     box_to_mask,
-    components,
+    component_labels,
     decode_pgm,
     decode_ppm,
     edt_sq,
@@ -195,35 +195,75 @@ def test_edt_argmax_center_of_full_5x5():
 # --- components --------------------------------------------------------
 
 
+def _label_sets(mask: np.ndarray) -> list[set[tuple[int, int]]]:
+    """``component_labels`` as (x, y) pixel sets, label 1 first; checks that
+    the labels are a read-only int32 raster shaped like the mask, zero
+    exactly on the background."""
+    labels = component_labels(BitMask(mask))
+    assert labels.dtype == np.int32 and not labels.flags.writeable
+    assert labels.shape == mask.shape
+    assert np.array_equal(labels > 0, mask)
+    return [{(int(x), int(y)) for y, x in zip(*np.nonzero(labels == k))} for k in range(1, int(labels.max()) + 1)]
+
+
 def test_components_ring_is_single():
     side = 15
     ys, xs = np.mgrid[0:side, 0:side]
     d2 = (xs - 7) ** 2 + (ys - 7) ** 2
     ring = (d2 <= 36) & (d2 > 16)
-    comps = components(BitMask(ring))
+    comps = _label_sets(ring)
     assert len(comps) == 1
-    assert comps[0].area() == int(ring.sum())
+    assert comps == flood_components(ring)
 
 
 def test_components_match_flood_fill_oracle(rng):
     for _ in range(40):
         m = rand_mask(rng, 12, 12, 0.35)
-        got = components(BitMask(m))
-        want = flood_components(m)
-        assert len(got) == len(want)
-        got_sets = [
-            {(int(x), int(y)) for y, x in zip(*np.nonzero(c.data))} for c in got
-        ]
-        assert got_sets == want  # same pixels, same (row-major first) order
+        # same pixels, label k the k-th first row-major pixel
+        assert _label_sets(m) == flood_components(m)
 
 
 def test_components_empty_mask():
-    assert components(BitMask.zeros(4, 4)) == []
+    assert _label_sets(np.zeros((4, 4), bool)) == []
 
 
 def test_components_diagonal_pixels_are_separate():
-    m = mask_of(["#.", ".#"])
-    assert len(components(m)) == 2
+    m = mask_of(["#.", ".#"]).data
+    assert _label_sets(m) == flood_components(m)
+    assert len(flood_components(m)) == 2
+
+
+@st.composite
+def _one_pixel(draw):
+    h, w = draw(st.tuples(_sides, _sides))
+    m = np.zeros((h, w), bool)
+    m[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    return m
+
+
+@st.composite
+def _border_touching(draw):
+    """A sparse raster plus a few pixels of its outer ring, corners included."""
+    h, w = draw(st.tuples(_sides, _sides))
+    m = draw(arrays(bool, (h, w))).copy()
+    ring = [(y, x) for y in range(h) for x in range(w) if y in (0, h - 1) or x in (0, w - 1)]
+    for y, x in draw(st.lists(st.sampled_from(ring), min_size=1, max_size=4)):
+        m[y, x] = True
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _rasters(st.tuples(_sides, _sides)),
+        _rasters(_thin),
+        _one_pixel(),
+        _border_touching(),
+        st.tuples(_sides, _sides).map(lambda hw: np.zeros(hw, bool)),
+    )
+)
+def test_component_labels_match_flood_fill_on_any_raster(m):
+    assert _label_sets(m) == flood_components(m)
 
 
 # --- geometry conventions ----------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import mask_of
+from conftest import flood_components, mask_of
 
 from maskloop.env import Action, InitSpec, Task
 from maskloop.expert import next_click
@@ -16,7 +16,7 @@ from maskloop.policy import (
     Policy,
     Prm,
 )
-from maskloop.raster import GrayImage, NormBox, box_to_mask, components, iou
+from maskloop.raster import GrayImage, NormBox, box_to_mask, iou
 from maskloop.search import SearchConfig, prm_greedy
 from maskloop.segmenters import OracleSegmenter
 from maskloop.trajgen import synth_tasks
@@ -69,7 +69,7 @@ def test_expert_policy_with_oracle_prm_solves_synth_tasks():
         mask, score, trace = prm_greedy(task, ExpertPolicy(), OraclePrm(), OracleSegmenter())
         assert score == 1.0
         assert mask == task.target
-        assert len(trace.steps) == len(components(task.target))
+        assert len(trace.steps) == len(flood_components(task.target.data))
         assert trace.best_step == len(trace.steps)
 
 

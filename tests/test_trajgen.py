@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import mask_of, replay_repair
+from conftest import disk_reference, flood_components, mask_of, replay_repair
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maskloop.env import (
     STOP_CONVERGED,
@@ -16,10 +18,11 @@ from maskloop.env import (
 )
 from maskloop.errors import JsonlError, TemplateError
 from maskloop.policy import COORD_INT, PromptConfig
-from maskloop.raster import BitMask, GrayImage, components, iou, rle_decode
+from maskloop.raster import BitMask, GrayImage, iou, rle_decode
 from maskloop.segmenters import OracleSegmenter, Segmenter
 from maskloop.trajgen import (
     FAMILIES,
+    _disk_at,
     Trajectory,
     generate_trajectory,
     read_jsonl,
@@ -339,7 +342,38 @@ def test_synth_tasks_scatter_has_multiple_components():
     scatter = [t for t in tasks if t.prompt == "the scattered blobs"]
     assert scatter
     for t in scatter:
-        assert len(components(t.target)) in (2, 3)
+        assert len(flood_components(t.target.data)) in (2, 3)
+
+
+@st.composite
+def _disks(draw):
+    side = draw(st.integers(1, 40))
+    r = draw(st.integers(0, side))
+    # centres up to r + 2 beyond each border clip the disk there
+    cx = draw(st.integers(-r - 2, side + r + 1))
+    cy = draw(st.integers(-r - 2, side + r + 1))
+    return side, cx, cy, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_disks())
+# centred on each border and two corners, with r = 0
+@example((10, 0, 5, 3))
+@example((10, 5, 0, 3))
+@example((10, 9, 5, 3))
+@example((10, 5, 9, 3))
+@example((10, 0, 0, 3))
+@example((10, 9, 9, 0))
+def test_disk_at_equals_full_grid_reference(disk):
+    assert np.array_equal(_disk_at(*disk), disk_reference(*disk))
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(16, 64), seed=st.integers(0, 2**32 - 1))
+def test_synth_families_have_their_component_counts(side, seed):
+    for family, task in zip(FAMILIES, synth_tasks(len(FAMILIES), side=side, seed=seed)):
+        n = len(flood_components(task.target.data))
+        assert n in ((2, 3) if family == "scatter" else (1,)), (family, n)
 
 
 def test_synth_tasks_validation():
