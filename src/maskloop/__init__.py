@@ -39,6 +39,7 @@ from .env import (
 from .errors import (
     ActionParseError,
     DegenerateInputError,
+    DuplicateTaskIdError,
     EpisodeDoneError,
     HookError,
     JsonlError,
@@ -121,6 +122,7 @@ __all__ = [
     "BitMask",
     "DatasetManifest",
     "DegenerateInputError",
+    "DuplicateTaskIdError",
     "EnvConfig",
     "EpisodeDoneError",
     "EpisodeState",

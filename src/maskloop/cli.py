@@ -21,9 +21,12 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Callable, Collection, Sequence
+
+import numpy as np
 
 from . import mock_server
 from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
@@ -56,7 +59,7 @@ from .trajgen import (
     synth_tasks,
     write_jsonl,
 )
-from .util import map_tasks, mix_seed, parallel_map
+from .util import map_tasks, mean, mix_seed, parallel_map, write_json
 
 
 class UsageError(Exception):
@@ -203,32 +206,39 @@ def _env_config(cfg: dict) -> EnvConfig:
     return EnvConfig(max_steps=cfg["max_steps"], tau_stop=cfg["tau_stop"], tau_diff=cfg["tau_diff"])
 
 
-def _init_spec(cfg: dict, task: Task, seed: int) -> InitSpec:
-    """Resolve the --init choice for one task, deterministically."""
-    import numpy as np
+# each --init name as (empty, box, random) ratios; a fixed start always wins the draw
+_INIT_RATIOS = {"empty": [1.0, 0.0, 0.0], "box": [0.0, 1.0, 0.0], "random": [0.0, 0.0, 1.0], "mix": [0.8, 0.1, 0.1]}
 
-    choice = cfg["init"]
+
+def _init_rule(cfg: dict) -> Callable[[Task], InitSpec]:
+    """Parse --init once, before any work, into the rule that gives each task
+    its InitSpec from --seed and the task id. mix ratios must be finite, at
+    least 0 and sum to 1; click counts must pass InitSpec's own check."""
+    choice, seed = cfg["init"], cfg["seed"]
     name, sep, args = choice.partition(":")
+    if name not in _INIT_RATIOS or (sep and name in ("empty", "box")):
+        raise UsageError(f"unknown init {choice!r}: expected empty, box, random[:NP,NN] or mix[:PE,PB,PR]")
     try:
-        if name == "mix":
-            ratios = [float(p) for p in args.split(",")] if sep else [0.8, 0.1, 0.1]
-            if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-                raise ValueError("mix needs three ratios summing to 1")
-            u = np.random.default_rng(mix_seed(seed, task.id, "init")).random()
-            name = "empty" if u < ratios[0] else "box" if u < ratios[0] + ratios[1] else "random"
-            sep = ""
-        if name == "random":
-            counts = args.split(",") if sep else (cfg["init_n_pos"], cfg["init_n_neg"])
-            n_pos, n_neg = (int(c) for c in counts)
+        ratios = [float(p) for p in args.split(",")] if sep and name == "mix" else _INIT_RATIOS[name]
+        bad = len(ratios) != 3 or not all(math.isfinite(p) and p >= 0 for p in ratios)
+        if bad or abs(sum(ratios) - 1.0) > 1e-9:
+            raise ValueError("mix needs three finite ratios, each at least 0, summing to 1")
+        counts = args.split(",") if sep and name == "random" else (cfg["init_n_pos"], cfg["init_n_neg"])
+        n_pos, n_neg = (int(c) for c in counts)
+        if name in ("random", "mix"):
+            InitSpec.from_random_clicks(n_pos, n_neg, seed=0)
     except ValueError as e:
         raise UsageError(f"bad init {choice!r}: {e}")
-    if name == "empty" and not sep:
-        return InitSpec.empty()
-    if name == "box" and not sep:
-        return InitSpec.from_box(bbox(task.target))
-    if name == "random":
+
+    def init(task: Task) -> InitSpec:
+        u = np.random.default_rng(mix_seed(seed, task.id, "init")).random()
+        if u < ratios[0]:
+            return InitSpec.empty()
+        if u < ratios[0] + ratios[1]:
+            return InitSpec.from_box(bbox(task.target))
         return InitSpec.from_random_clicks(n_pos, n_neg, mix_seed(seed, task.id, "init-seed"))
-    raise UsageError(f"unknown init {choice!r}: expected empty, box, random[:NP,NN] or mix[:PE,PB,PR]")
+
+    return init
 
 
 def _emit(obj: dict) -> None:
@@ -413,14 +423,14 @@ def _write_dataset(trajectories: list, out: str, provenance: str, header: dict) 
 
 def cmd_gen_traj(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
+    init = _init_rule(cfg)
     _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter(cfg)
     env_config = _env_config(cfg)
-    seed = cfg["seed"]
 
     def one(task: Task):
-        return generate_trajectory(task, segmenter, env_config, _init_spec(cfg, task, seed))
+        return generate_trajectory(task, segmenter, env_config, init(task))
 
     trajectories = parallel_map(one, tasks, cfg["jobs"])
     manifest_path = _write_dataset(trajectories, cfg["out"], "generated", _header("gen-traj", cfg))
@@ -474,14 +484,13 @@ def cmd_render_sft(cfg: dict) -> int:
 
 def cmd_rollout(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
+    init = _init_rule(cfg)
     _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter(cfg)
     env_config = _env_config(cfg)
-    seed = cfg["seed"]
     trajectories, failures = run_rollout(
-        _policy(cfg), tasks, segmenter, env_config, seed=seed,
-        init=lambda task: _init_spec(cfg, task, seed), jobs=cfg["jobs"],
+        _policy(cfg), tasks, segmenter, env_config, seed=cfg["seed"], init=init, jobs=cfg["jobs"]
     )
     header = _header("rollout", cfg)
     if failures:
@@ -493,11 +502,7 @@ def cmd_rollout(cfg: dict) -> int:
             "manifest": manifest_path,
             "n_trajectories": len(trajectories),
             "n_failures": len(failures),
-            "mean_final_reward": (
-                sum(t.final_reward for t in trajectories) / len(trajectories)
-                if trajectories
-                else 0.0
-            ),
+            "mean_final_reward": mean([t.final_reward for t in trajectories]),
         }
     )
     return 0
@@ -532,9 +537,7 @@ def cmd_star(cfg: dict) -> int:
         jobs=cfg["jobs"],
     )
     reports_path = os.path.join(cfg["out"], "reports.json")
-    with open(reports_path, "w", encoding="utf-8") as fh:
-        json.dump({"header": _header("star", cfg), "reports": reports}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(reports_path, {"header": _header("star", cfg), "reports": reports})
     _emit(
         {
             "final_manifest_name": final.name,
@@ -548,6 +551,7 @@ def cmd_star(cfg: dict) -> int:
 
 def cmd_search(cfg: dict) -> int:
     _require(cfg, "tasks", "out")
+    init = _init_rule(cfg)
     _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter(cfg)
@@ -567,7 +571,7 @@ def cmd_search(cfg: dict) -> int:
     def one(task: Task) -> dict:
         best_mask, best_score, trace = prm_greedy(
             task, policy, prm, segmenter, search_config,
-            init=_init_spec(cfg, task, seed), seed=seed,
+            init=init(task), seed=seed,
         )
         if masks_out:
             write_pgm(best_mask, os.path.join(masks_out, f"{task.id}.pgm"))
@@ -586,17 +590,13 @@ def cmd_search(cfg: dict) -> int:
     header = _header("search", cfg)
     if failures:
         header["failures"] = failures
-    with open(cfg["out"], "w", encoding="utf-8") as fh:
-        json.dump({"header": header, "results": results}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cfg["out"], {"header": header, "results": results})
     _emit(
         {
             "out": cfg["out"],
             "n_tasks": len(results),
             "n_failures": len(failures),
-            "mean_best_reward": (
-                sum(r["best_reward"] for r in results) / len(results) if results else 0.0
-            ),
+            "mean_best_reward": mean([r["best_reward"] for r in results]),
         }
     )
     return 0
@@ -647,8 +647,8 @@ def cmd_eval_noc(cfg: dict) -> int:
                 writer.writerow([count, freq])
     _emit(
         {
-            "mean_clicks": sum(counts) / len(counts) if counts else 0.0,
-            "reached_fraction": sum(reached) / len(reached) if reached else 0.0,
+            "mean_clicks": mean(counts),
+            "reached_fraction": mean(reached),
             "n_tasks": len(counts),
         }
     )

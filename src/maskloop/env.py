@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EpisodeDoneError, MaskShapeError
+from .errors import DuplicateTaskIdError, EpisodeDoneError, MaskShapeError
 from .raster import (
     BitMask,
     GrayImage,
@@ -31,6 +32,7 @@ from .raster import (
     read_pgm_mask,
     write_pgm,
 )
+from .util import write_json
 
 POSITIVE_CLICK = "positive_click"
 NEGATIVE_CLICK = "negative_click"
@@ -315,12 +317,16 @@ def _check_mask(task: Task, mask: BitMask) -> None:
 def load_tasks(manifest_path: str) -> list[Task]:
     """Load tasks from a JSON manifest of image/target PGM paths.
 
-    Relative paths resolve against the manifest's directory. Tasks with
-    mismatched dimensions or empty targets are rejected outright.
+    Relative paths resolve against the manifest's directory. A manifest
+    that lists a task id twice, and tasks with mismatched dimensions or
+    empty targets, are rejected outright.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     entries = data["tasks"] if isinstance(data, dict) else data
+    repeated = [task_id for task_id, n in Counter(entry["id"] for entry in entries).items() if n > 1]
+    if repeated:
+        raise DuplicateTaskIdError(f"{manifest_path}: task ids listed more than once: {repeated}")
     base = os.path.dirname(os.path.abspath(manifest_path))
     tasks = []
     for entry in entries:
@@ -354,9 +360,7 @@ def write_task_dir(tasks: Sequence[Task], out_dir: str, header: dict | None = No
     if header is not None:
         manifest["header"] = header
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 

@@ -23,6 +23,10 @@ class PnmError(MaskLoopError, ValueError):
     """A PGM/PPM file is malformed or uses an unsupported variant."""
 
 
+class DuplicateTaskIdError(MaskLoopError, ValueError):
+    """A task manifest lists the same task id more than once."""
+
+
 class EpisodeDoneError(MaskLoopError, RuntimeError):
     """step() was called on a finished episode."""
 

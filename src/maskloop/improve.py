@@ -44,7 +44,7 @@ from .trajgen import (
     run_episode,
     write_jsonl,
 )
-from .util import map_tasks, mix_seed
+from .util import map_tasks, mean, mix_seed, write_json
 
 log = logging.getLogger(__name__)
 
@@ -76,9 +76,7 @@ class DatasetManifest:
         }
         if header is not None:
             obj["header"] = header
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, obj)
 
     @classmethod
     def load(cls, path: str) -> "DatasetManifest":
@@ -299,12 +297,8 @@ def star_iteration(
                 "n_rollouts": len(rollouts),
                 "n_failures": len(failures),
                 "n_corrections": n_corrections,
-                "mean_reward_raw": _mean([t.final_reward for t in rollouts]),
-                "mean_reward_refined": _mean([t.final_reward for t in refined]),
+                "mean_reward_raw": mean([t.final_reward for t in rollouts]),
+                "mean_reward_refined": mean([t.final_reward for t in refined]),
             }
         )
     return manifest, reports
-
-
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0

@@ -38,7 +38,6 @@ from .raster import (
     GrayImage,
     RgbImage,
     RleMask,
-    component_labels,
     render_overlay,
     rle_decode,
     rle_encode,
@@ -262,14 +261,78 @@ def read_jsonl(path: str) -> list[Trajectory]:
 
 # --- synthetic tasks -------------------------------------------------------
 
-FAMILIES = ("disk", "rectangle", "ring", "bar", "scatter")
 
-_PROMPTS = {
-    "disk": "the filled disk",
-    "rectangle": "the solid rectangle",
-    "ring": "the hollow ring",
-    "bar": "the thin bar",
-    "scatter": "the scattered blobs",
+def _disk_at(side: int, cx: int, cy: int, r: int) -> np.ndarray:
+    """(x - cx)^2 + (y - cy)^2 <= r^2, evaluated on the disk's bounding box
+    clipped to the raster."""
+    mask = np.zeros((side, side), dtype=bool)
+    x0, y0 = max(cx - r, 0), max(cy - r, 0)
+    xs = np.arange(x0, min(cx + r + 1, side)) - cx
+    ys = np.arange(y0, min(cy + r + 1, side)) - cy
+    mask[y0 : y0 + ys.size, x0 : x0 + xs.size] = ys[:, None] ** 2 + xs**2 <= r * r
+    return mask
+
+
+def _build_disk(side: int, rng: np.random.Generator) -> np.ndarray:
+    r = int(rng.integers(side // 8, side // 4 + 1))
+    cx = int(rng.integers(r + 1, side - r - 1))
+    cy = int(rng.integers(r + 1, side - r - 1))
+    return _disk_at(side, cx, cy, r)
+
+
+def _build_rectangle(side: int, rng: np.random.Generator) -> np.ndarray:
+    w = int(rng.integers(side // 6, side // 2 + 1))
+    h = int(rng.integers(side // 6, side // 2 + 1))
+    x0 = int(rng.integers(1, side - w))
+    y0 = int(rng.integers(1, side - h))
+    mask = np.zeros((side, side), dtype=bool)
+    mask[y0 : y0 + h, x0 : x0 + w] = True
+    return mask
+
+
+def _build_ring(side: int, rng: np.random.Generator) -> np.ndarray:
+    r_out = int(rng.integers(max(5, side // 5), side // 3 + 1))
+    width = int(rng.integers(2, max(3, r_out // 3) + 1))
+    r_in = max(2, r_out - width)
+    cx = int(rng.integers(r_out + 1, side - r_out - 1))
+    cy = int(rng.integers(r_out + 1, side - r_out - 1))
+    return _disk_at(side, cx, cy, r_out) & ~_disk_at(side, cx, cy, r_in)
+
+
+def _build_bar(side: int, rng: np.random.Generator) -> np.ndarray:
+    thickness = int(rng.integers(1, 3))
+    length = int(rng.integers(side // 2, side - 4))
+    mask = np.zeros((side, side), dtype=bool)
+    # a horizontal bar, or a vertical one drawn through the transpose
+    rows = mask if rng.random() < 0.5 else mask.T
+    y0 = int(rng.integers(2, side - thickness - 2))
+    x0 = int(rng.integers(2, side - length - 1))
+    rows[y0 : y0 + thickness, x0 : x0 + length] = True
+    return mask
+
+
+def _build_scatter(side: int, rng: np.random.Generator) -> np.ndarray:
+    k = int(rng.integers(2, 4))
+    cell = side // 3
+    cells = rng.choice(9, size=k, replace=False)
+    mask = np.zeros((side, side), dtype=bool)
+    for c in cells:
+        gy, gx = divmod(int(c), 3)
+        r = int(rng.integers(max(3, side // 16), max(4, side // 10) + 1))
+        r = min(r, cell // 2 - 2)
+        cx = gx * cell + int(rng.integers(r + 1, cell - r - 1))
+        cy = gy * cell + int(rng.integers(r + 1, cell - r - 1))
+        mask |= _disk_at(side, cx, cy, r)
+    return mask
+
+
+# family -> (prompt, builder), in the order synth_tasks cycles through them
+FAMILIES: dict[str, tuple[str, Callable[[int, np.random.Generator], np.ndarray]]] = {
+    "disk": ("the filled disk", _build_disk),
+    "rectangle": ("the solid rectangle", _build_rectangle),
+    "ring": ("the hollow ring", _build_ring),
+    "bar": ("the thin bar", _build_bar),
+    "scatter": ("the scattered blobs", _build_scatter),
 }
 
 
@@ -277,19 +340,23 @@ def synth_tasks(n: int, side: int = 64, seed: int = 0) -> list[Task]:
     """Deterministic synthetic task set cycling through five shape families.
 
     Flat background and foreground intensities at least 64 levels apart,
-    so intensity-based segmenters have something to hold on to. Shape
-    families: disk, rectangle, ring (hollow), thin bar (<= 2 px wide),
-    and a 2-3 component scatter.
-    """
+    so intensity-based segmenters have something to hold on to. Each shape
+    has its 4-connected component count by construction: a disk is one
+    (column cx runs through every row), a rectangle or thin bar (<= 2 px
+    wide) is one solid box, a hollow ring is one (its shape depends only on
+    (r_out, r_in); the tests label every pair sides up to 1024 can draw),
+    and a scatter is 2-3 disks in separate cells of a 3x3 grid, each clear
+    of its cell's outer rows and columns, so no two touch."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if side < 16:
         raise ValueError(f"side must be >= 16, got {side}")
     rng = np.random.default_rng(seed)
+    families = list(FAMILIES.values())
     tasks: list[Task] = []
     for i in range(n):
-        family = FAMILIES[i % len(FAMILIES)]
-        target = _make_shape(family, side, rng)
+        prompt, build = families[i % len(families)]
+        target = build(side, rng)
         lo = int(rng.integers(0, 256 - 64))
         hi = int(rng.integers(lo + 64, 256))
         if rng.random() < 0.5:
@@ -303,93 +370,7 @@ def synth_tasks(n: int, side: int = 64, seed: int = 0) -> list[Task]:
                 id=f"synth-{i:04d}",
                 image=GrayImage(img),
                 target=BitMask(target),
-                prompt=_PROMPTS[family],
+                prompt=prompt,
             )
         )
     return tasks
-
-
-def _make_shape(family: str, side: int, rng: np.random.Generator) -> np.ndarray:
-    builder: Callable[[int, np.random.Generator], tuple[np.ndarray, int]] = _BUILDERS[family]
-    for _ in range(64):
-        mask, expected = builder(side, rng)
-        if int(component_labels(BitMask(mask)).max()) == expected:
-            return mask
-    raise RuntimeError(f"could not synthesize a valid {family} shape")  # pragma: no cover
-
-
-def _disk_at(side: int, cx: int, cy: int, r: int) -> np.ndarray:
-    """(x - cx)^2 + (y - cy)^2 <= r^2, evaluated on the disk's bounding box
-    clipped to the raster."""
-    mask = np.zeros((side, side), dtype=bool)
-    x0, y0 = max(cx - r, 0), max(cy - r, 0)
-    xs = np.arange(x0, min(cx + r + 1, side)) - cx
-    ys = np.arange(y0, min(cy + r + 1, side)) - cy
-    mask[y0 : y0 + ys.size, x0 : x0 + xs.size] = ys[:, None] ** 2 + xs**2 <= r * r
-    return mask
-
-
-def _build_disk(side: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    r = int(rng.integers(side // 8, side // 4 + 1))
-    cx = int(rng.integers(r + 1, side - r - 1))
-    cy = int(rng.integers(r + 1, side - r - 1))
-    return _disk_at(side, cx, cy, r), 1
-
-
-def _build_rectangle(side: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    w = int(rng.integers(side // 6, side // 2 + 1))
-    h = int(rng.integers(side // 6, side // 2 + 1))
-    x0 = int(rng.integers(1, side - w))
-    y0 = int(rng.integers(1, side - h))
-    mask = np.zeros((side, side), dtype=bool)
-    mask[y0 : y0 + h, x0 : x0 + w] = True
-    return mask, 1
-
-
-def _build_ring(side: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    r_out = int(rng.integers(max(5, side // 5), side // 3 + 1))
-    width = int(rng.integers(2, max(3, r_out // 3) + 1))
-    r_in = max(2, r_out - width)
-    cx = int(rng.integers(r_out + 1, side - r_out - 1))
-    cy = int(rng.integers(r_out + 1, side - r_out - 1))
-    ring = _disk_at(side, cx, cy, r_out) & ~_disk_at(side, cx, cy, r_in)
-    return ring, 1
-
-
-def _build_bar(side: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    thickness = int(rng.integers(1, 3))
-    length = int(rng.integers(side // 2, side - 4))
-    mask = np.zeros((side, side), dtype=bool)
-    if rng.random() < 0.5:
-        y0 = int(rng.integers(2, side - thickness - 2))
-        x0 = int(rng.integers(2, side - length - 1))
-        mask[y0 : y0 + thickness, x0 : x0 + length] = True
-    else:
-        x0 = int(rng.integers(2, side - thickness - 2))
-        y0 = int(rng.integers(2, side - length - 1))
-        mask[y0 : y0 + length, x0 : x0 + thickness] = True
-    return mask, 1
-
-
-def _build_scatter(side: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    k = int(rng.integers(2, 4))
-    cell = side // 3
-    cells = rng.choice(9, size=k, replace=False)
-    mask = np.zeros((side, side), dtype=bool)
-    for c in cells:
-        gy, gx = divmod(int(c), 3)
-        r = int(rng.integers(max(3, side // 16), max(4, side // 10) + 1))
-        r = min(r, cell // 2 - 2)
-        cx = gx * cell + int(rng.integers(r + 1, cell - r - 1))
-        cy = gy * cell + int(rng.integers(r + 1, cell - r - 1))
-        mask |= _disk_at(side, cx, cy, r)
-    return mask, k
-
-
-_BUILDERS: dict[str, Callable[[int, np.random.Generator], tuple[np.ndarray, int]]] = {
-    "disk": _build_disk,
-    "rectangle": _build_rectangle,
-    "ring": _build_ring,
-    "bar": _build_bar,
-    "scatter": _build_scatter,
-}

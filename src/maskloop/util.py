@@ -1,7 +1,8 @@
-"""Small shared helpers: deterministic seeding, rounding, an ordered thread map."""
+"""Small shared helpers: seeding, rounding, a mean, the JSON writer, an ordered thread map."""
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import zlib
@@ -30,6 +31,18 @@ def mix_seed(*parts: object) -> int:
     for part in parts:
         acc = zlib.crc32(repr(part).encode("utf-8"), acc)
     return acc & _MASK32
+
+
+def mean(values: Sequence[float]) -> float:
+    """The arithmetic mean; 0.0 for no values."""
+    return sum(values) / len(values) if values else 0.0
+
+
+def write_json(path: str, obj: object) -> None:
+    """Write ``obj`` the way every JSON file here is written: indent 2, sorted keys, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:

@@ -12,12 +12,13 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from maskloop import env
 from maskloop.errors import ReplayMismatchError
 from maskloop.expert import next_click
 from maskloop.raster import BitMask, edt_sq, rle_decode, rle_encode
-from maskloop.trajgen import Trajectory, TrajectoryStep, generate_trajectory
+from maskloop.trajgen import Trajectory, TrajectoryStep, _disk_at, generate_trajectory
 
 
 def brute_edt_sq(mask: np.ndarray) -> np.ndarray:
@@ -102,6 +103,28 @@ def disk_reference(side: int, cx: int, cy: int, r: int) -> np.ndarray:
         for x in range(side):
             out[y, x] = (x - cx) ** 2 + (y - cy) ** 2 <= r * r
     return out
+
+
+def ring_pairs(max_side: int) -> list[tuple[int, int]]:
+    """Every (r_out, r_in) pair trajgen._build_ring can draw at some side
+    from 16 to max_side: r_out in [max(5, side // 5), side // 3], a width
+    in [2, max(3, r_out // 3)], and r_in = max(2, r_out - width)."""
+    outers = {r for side in range(16, max_side + 1) for r in range(max(5, side // 5), side // 3 + 1)}
+    return sorted({(r, max(2, r - w)) for r in outers for w in range(2, max(3, r // 3) + 1)})
+
+
+def check_rings_connected(max_side: int) -> int:
+    """Draw every ring ring_pairs(max_side) lists as _build_ring draws it,
+    and fail naming the first one that is not a single 4-connected
+    component. _build_ring never clips a ring, so its shape depends only
+    on the pair. Returns the number of rings checked."""
+    pairs = ring_pairs(max_side)
+    for r_out, r_in in pairs:
+        side, c = 2 * r_out + 3, r_out + 1
+        ring = _disk_at(side, c, c, r_out) & ~_disk_at(side, c, c, r_in)
+        n = ndimage.label(ring)[1]
+        assert n == 1, f"ring r_out={r_out}, r_in={r_in} has {n} components"
+    return len(pairs)
 
 
 def click_pixel(action, w: int, h: int) -> tuple[int, int]:

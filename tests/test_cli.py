@@ -178,6 +178,48 @@ def test_unknown_init_name_is_usage_error(tmp_path, capsys, task_manifest):
         assert repr(init) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-traj", "rollout", "search"])
+@pytest.mark.parametrize(
+    "init",
+    [
+        ["--init", "mix:nan,0.5,0.5"],
+        ["--init", "mix:inf,-inf,1"],
+        ["--init", "mix:1.5,-0.5,0"],
+        ["--init", "mix:0.5,0.5"],
+        ["--init", "random:0,0"],
+        ["--init", "random:-1,2"],
+        ["--init", "random:1"],
+        ["--init", "random", "--init-n-pos", "0", "--init-n-neg", "0"],
+        ["--init", "mix", "--init-n-pos", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_init_is_usage_error_before_any_output(tmp_path, capsys, task_manifest, command, init):
+    out = tmp_path / "new" / "out.json"
+    argv = [command, "--tasks", task_manifest, "--out", str(out), *init]
+    if command == "search":
+        argv += ["--masks-out", str(tmp_path / "masks")]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad init {init[1]!r}" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tasks"]
+
+
+def test_render_sft_refuses_a_repeated_task_id(tmp_path, capsys, task_manifest):
+    traj = str(tmp_path / "t.jsonl")
+    assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", traj, "--init", "empty")[0] == 0
+    with open(task_manifest) as fh:
+        data = json.load(fh)
+    data["tasks"][1]["id"] = data["tasks"][0]["id"]
+    with open(task_manifest, "w") as fh:
+        json.dump(data, fh)
+    out = tmp_path / "sft"
+    assert dispatch(["render-sft", "--traj", traj, "--tasks", task_manifest, "--out", str(out)]) == 1
+    assert "listed more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rollout_expert_solves_everything(tmp_path, capsys, task_manifest):
     out_path = str(tmp_path / "roll.jsonl")
     code, out = run(capsys, "rollout", "--tasks", task_manifest, "--out", out_path, "--policy", "expert")

@@ -23,7 +23,7 @@ from maskloop.env import (
     step,
     write_task_dir,
 )
-from maskloop.errors import EpisodeDoneError
+from maskloop.errors import DuplicateTaskIdError, EpisodeDoneError
 from maskloop.raster import BitMask, GrayImage, NormBox, NormPoint, bbox, pixel_center
 from maskloop.segmenters import OracleSegmenter
 from maskloop.trajgen import synth_tasks
@@ -266,6 +266,18 @@ def test_load_tasks_relative_paths(tmp_path):
     # manifest paths are relative to the manifest's directory
     loaded = load_tasks(manifest)
     assert len(loaded) == 2
+
+
+def test_load_tasks_rejects_a_repeated_task_id(tmp_path):
+    manifest = write_task_dir(synth_tasks(3, side=16, seed=0), str(tmp_path / "d"))
+    with open(manifest) as fh:
+        data = json.load(fh)
+    # the last task's files under the first task's id
+    data["tasks"][2]["id"] = data["tasks"][0]["id"]
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(DuplicateTaskIdError, match="'synth-0000'"):
+        load_tasks(manifest)
 
 
 def test_kind_constants_are_distinct():

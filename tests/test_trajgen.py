@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
-from conftest import disk_reference, flood_components, mask_of, replay_repair
+from conftest import (
+    check_rings_connected,
+    disk_reference,
+    flood_components,
+    mask_of,
+    replay_repair,
+    ring_pairs,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +31,7 @@ from maskloop.raster import BitMask, GrayImage, iou, rle_decode
 from maskloop.segmenters import OracleSegmenter, Segmenter
 from maskloop.trajgen import (
     FAMILIES,
+    _build_ring,
     _disk_at,
     Trajectory,
     generate_trajectory,
@@ -374,6 +384,79 @@ def test_synth_families_have_their_component_counts(side, seed):
     for family, task in zip(FAMILIES, synth_tasks(len(FAMILIES), side=side, seed=seed)):
         n = len(flood_components(task.target.data))
         assert n in ((2, 3) if family == "scatter" else (1,)), (family, n)
+
+
+def test_every_ring_up_to_side_512_is_one_component():
+    # CI runs the same check up to side 1024 (18,989 rings)
+    assert check_rings_connected(512) == 4625
+
+
+@settings(max_examples=100, deadline=None)
+@given(side=st.integers(16, 512), seed=st.integers(0, 2**32 - 1))
+def test_ring_pairs_lists_what_build_ring_draws(side, seed):
+    ring = _build_ring(side, np.random.default_rng(seed))
+    ys, xs = np.nonzero(ring)
+    r_out = int(xs.max() - xs.min()) // 2
+    cx, cy = int(xs.min()) + r_out, int(ys.min()) + r_out
+    # in the centre row the first ring pixel right of the centre is r_in + 1 away
+    r_in = int(np.argmax(ring[cy, cx:])) - 1
+    assert np.array_equal(ring, _disk_at(side, cx, cy, r_out) & ~_disk_at(side, cx, cy, r_in))
+    assert (r_out, r_in) in ring_pairs(side)
+
+
+# sha256 of synth_tasks(40, side, seed): the newline-joined ids and prompts
+# (the same at every side and seed), then the concatenated image bytes and
+# target bytes; any change to what synth draws fails here
+_SYNTH_IDS = "68a0e3553624f86732ed914523e221cc88c4a14a7ae9b64c6da542d48048979e"
+_SYNTH_PROMPTS = "42c3d7732118a57dcea35da206fb16b057816fb49e8b4a7c412ec69c2b230824"
+_SYNTH_BYTES = {
+    (16, 0): (
+        "8166eeb068da59a7f8a0afe627108c822e8df8ed16f3970d7118735777d39f84",
+        "da4e5c6c92e532b397bfa560cf2045eb1fad02da3995421f1c20ea1c004b3117",
+    ),
+    (16, 777): (
+        "f5039d8e09cb0d66113f65089dcb6bdd454077414bef51722dbb9f4eeedec978",
+        "5ab94786a69b3d72e1552711f11cfd8e1ce8eb72b8d527ec4261e21c85d4919f",
+    ),
+    (64, 0): (
+        "a27629d0a8919a55abdda9f223fdd28509cef29e658343d9841ae6fd779a5d0b",
+        "15a4f5ae748fe30f29a567ac73b796a50adbfcb30c0c047e872636c9f544614c",
+    ),
+    (64, 777): (
+        "dd1ce5a31e3e73eff1ff446f251dc8d75cb8d5866987d68b05402abbe4ad59f5",
+        "059a62b32a5a3200d8b48c183fb26246a84cfb012e56e2c2bf495566b425a4b2",
+    ),
+    (256, 0): (
+        "b20efdeecd420cea5a1f5488a939bd23a93a75ed26093e241e30ddec868e2b02",
+        "f6446daca935b2a056ba08be0ca9946444e7f88a6ab6db8beae772d8d8ee513f",
+    ),
+    (256, 777): (
+        "fd70de3053b4786f0a5903399a6406d8c72b8fa29e5f733a8798fed9076e800f",
+        "146bfe4743cb28063ae27909e694ce70827287e2608778cfb4852793d5eab90f",
+    ),
+    (512, 0): (
+        "f6174782d7e7d1c7842b737639e37e013037144c3a93e771ea0f8bb07873a0ae",
+        "dad276228ffccea4767480a7d63b9d6939340b0f45f581280ae9ce36664abde4",
+    ),
+    (512, 777): (
+        "ecfd5e76b8d8ff45b80f623bb468b3459c2745937215a41421d8478ba6991f5d",
+        "cea3f0b65b68731b0e6ae16b95c129cdd74f6414c5c04c653561afab8643d85a",
+    ),
+}
+
+
+@pytest.mark.parametrize("side,seed", sorted(_SYNTH_BYTES))
+def test_synth_bytes_are_pinned(side, seed):
+    tasks = synth_tasks(40, side=side, seed=seed)
+
+    def sha(parts) -> str:
+        return hashlib.sha256(b"".join(parts)).hexdigest()
+
+    assert sha([("\n".join(t.id for t in tasks)).encode()]) == _SYNTH_IDS
+    assert sha([("\n".join(t.prompt for t in tasks)).encode()]) == _SYNTH_PROMPTS
+    images = sha(t.image.data.tobytes() for t in tasks)
+    targets = sha(t.target.data.tobytes() for t in tasks)
+    assert (images, targets) == _SYNTH_BYTES[side, seed]
 
 
 def test_synth_tasks_validation():
