@@ -11,10 +11,16 @@ re-rendered per request. When tasks share an image, the first in manifest
 order answers for all of them. Matching fails with 400 for images outside
 the task set, and so does any malformed request.
 
-The HTTP server speaks keep-alive HTTP/1.1 with Nagle's algorithm off
-(http.server writes headers and body separately, and the body would wait
-for a delayed ACK). A request whose body length is unknown gets 400, one
-with a body over MAX_BODY_BYTES gets 413, and either connection is closed.
+The HTTP server speaks keep-alive HTTP/1.1 and frames it itself: it reads
+each request line and its header lines (names case-insensitive), and writes
+each reply (status line, Date, Content-Type, Content-Length, Connection:
+close when closing, body) in one send with Nagle's algorithm off. POST is
+the only method; any other gets 501. A request line over MAX_LINE bytes
+gets 414, a header line over MAX_LINE bytes or more than MAX_HEADERS of
+them 431, any other malformed head 400. A request whose body length is
+unknown gets 400, one with a body over MAX_BODY_BYTES gets 413. Each of
+these replies closes the connection, and so does a reply to an HTTP/1.0
+request or to one that says Connection: close.
 """
 
 from __future__ import annotations
@@ -22,12 +28,14 @@ from __future__ import annotations
 import base64
 import binascii
 import contextlib
+import email.utils
 import hashlib
 import json
 import logging
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +55,7 @@ from .raster import (
     render_overlay,  # noqa: F401 - unused here; bench/mock_launcher.py wraps this name
     rle_encode,
 )
+from .remote import MAX_HEADERS, MAX_LINE, header_tokens
 from .segmenters import OracleSegmenter
 
 log = logging.getLogger(__name__)
@@ -210,17 +219,18 @@ def _parse_box(obj: object) -> NormBox | None:
 
 
 class _BadFraming(MockRequestError):
-    """The body's length is unknown or refused; the connection must close."""
+    """The request's head or body length is unknown or refused; the
+    connection must close."""
 
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
 
 
-def _body_length(headers) -> int:
-    if "Transfer-Encoding" in headers:
+def _body_length(headers: dict[str, list[str]]) -> int:
+    if "transfer-encoding" in headers:
         raise _BadFraming("Transfer-Encoding is not supported; send Content-Length")
-    values = headers.get_all("Content-Length") or ["0"]
+    values = headers.get("content-length", ["0"])
     digits = values[0].strip()
     if len(values) != 1 or not (digits.isascii() and digits.isdigit()):
         raise _BadFraming(f"bad Content-Length: {', '.join(values)!r}")
@@ -240,15 +250,80 @@ def _json_object(body: bytes) -> dict:
     return payload
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(socketserver.StreamRequestHandler):
+    """One client connection: reads each request's head, hands POSTs to
+    do_POST and answers until the connection is to close."""
+
     service: MockService  # set by serve()
-    protocol_version = "HTTP/1.1"  # keep-alive
     disable_nagle_algorithm = True
 
-    def do_POST(self):  # noqa: N802 (http.server naming)
+    def handle(self):
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                try:
+                    if not self._read_head():
+                        return  # the client has gone
+                except _BadFraming as e:
+                    self.close_connection = True  # where the next request starts is unknown
+                    self._send(e.status, {"error": str(e)})
+                    return
+                if self.command == "POST":
+                    self.do_POST()
+                else:
+                    self.close_connection = True  # any body it has is unread
+                    self._send(501, {"error": f"unsupported method {self.command}"})
+        except OSError as e:  # the client reset or left mid-request
+            log.debug("mock http: connection ends: %s", e)
+
+    def _line(self, status: int) -> bytes:
+        line = self.rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise _BadFraming(f"line over {MAX_LINE} bytes", status)
+        return line
+
+    def _read_head(self) -> bool:
+        """Read a request line and its headers into command, path and
+        headers (lower-cased name -> values); False at end of input."""
+        line = self._line(414)
+        while line in (b"\r\n", b"\n"):  # blank lines before a request are ignored
+            line = self._line(414)
+        if not line:
+            return False
+        words = line.decode("latin-1").split()
+        if len(words) != 3:
+            raise _BadFraming(f"bad request line {line[:100]!r}")
+        self.command, self.path, version = words
+        if version == "HTTP/1.0":
+            self.close_connection = True
+        elif version != "HTTP/1.1":
+            raise _BadFraming(f"unsupported protocol version {version[:20]!r}")
+        self.headers: dict[str, list[str]] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self._line(431)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                raise _BadFraming("request head ends early")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise _BadFraming(f"bad header line {line[:100]!r}")
+            self.headers.setdefault(name.lower(), []).append(value.strip())
+        else:
+            raise _BadFraming(f"more than {MAX_HEADERS} header lines", 431)
+        if "close" in header_tokens(self.headers, "connection"):
+            self.close_connection = True
+        return True
+
+    def do_POST(self):  # noqa: N802 - bench/mock_launcher.py wraps this name
         try:
             length = _body_length(self.headers)
-            reply = self.service.handle(self.path, _json_object(self.rfile.read(length)))
+            if "100-continue" in header_tokens(self.headers, "expect"):
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = self.rfile.read(length)
+            if len(body) < length:
+                raise _BadFraming(f"body ends after {len(body)} of {length} bytes")
+            reply = self.service.handle(self.path, _json_object(body))
         except _BadFraming as e:
             self.close_connection = True  # where the next request starts is unknown
             self._send(e.status, {"error": str(e)})
@@ -264,21 +339,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, obj: dict) -> None:
         body = json.dumps(obj).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Date: {email.utils.formatdate(usegmt=True)}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *args):  # quiet by default
-        log.debug("mock http: " + fmt, *args)
+            head += "Connection: close\r\n"
+        self.request.sendall(head.encode("latin-1") + b"\r\n" + body)
 
 
-class _Server(ThreadingHTTPServer):
-    """Its shutdown() also ends the open keep-alive connections, so a stopped
-    server answers nothing more, not even on a client's pooled connection."""
+class _Server(socketserver.ThreadingTCPServer):
+    """A thread per connection. Its shutdown() also ends the open keep-alive
+    connections, so a stopped server answers nothing more, not even on a
+    client's pooled connection."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -308,7 +386,7 @@ def serve(
     port: int = 0,
     prompt_config: PromptConfig = PromptConfig(),
     r_neg: int = 2,
-) -> tuple[ThreadingHTTPServer, threading.Thread]:
+) -> tuple[socketserver.ThreadingTCPServer, threading.Thread]:
     """Start the mock server on a daemon thread; returns (server, thread).
 
     Port 0 picks a free port; read it back from server.server_address.

@@ -11,16 +11,22 @@ Images travel base64-encoded in their PGM/PPM container bytes.
 Coordinates are normalized decimals rounded to 6 digits and clamped to
 at most 0.999999, so they stay inside [0, 1).
 
-The client speaks HTTP/1.1 through the standard library's http.client.
+The client frames HTTP/1.1 itself; http.client only opens connections.
 Each thread keeps one keep-alive connection per (scheme, host, port)
 until it ends, so threads never share one and endpoints on one host
 do. An idle connection the server has closed is noticed before reuse
 and replaced. Proxy settings (http_proxy, https_proxy, all_proxy, no_proxy)
 are read when a connection opens; https verifies against
-ssl.create_default_context(). The endpoint's timeout bounds every
-socket operation. Transport failures and HTTP 5xx are retried up to
-max_retries, after a backoff of 0.05 s doubling to at most 1 s; 4xx and
-protocol violations fail immediately.
+ssl.create_default_context(). A request goes out in one send; the reply
+is read through a buffer the connection's reader owns, skipping 1xx
+replies, with a chunked, Content-Length or read-to-close body. A reply
+that says Connection: close, an HTTP/1.0 reply and one read to the close
+drop the connection. The endpoint's timeout bounds each attempt as a
+whole, from connecting to the reply's last byte. Transport failures,
+timeouts and HTTP 5xx are retried up to max_retries, after a backoff of
+0.05 s doubling to at most 1 s; 4xx and protocol violations (a garbled
+status line, a line over MAX_LINE bytes, more than MAX_HEADERS header
+lines, conflicting Content-Length values) fail immediately.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import base64
 import http.client
 import json
 import select
+import socket
 import ssl
 import threading
 import time
@@ -51,6 +58,11 @@ from .raster import (
 
 _local = threading.local()
 
+# a status, request or header line may be this long, and a message may
+# carry this many header lines (http.client's and http.server's limits)
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
 
 @dataclass(frozen=True)
 class RemoteEndpoint:
@@ -72,8 +84,10 @@ class RemoteEndpoint:
             url.port
         except ValueError as e:
             raise ValueError(f"base_url has a bad port: {e}")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not (self.base_url.isascii() and self.base_url.isprintable() and " " not in self.base_url):
+            raise ValueError(f"base_url must be printable ASCII without spaces, got {self.base_url!r}")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # also refuses nan
+            raise ValueError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} s, got {self.timeout!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
@@ -109,14 +123,124 @@ def _open(url: urllib.parse.SplitResult) -> tuple[http.client.HTTPConnection, st
     return http.client.HTTPConnection(proxy.hostname, proxy.port or 80), f"http://{url.netloc}"
 
 
+def header_tokens(headers: dict[str, list[str]], name: str) -> set[str]:
+    """The lower-cased comma-separated tokens of every `name` header;
+    headers map lower-cased names to their values."""
+    return {t.strip().lower() for value in headers.get(name, ()) for t in value.split(",")}
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+class _Reader:
+    """Reads replies off one socket through a buffer it owns; each recv
+    waits at most until the deadline of the attempt being read."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buf = bytearray()
+        self.deadline = 0.0
+
+    def _recv(self) -> bool:
+        """Append what the socket has to the buffer; False at end of input."""
+        self.sock.settimeout(_time_left(self.deadline))
+        data = self.sock.recv(1 << 16)
+        self.buf += data
+        return bool(data)
+
+    def _take(self, n: int) -> bytes:
+        while len(self.buf) < n:
+            if not self._recv():
+                raise ConnectionError("connection closed before the reply ended")
+        data = bytes(self.buf[:n])
+        del self.buf[:n]
+        return data
+
+    def _line(self) -> bytes:
+        end = self.buf.find(b"\n")
+        while end < 0 and len(self.buf) <= MAX_LINE:
+            seen = len(self.buf)
+            if not self._recv():
+                raise ConnectionError("connection closed before the reply ended")
+            end = self.buf.find(b"\n", seen)
+        if not 0 <= end < MAX_LINE:
+            raise ProtocolError(f"reply line over {MAX_LINE} bytes")
+        return self._take(end + 1)
+
+    def _headers(self) -> dict[str, list[str]]:
+        headers: dict[str, list[str]] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self._line()
+            if line in (b"\r\n", b"\n"):
+                return headers
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise ProtocolError(f"bad header line {line[:100]!r}")
+            headers.setdefault(name.strip().lower(), []).append(value.strip())
+        raise ProtocolError(f"more than {MAX_HEADERS} header lines")
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while True:
+            size = self._line().split(b";", 1)[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise ProtocolError(f"bad chunk size {size[:20]!r}")
+            n = int(size, 16)
+            if n == 0:
+                break
+            chunks.append(self._take(n))
+            if self._line() not in (b"\r\n", b"\n"):
+                raise ProtocolError("chunk longer than its size")
+        self._headers()  # trailer fields, unused
+        return b"".join(chunks)
+
+    def reply(self, deadline: float) -> tuple[int, bytes, bool]:
+        """The next reply's status and body, and whether the connection
+        may carry another request."""
+        self.deadline = deadline
+        status = 100
+        while status < 200:  # 1xx replies are interim
+            line = self._line()
+            parts = line.split(None, 2)
+            if len(parts) < 2 or parts[0] not in (b"HTTP/1.0", b"HTTP/1.1") or not (
+                len(parts[1]) == 3 and parts[1].isdigit() and parts[1] >= b"100"
+            ):
+                raise ProtocolError(f"garbled status line {line[:100]!r}")
+            status = int(parts[1])
+            headers = self._headers()
+        keep_alive = parts[0] == b"HTTP/1.1" and "close" not in header_tokens(headers, "connection")
+        if status in (204, 304):
+            body = b""
+        elif "transfer-encoding" in headers:
+            if header_tokens(headers, "transfer-encoding") != {"chunked"}:
+                raise ProtocolError(f"unsupported Transfer-Encoding: {', '.join(headers['transfer-encoding'])!r}")
+            body = self._chunked()
+        elif "content-length" in headers:
+            lengths = header_tokens(headers, "content-length")
+            n = lengths.pop() if len(lengths) == 1 else ""
+            if not (n.isascii() and n.isdigit()):
+                raise ProtocolError(f"bad Content-Length: {', '.join(headers['content-length'])!r}")
+            body = self._take(int(n))
+        else:  # the body ends where the server closes the connection
+            while self._recv():
+                pass
+            body = self._take(len(self.buf))
+            keep_alive = False
+        return status, body, keep_alive and not self.buf
+
+
 class _Pool(dict):
-    """(connection, target prefix) pairs by (scheme, host, port).
+    """(connection, target prefix, reader) triples by (scheme, host, port).
 
     Each thread owns one; its connections close when the thread ends.
     """
 
     def __del__(self):
-        for conn, _ in self.values():
+        for conn, _, _ in self.values():
             conn.close()
 
 
@@ -127,27 +251,31 @@ def _pool() -> _Pool:
     return pool
 
 
-def _connection(key: tuple, url: urllib.parse.SplitResult, timeout: float) -> tuple[http.client.HTTPConnection, str]:
-    """This thread's connection for key, connected, with timeout set."""
+def _connection(key: tuple, url: urllib.parse.SplitResult, deadline: float) -> tuple:
+    """This thread's (connection, target prefix, reader) for key, connected."""
     pool = _pool()
-    conn, prefix = pool.get(key, (None, ""))
+    entry = pool.get(key)
     # an idle keep-alive socket reads as ready only once the server has
     # closed it (or broken protocol); reopening is then not a retry
-    if conn is not None and (conn.sock is None or select.select([conn.sock], [], [], 0)[0]):
-        conn.close()
-        conn = None
-    if conn is None:
-        conn, prefix = pool[key] = _open(url)
-        conn.timeout = timeout
-        conn.connect()  # http.client sets TCP_NODELAY
-    conn.sock.settimeout(timeout)
-    return conn, prefix
+    if entry is not None and select.select([entry[0].sock], [], [], 0)[0]:
+        _drop(key)
+        entry = None
+    if entry is None:
+        conn, prefix = _open(url)
+        conn.timeout = _time_left(deadline)
+        try:
+            conn.connect()  # http.client sets TCP_NODELAY
+        except BaseException:
+            conn.close()
+            raise
+        entry = pool[key] = (conn, prefix, _Reader(conn.sock))
+    return entry
 
 
 def _drop(key: tuple) -> None:
-    conn, _ = _pool().pop(key, (None, ""))
-    if conn is not None:
-        conn.close()
+    entry = _pool().pop(key, None)
+    if entry is not None:
+        entry[0].close()
 
 
 def _post(endpoint: RemoteEndpoint, path: str, payload: dict) -> dict:
@@ -159,21 +287,35 @@ def _post(endpoint: RemoteEndpoint, path: str, payload: dict) -> dict:
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
+        deadline = time.monotonic() + endpoint.timeout
         try:
-            conn, prefix = _connection(key, url, endpoint.timeout)
-            conn.request("POST", prefix + url.path.rstrip("/") + path, body, {"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            data = resp.read()
+            conn, prefix, reader = _connection(key, url, deadline)
+            head = (
+                f"POST {prefix}{url.path.rstrip('/')}{path} HTTP/1.1\r\n"
+                f"Host: {url.netloc}\r\n"
+                "Accept-Encoding: identity\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            )
+            out = memoryview(head.encode("ascii") + body)
+            while out:  # not sendall: on a TLS socket its timeout bounds each send, not the whole
+                conn.sock.settimeout(_time_left(deadline))
+                out = out[conn.sock.send(out) :]
+            status, data, keep_alive = reader.reply(deadline)
         except (OSError, http.client.HTTPException) as e:
             _drop(key)
             last_error = RemoteError(f"POST {where} failed: {e}")
             continue
-        if resp.status >= 500:
+        except ProtocolError as e:
             _drop(key)
-            last_error = RemoteError(f"POST {where} -> {resp.status}")
+            raise ProtocolError(f"POST {where}: {e}") from None
+        if status >= 500 or not keep_alive:
+            _drop(key)
+        if status >= 500:
+            last_error = RemoteError(f"POST {where} -> {status}")
             continue
-        if resp.status >= 400:
-            raise RemoteError(f"POST {where} -> {resp.status}: {data[:200].decode('utf-8', 'replace')}")
+        if status >= 400:
+            raise RemoteError(f"POST {where} -> {status}: {data[:200].decode('utf-8', 'replace')}")
         try:
             reply = json.loads(data)
         except ValueError:

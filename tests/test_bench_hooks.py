@@ -1,4 +1,5 @@
-"""The benchmark's tracer patches package names from outside; each must exist."""
+"""The benchmark's tracer and its mock launcher patch package names from
+outside; each must exist."""
 
 from __future__ import annotations
 
@@ -32,3 +33,14 @@ def test_traced_function_resolves(modname, attr, span):
 def test_traced_method_resolves(modname, clsname, attr, span):
     cls = getattr(importlib.import_module(modname), clsname)
     assert callable(getattr(cls, attr))
+
+
+# bench/mock_launcher.py wraps these before it starts serve-mock
+@pytest.mark.parametrize(
+    "owner, attr",
+    [("_Handler", "do_POST"), ("MockService", "segment"), ("MockService", "act"), ("MockService", "score"),
+     (None, "render_overlay")],
+)
+def test_mock_launcher_wraps_a_name_that_exists(owner, attr):
+    module = importlib.import_module("maskloop.mock_server")
+    assert callable(getattr(module if owner is None else getattr(module, owner), attr))

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import http.client
 import json
 import logging
 import math
 import os
 import socket
+import socketserver
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -443,6 +446,116 @@ def test_unknown_body_framing_gets_4xx_and_closes(mock, headers, status):
         conn.close()
 
 
+def _score_request(task, head="POST /v1/score HTTP/1.1\r\nContent-Length: {n}\r\n\r\n"):
+    body = _score_body(task)
+    return head.format(n=len(body)).encode() + body
+
+
+def _read_reply(f):
+    """(status, headers by lower-cased name, body) of one reply off a socket file."""
+    status = int(f.readline().split()[1])
+    headers = {}
+    while (line := f.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, f.read(int(headers["content-length"]))
+
+
+def _exchange(endpoint, *requests, per_byte=False):
+    """Send each raw request in turn over one socket and read its reply;
+    returns the replies and whether the last one said Connection: close
+    and the mock then closed the socket."""
+    url = urllib.parse.urlsplit(endpoint.base_url)
+    replies = []
+    with socket.create_connection((url.hostname, url.port), timeout=5.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with sock.makefile("rb") as f:
+            for data in requests:
+                step = 1 if per_byte else len(data)
+                for i in range(0, len(data), step):
+                    sock.sendall(data[i : i + step])
+                replies.append(_read_reply(f))
+            # a mock that does not close leaves this read to time out
+            closed = replies[-1][1].get("connection") == "close" and f.read() == b""
+    return replies, closed
+
+
+def test_mock_reads_a_request_sent_one_byte_at_a_time(mock):
+    tasks, endpoint = mock
+    (reply,), _ = _exchange(endpoint, _score_request(tasks[0]), per_byte=True)
+    assert reply[0] == 200
+    assert json.loads(reply[2]) == {"text": "Current mIoU: 100"}
+
+
+def test_mock_header_names_are_case_insensitive(mock):
+    tasks, endpoint = mock
+    head = "POST /v1/score HTTP/1.1\r\ncOnTeNt-LeNgTh: {n}\r\nhost: x\r\n\r\n"
+    close = "POST /v1/score HTTP/1.1\r\nCONTENT-LENGTH: {n}\r\nConnection: Keep-Alive, CLOSE\r\n\r\n"
+    replies, closed = _exchange(endpoint, _score_request(tasks[0], head), _score_request(tasks[0], close))
+    assert [r[0] for r in replies] == [200, 200]
+    assert "connection" not in replies[0][1]
+    assert replies[1][1]["connection"] == "close" and closed
+
+
+def test_mock_answers_expect_100_continue_before_the_body_is_sent(mock):
+    tasks, endpoint = mock
+    body = _score_body(tasks[0])
+    url = urllib.parse.urlsplit(endpoint.base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=5.0) as sock, sock.makefile("rb") as f:
+        sock.sendall(f"POST /v1/score HTTP/1.1\r\nContent-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n".encode())
+        assert f.readline() == b"HTTP/1.1 100 Continue\r\n" and f.readline() == b"\r\n"
+        sock.sendall(body)
+        status, _, reply = _read_reply(f)
+    assert status == 200 and json.loads(reply) == {"text": "Current mIoU: 100"}
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        "POST /v1/score HTTP/1.1\r\nContent-Length: {n}\r\nConnection: close\r\n\r\n",
+        "POST /v1/score HTTP/1.0\r\nContent-Length: {n}\r\n\r\n",
+    ],
+)
+def test_mock_closes_when_the_request_asks_or_speaks_http_1_0(mock, head):
+    tasks, endpoint = mock
+    (reply,), closed = _exchange(endpoint, _score_request(tasks[0], head))
+    assert reply[0] == 200
+    assert reply[1]["connection"] == "close"
+    assert reply[1]["content-type"] == "application/json" and "date" in reply[1]
+    assert closed
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", 501),  # how bench/run.py sees that the mock is up
+        (b"POST /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"POST /v1/score HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        (b"POST /v1/score HTTP/1.1\r\n" + b"X-Many: a\r\n" * 101 + b"\r\n", 431),
+        (b"POST /v1/score\r\n\r\n", 400),
+        (b"POST /v1/score HTTP/2.0\r\n\r\n", 400),
+        (b"POST /v1/score HTTP/1.1\r\nno colon\r\n\r\n", 400),
+        (b"POST /v1/score HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}", 400),
+    ],
+    ids=["get", "long-request-line", "long-header-line", "101-headers", "no-version", "http-2.0", "no-colon",
+         "space-before-colon"],
+)
+def test_mock_refuses_a_bad_head_with_a_4xx_and_closes(mock, request_bytes, status):
+    _, endpoint = mock
+    (reply,), closed = _exchange(endpoint, request_bytes)
+    assert reply[0] == status
+    assert "error" in json.loads(reply[2])
+    assert closed
+
+
+def test_mock_takes_a_hundred_headers_and_keeps_the_connection(mock):
+    tasks, endpoint = mock
+    head = "POST /v1/score HTTP/1.1\r\n" + "X-Many: a\r\n" * 99 + "Content-Length: {n}\r\n\r\n"
+    replies, closed = _exchange(endpoint, _score_request(tasks[0], head), _score_request(tasks[0]))
+    assert [r[0] for r in replies] == [200, 200]
+    assert not closed
+
+
 # --- transport error handling ---------------------------------------------------
 
 
@@ -560,6 +673,163 @@ def test_dropped_connection_without_retries_is_remote_error(scripted):
     with pytest.raises(RemoteError):
         call_prm(RemoteEndpoint(endpoint.base_url, timeout=5.0, max_retries=0), _any_ppm(), "p")
     assert len(handler.hits) == 1
+
+
+# --- reply framing -------------------------------------------------------------------
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    """Answers each request with raw bytes from its script, in order across
+    connections; an entry is (reply, close after it). A callable reply gets
+    the socket and writes what it likes."""
+
+    script: list
+    requests: list
+
+    def handle(self):
+        with contextlib.suppress(OSError):  # the client may hang up mid-reply
+            while (request := self._read_request()) is not None:
+                self.requests.append(request)
+                reply, close = self.script[min(len(self.requests), len(self.script)) - 1]
+                reply(self.request) if callable(reply) else self.request.sendall(reply)
+                if close:
+                    return
+
+    def _read_request(self) -> bytes | None:
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            line = self.rfile.readline()
+            if not line:
+                return None
+            head += line
+        n = next(int(v) for k, _, v in (h.partition(b":") for h in head.split(b"\r\n")) if k == b"Content-Length")
+        return head + self.rfile.read(n)
+
+
+@pytest.fixture
+def raw():
+    def start(script, timeout=5.0, max_retries=2):
+        handler = type("Raw", (_RawHandler,), {"script": script, "requests": []})
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        host, port = server.server_address
+        return handler, RemoteEndpoint(f"http://{host}:{port}", timeout=timeout, max_retries=max_retries)
+
+    servers = []
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+
+
+_OK = json.dumps({"text": "Current mIoU: 40"}).encode()
+
+
+def _ok(head: str = "HTTP/1.1 200 OK\r\nContent-Length: {n}\r\n\r\n", body: bytes = _OK) -> bytes:
+    return head.format(n=len(body)).encode() + body
+
+
+def _in_new_thread(fn):
+    """Run fn on a thread of its own, so that it starts with no pooled
+    connection and its connections close when it ends."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=60.0)
+
+
+def _peak_bytes(fn) -> int:
+    """The most memory Python allocated while fn ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "reply, close, reused",
+    [
+        (_ok(), False, True),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;ext=1\r\n" + _OK[:5] + b"\r\n"
+         + b"%x\r\n" % (len(_OK) - 5) + _OK[5:] + b"\r\n0\r\nX-Trailer: t\r\n\r\n", False, True),
+        (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + _OK, True, False),  # read to the close
+        (_ok("HTTP/1.0 200 OK\r\nContent-Length: {n}\r\n\r\n"), False, False),
+        (_ok("HTTP/1.1 200 OK\r\nContent-Length: {n}\r\nConnection: close\r\n\r\n"), False, False),
+        (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 102 Processing\r\nX: y\r\n\r\n" + _ok(), False, True),
+        (_ok("HTTP/1.1 200 OK\r\ncontent-length: {n}\r\nContent-Length: {n}\r\n\r\n"), False, True),
+        (_ok("HTTP/1.1 200 OK\r\n" + "X-Many: a\r\n" * 99 + "Content-Length: {n}\r\n\r\n"), False, True),
+        (_ok() + b"unasked bytes", False, False),  # what follows a reply is no reply
+    ],
+    ids=["length", "chunked", "to-close", "http-1.0", "connection-close", "1xx", "same-length-twice",
+         "100-headers", "trailing-bytes"],
+)
+def test_client_reads_each_reply_framing(raw, monkeypatch, reply, close, reused):
+    handler, endpoint = raw([(reply, close)])
+    opened = _record_connects(monkeypatch)
+
+    def calls():
+        for _ in range(2):
+            assert call_prm(endpoint, _any_ppm(), "p") == 0.4
+
+    assert _peak_bytes(lambda: _in_new_thread(calls)) < 1 << 20
+    assert len(handler.requests) == 2
+    assert len(opened) == (1 if reused else 2)
+
+
+@pytest.mark.parametrize(
+    "reply, match",
+    [
+        (_ok("HTTP/1.1 200 OK\r\nContent-Length: {n}\r\nContent-Length: 5\r\n\r\n"), "Content-Length"),
+        (_ok("HTTP/1.1 200 OK\r\nContent-Length: {n}, 5\r\n\r\n"), "Content-Length"),
+        (_ok("HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n"), "Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (4 << 20), "line over 65536 bytes"),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Many: a\r\n" * 400_000, "more than 100 header lines"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "chunk size"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n", "Transfer-Encoding"),
+        (b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n", "header line"),
+        (_ok("HTPT/1.1 200 OK\r\nContent-Length: {n}\r\n\r\n"), "garbled status line"),
+        (_ok("HTTP/1.1 2x0 OK\r\nContent-Length: {n}\r\n\r\n"), "garbled status line"),
+        (_ok("HTTP/1.1 099 Odd\r\nContent-Length: {n}\r\n\r\n"), "garbled status line"),
+    ],
+    ids=["two-lengths", "two-lengths-one-line", "negative-length", "long-line", "many-headers",
+         "bad-chunk-size", "gzip", "no-colon", "garbled-version", "garbled-code", "code-below-100"],
+)
+def test_client_refuses_broken_framing_and_drops_the_connection(raw, monkeypatch, reply, match):
+    handler, endpoint = raw([(reply, False), (_ok(), False)])
+    opened = _record_connects(monkeypatch)
+
+    def calls():
+        with pytest.raises(ProtocolError, match=match):
+            call_prm(endpoint, _any_ppm(), "p")  # not retried: a protocol violation
+        assert call_prm(endpoint, _any_ppm(), "p") == 0.4
+
+    assert _peak_bytes(lambda: _in_new_thread(calls)) < 1 << 20
+    assert len(handler.requests) == 2
+    assert len(opened) == 2
+
+
+def _trickle(data: bytes, gap: float):
+    def send(sock):
+        for i in range(len(data)):
+            sock.sendall(data[i : i + 1])
+            time.sleep(gap)
+
+    return send
+
+
+@pytest.mark.parametrize("max_retries", [0, 1])
+def test_timeout_bounds_each_attempt_as_a_whole(raw, max_retries):
+    # every byte comes well within the timeout, the whole reply does not
+    handler, endpoint = raw([(_trickle(_ok(), 0.05), False)], timeout=0.25, max_retries=max_retries)
+    start = time.monotonic()
+    with pytest.raises(RemoteError, match="timed out"):
+        _in_new_thread(lambda: call_prm(endpoint, _any_ppm(), "p"))
+    assert time.monotonic() - start < 0.25 * (max_retries + 1) + 0.05 * max_retries + 0.5
+    assert len(handler.requests) == max_retries + 1
 
 
 # --- connections -------------------------------------------------------------------
@@ -693,7 +963,7 @@ def test_endpoints_on_one_host_share_one_connection(mock, monkeypatch):
     with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread: no connection yet
         timeout, nodelay = pool.submit(calls).result(timeout=60.0)
     assert len(opened) == 1
-    assert timeout == 7.0  # the last call's endpoint timeout
+    assert 6.0 < timeout <= 7.0  # what was left of the last call's 7 s attempt
     assert nodelay
     assert opened[0][1].sock is None  # closed when its thread ended
 
@@ -800,11 +1070,15 @@ def test_importing_maskloop_leaves_requests_out():
 def test_remote_endpoint_validation():
     with pytest.raises(ValueError):
         RemoteEndpoint(base_url="")
-    with pytest.raises(ValueError):
-        RemoteEndpoint(base_url="http://x", timeout=0.0)
+    for timeout in (0.0, -1.0, math.inf, 1e300, math.nan, threading.TIMEOUT_MAX * 2):
+        with pytest.raises(ValueError, match="timeout") as e:
+            RemoteEndpoint(base_url="http://x", timeout=timeout)
+        assert repr(timeout) in str(e.value)
+    assert RemoteEndpoint(base_url="http://x", timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
     with pytest.raises(ValueError):
         RemoteEndpoint(base_url="http://x", max_retries=-1)
-    for url in ("127.0.0.1:8008", "ftp://127.0.0.1", "http://", "http://x:port"):
+    for url in ("127.0.0.1:8008", "ftp://127.0.0.1", "http://", "http://x:port", "http://x/a b", "http://x/\u00e9",
+                "http://x/a\r\nX-Injected: 1"):
         with pytest.raises(ValueError):
             RemoteEndpoint(base_url=url)
     with pytest.raises(ValueError, match="credentials") as e:
