@@ -1,16 +1,23 @@
 """Command line front end.
 
-Subcommands cover the whole pipeline: synth (make tasks), gen-traj
+Commands cover the whole pipeline: synth (make tasks), gen-traj
 (expert datasets), render-sft (training samples), rollout (policy
 episodes), star (improvement iterations), search (reward-guided greedy),
 eval (ciou / noc / regression / filter), and serve-mock (local stand-in
 for the remote services).
 
+COMMANDS gives each command its help line and handler, DEFAULTS its
+options. ``dispatch`` takes the command from the first argument and
+parses the rest with that command's flags only, so a usage error shows
+that command's usage; top-level help, no arguments or an unknown command
+get the tree of every command.
+
 Every option can also come from a JSON config file (--config); explicit
 flags win over the file, the file wins over defaults. Successful
 commands print a single JSON object on stdout; output manifests carry a
 reproducibility header (config hash and seed) and no timestamps, so
-identical runs produce identical bytes. Exit codes: 0 ok, 1 runtime
+identical runs produce identical bytes. Handlers return nothing;
+``dispatch`` alone maps the outcome to the exit code: 0 ok, 1 runtime
 failure, 2 usage error.
 """
 
@@ -24,7 +31,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Collection, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -399,12 +406,11 @@ DEFAULTS: dict[str, dict] = {
 # commands
 
 
-def cmd_synth(cfg: dict) -> int:
+def cmd_synth(cfg: dict) -> None:
     _require(cfg, "out")
     tasks = synth_tasks(cfg["n"], side=cfg["side"], seed=cfg["seed"])
     path = write_task_dir(tasks, cfg["out"], header=_header("synth", cfg))
     _emit({"manifest": path, "n_tasks": len(tasks)})
-    return 0
 
 
 def _write_dataset(trajectories: list, out: str, provenance: str, header: dict) -> str:
@@ -421,7 +427,7 @@ def _write_dataset(trajectories: list, out: str, provenance: str, header: dict) 
     return manifest_path
 
 
-def cmd_gen_traj(cfg: dict) -> int:
+def cmd_gen_traj(cfg: dict) -> None:
     _require(cfg, "tasks", "out")
     init = _init_rule(cfg)
     _make_parent(cfg["out"])
@@ -442,10 +448,9 @@ def cmd_gen_traj(cfg: dict) -> int:
             "n_steps": sum(len(t.steps) for t in trajectories),
         }
     )
-    return 0
 
 
-def cmd_render_sft(cfg: dict) -> int:
+def cmd_render_sft(cfg: dict) -> None:
     _require(cfg, "traj", "tasks", "out")
     trajectories = read_jsonl(cfg["traj"])
     tasks = {t.id: t for t in load_tasks(cfg["tasks"])}
@@ -479,10 +484,9 @@ def cmd_render_sft(cfg: dict) -> int:
             fh.write(json.dumps(rec))
             fh.write("\n")
     _emit({"out": cfg["out"], "samples": samples_path, "n_samples": len(records)})
-    return 0
 
 
-def cmd_rollout(cfg: dict) -> int:
+def cmd_rollout(cfg: dict) -> None:
     _require(cfg, "tasks", "out")
     init = _init_rule(cfg)
     _make_parent(cfg["out"])
@@ -505,10 +509,9 @@ def cmd_rollout(cfg: dict) -> int:
             "mean_final_reward": mean([t.final_reward for t in trajectories]),
         }
     )
-    return 0
 
 
-def cmd_star(cfg: dict) -> int:
+def cmd_star(cfg: dict) -> None:
     _require(cfg, "tasks", "seed_data", "out")
     os.makedirs(cfg["out"], exist_ok=True)
     tasks = load_tasks(cfg["tasks"])
@@ -546,10 +549,9 @@ def cmd_star(cfg: dict) -> int:
             "reports_path": reports_path,
         }
     )
-    return 0
 
 
-def cmd_search(cfg: dict) -> int:
+def cmd_search(cfg: dict) -> None:
     _require(cfg, "tasks", "out")
     init = _init_rule(cfg)
     _make_parent(cfg["out"])
@@ -599,7 +601,6 @@ def cmd_search(cfg: dict) -> int:
             "mean_best_reward": mean([r["best_reward"] for r in results]),
         }
     )
-    return 0
 
 
 def _list_pgms(directory: str) -> dict[str, str]:
@@ -610,7 +611,7 @@ def _list_pgms(directory: str) -> dict[str, str]:
     }
 
 
-def cmd_eval_ciou(cfg: dict) -> int:
+def cmd_eval_ciou(cfg: dict) -> None:
     _require(cfg, "pred", "gt")
     preds = _list_pgms(cfg["pred"])
     gts = _list_pgms(cfg["gt"])
@@ -622,10 +623,9 @@ def cmd_eval_ciou(cfg: dict) -> int:
         (read_pgm_mask(preds[k]), read_pgm_mask(gts[k])) for k in sorted(preds)
     ]
     _emit({"ciou": ciou(pairs), "n_pairs": len(pairs)})
-    return 0
 
 
-def cmd_eval_noc(cfg: dict) -> int:
+def cmd_eval_noc(cfg: dict) -> None:
     _require(cfg, "tasks")
     _make_parent(cfg["hist_out"])
     tasks = load_tasks(cfg["tasks"])
@@ -652,10 +652,9 @@ def cmd_eval_noc(cfg: dict) -> int:
             "n_tasks": len(counts),
         }
     )
-    return 0
 
 
-def cmd_eval_regression(cfg: dict) -> int:
+def cmd_eval_regression(cfg: dict) -> None:
     _require(cfg, "data")
     with open(cfg["data"], "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -664,10 +663,9 @@ def cmd_eval_regression(cfg: dict) -> int:
     except (KeyError, TypeError):
         raise UsageError(f"{cfg['data']}: expected an object with 'pred' and 'truth' arrays")
     _emit(regression_metrics(pred, truth))
-    return 0
 
 
-def cmd_eval_filter(cfg: dict) -> int:
+def cmd_eval_filter(cfg: dict) -> None:
     _require(cfg, "tasks", "masks")
     tasks = load_tasks(cfg["tasks"])
     prm = _prm(cfg)
@@ -686,10 +684,9 @@ def cmd_eval_filter(cfg: dict) -> int:
             "threshold": cfg["threshold"],
         }
     )
-    return 0
 
 
-def cmd_serve_mock(cfg: dict) -> int:
+def cmd_serve_mock(cfg: dict) -> None:
     _require(cfg, "tasks")
     tasks = load_tasks(cfg["tasks"])
     server, thread = mock_server.serve(
@@ -704,21 +701,26 @@ def cmd_serve_mock(cfg: dict) -> int:
         thread.join()
     except KeyboardInterrupt:
         server.shutdown()
-    return 0
 
 
-_HANDLERS: dict[str, Callable[[dict], int]] = {
-    "synth": cmd_synth,
-    "gen-traj": cmd_gen_traj,
-    "render-sft": cmd_render_sft,
-    "rollout": cmd_rollout,
-    "star": cmd_star,
-    "search": cmd_search,
-    "eval-ciou": cmd_eval_ciou,
-    "eval-noc": cmd_eval_noc,
-    "eval-regression": cmd_eval_regression,
-    "eval-filter": cmd_eval_filter,
-    "serve-mock": cmd_serve_mock,
+class Command(NamedTuple):
+    help: str
+    run: Callable[[dict], None]
+
+
+# each command's help line and handler; DEFAULTS holds its options
+COMMANDS: dict[str, Command] = {
+    "synth": Command("generate a deterministic synthetic task set", cmd_synth),
+    "gen-traj": Command("record expert trajectories for a task set", cmd_gen_traj),
+    "render-sft": Command("render trajectories into (image, prompt, target) samples", cmd_render_sft),
+    "rollout": Command("run greedy policy episodes and record everything", cmd_rollout),
+    "star": Command("iterate rollout -> refine -> training hook", cmd_star),
+    "search": Command("reward-guided greedy search over candidate actions", cmd_search),
+    "eval-ciou": Command("cumulative IoU between mask directories", cmd_eval_ciou),
+    "eval-noc": Command("expert clicks-to-threshold per task", cmd_eval_noc),
+    "eval-regression": Command("score regression metrics from a JSON file", cmd_eval_regression),
+    "eval-filter": Command("split predicted masks by PRM score", cmd_eval_filter),
+    "serve-mock": Command("serve mock segment/act/score endpoints from local oracles", cmd_serve_mock),
 }
 
 
@@ -733,75 +735,52 @@ def _add_opts(sp: argparse.ArgumentParser, defaults: dict) -> None:
         flag = "--" + key.replace("_", "-")
         if isinstance(default, bool):
             sp.add_argument(flag, dest=key, action="store_const", const=True, default=None)
-        elif isinstance(default, int) and not isinstance(default, bool):
-            sp.add_argument(flag, dest=key, type=int, default=None)
-        elif isinstance(default, float):
-            sp.add_argument(flag, dest=key, type=float, default=None)
-        else:
-            sp.add_argument(flag, dest=key, type=str, default=None)
+        else:  # int, float or str; an option with no default takes a string
+            sp.add_argument(flag, dest=key, type=str if default is None else type(default), default=None)
 
 
-def build_parser(flags_for: Collection[str] | None = None) -> argparse.ArgumentParser:
-    """Every subcommand; the flags only of those in ``flags_for`` (default: all)."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, holding only its flags; with no command,
+    the tree of every command with its flags, for top-level help and errors."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"maskloop {command}")
+        _add_opts(parser, DEFAULTS[command])
+        return parser
     parser = argparse.ArgumentParser(
         prog="maskloop",
         description="Click-driven mask annotation toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "synth": "generate a deterministic synthetic task set",
-        "gen-traj": "record expert trajectories for a task set",
-        "render-sft": "render trajectories into (image, prompt, target) samples",
-        "rollout": "run greedy policy episodes and record everything",
-        "star": "iterate rollout -> refine -> training hook",
-        "search": "reward-guided greedy search over candidate actions",
-        "eval-ciou": "cumulative IoU between mask directories",
-        "eval-noc": "expert clicks-to-threshold per task",
-        "eval-regression": "score regression metrics from a JSON file",
-        "eval-filter": "split predicted masks by PRM score",
-        "serve-mock": "serve mock segment/act/score endpoints from local oracles",
-    }
-    for command, defaults in DEFAULTS.items():
-        sp = sub.add_parser(command, help=descriptions[command])
-        if flags_for is None or command in flags_for:
-            _add_opts(sp, defaults)
-        sp.set_defaults(command=command)
+    for name, cmd in COMMANDS.items():
+        _add_opts(sub.add_parser(name, help=cmd.help), DEFAULTS[name])
     return parser
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    """Parse argv and run the matching command; returns the exit code."""
+    """Parse argv and run the command it names; returns the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # allow `eval ciou ...` as sugar for `eval-ciou ...`
     if argv[:1] == ["eval"] and len(argv) > 1:
         argv = [f"eval-{argv[1]}", *argv[2:]]
-    # argparse runs the first positional argument as the command, and no
-    # top-level option takes a value, so that is the first known name if
-    # any; otherwise parsing fails before any subcommand's flags are read
-    parser = build_parser({next((a for a in argv if a in DEFAULTS), None)})
+    # with no command first, the tree only prints help or a usage error
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        effective = _merge_config(args, DEFAULTS[args.command])
+        effective = _merge_config(args, DEFAULTS[command])
         if "mask_color" in effective:  # a flag's value, checked like a file's
             _parse_color(effective["mask_color"])
-        return _HANDLERS[args.command](effective)
+        COMMANDS[command].run(effective)
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except MaskLoopError as e:
+    except (MaskLoopError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(dispatch())

@@ -9,7 +9,9 @@ the task's gray value or its fully masked overlay, which is exactly when
 render_overlay(image, composite != gray) reproduces it; nothing is
 re-rendered per request. When tasks share an image, the first in manifest
 order answers for all of them. Matching fails with 400 for images outside
-the task set, and so does any malformed request.
+the task set, and so does any malformed request, a field of the wrong JSON
+type included: a bool or a string where the protocol has a number, or a
+click sign other than the integer 1 or -1.
 
 The HTTP server speaks keep-alive HTTP/1.1 and frames it itself: it reads
 each request line and its header lines (names case-insensitive), and writes
@@ -118,7 +120,7 @@ class MockService:
 
     def act(self, payload: dict) -> dict:
         n = payload.get("n_samples", 1)
-        if not isinstance(n, int) or not (1 <= n <= MAX_N_SAMPLES):
+        if type(n) is not int or not (1 <= n <= MAX_N_SAMPLES):  # a bool is an int too
             raise MockRequestError(f"bad n_samples: {n!r} (1 to {MAX_N_SAMPLES})")
         task, mask = self._match_composite(_decode_ppm(_b64_bytes(payload, "image_ppm_b64")))
         pct = miou_percent(iou(mask, task.target))
@@ -189,6 +191,13 @@ def _decode_ppm(buf: bytes) -> RgbImage:
         raise MockRequestError(str(e))
 
 
+def _number(value: object) -> float:
+    """A protocol number: a JSON integer or real, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)  # OverflowError past float's range: JSON integers are unbounded
+
+
 def _parse_clicks(items: object) -> list[Action]:
     if not isinstance(items, list):
         raise MockRequestError("clicks must be a list")
@@ -196,11 +205,11 @@ def _parse_clicks(items: object) -> list[Action]:
     for item in items:
         try:
             sign = item["sign"]
-            x = float(item["x"])
-            y = float(item["y"])
-        except (KeyError, TypeError, ValueError, OverflowError):  # json ints are unbounded
+            x = _number(item["x"])
+            y = _number(item["y"])
+        except (KeyError, TypeError, OverflowError):
             raise MockRequestError(f"bad click {item!r}")
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):  # not True, not 1.0
             raise MockRequestError(f"bad click sign {sign!r}")
         try:
             clicks.append(Action.positive(x, y) if sign == 1 else Action.negative(x, y))
@@ -213,7 +222,7 @@ def _parse_box(obj: object) -> NormBox | None:
     if obj is None:
         return None
     try:
-        return NormBox(float(obj["x1"]), float(obj["y1"]), float(obj["x2"]), float(obj["y2"]))
+        return NormBox(*(_number(obj[k]) for k in ("x1", "y1", "x2", "y2")))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise MockRequestError(f"bad box: {e}")
 

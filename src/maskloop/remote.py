@@ -257,7 +257,7 @@ def _connection(key: tuple, url: urllib.parse.SplitResult, deadline: float) -> t
     entry = pool.get(key)
     # an idle keep-alive socket reads as ready only once the server has
     # closed it (or broken protocol); reopening is then not a retry
-    if entry is not None and select.select([entry[0].sock], [], [], 0)[0]:
+    if entry is not None and _ready(entry[0].sock):
         _drop(key)
         entry = None
     if entry is None:
@@ -270,6 +270,13 @@ def _connection(key: tuple, url: urllib.parse.SplitResult, deadline: float) -> t
             raise
         entry = pool[key] = (conn, prefix, _Reader(conn.sock))
     return entry
+
+
+def _ready(sock: socket.socket) -> bool:
+    """Input or a hangup waits on sock; poll, unlike select, takes any descriptor."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def _drop(key: tuple) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import os
 import pytest
 
 from maskloop import mock_server
-from maskloop.cli import _HANDLERS, DEFAULTS, _merge_config, build_parser, dispatch
+from maskloop.cli import COMMANDS, DEFAULTS, _add_opts, _merge_config, build_parser, dispatch
 from maskloop.env import load_tasks, write_task_dir
 from maskloop.raster import BitMask, read_pgm_mask, write_pgm
 from maskloop.trajgen import read_jsonl, synth_tasks
@@ -410,7 +411,17 @@ def test_masks_written_by_search_read_back_as_masks(tmp_path, capsys, task_manif
         assert read_pgm_mask(os.path.join(masks_dir, f"{task.id}.pgm")) == task.target
 
 
-# --- parser: flags only on the command that runs ------------------------------
+# --- parser: one command's flags only -----------------------------------------
+
+
+def _full_tree() -> argparse.ArgumentParser:
+    """The reference: every command as a subparser of `maskloop`, each with
+    all its flags, which every dispatch used to build."""
+    parser = argparse.ArgumentParser(prog="maskloop", description="Click-driven mask annotation toolkit.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        _add_opts(sub.add_parser(name, help=cmd.help), DEFAULTS[name])
+    return parser
 
 
 def _full_argv(command: str, config_path: str) -> list[str]:
@@ -437,22 +448,62 @@ def test_per_command_parser_gives_the_full_parsers_config(tmp_path, command):
     with open(config_path, "w", encoding="utf-8") as fh:
         fh.write("{}")
     argv = _full_argv(command, config_path)
-    full = _merge_config(build_parser().parse_args(argv), DEFAULTS[command])
-    own = _merge_config(build_parser({command}).parse_args(argv), DEFAULTS[command])
+    full = _merge_config(_full_tree().parse_args(argv), DEFAULTS[command])
+    own = _merge_config(build_parser(command).parse_args(argv[1:]), DEFAULTS[command])
     assert own == full
     assert all(full[key] != default for key, default in DEFAULTS[command].items())
 
 
-@pytest.mark.parametrize(
-    "argv", [["--help"], ["frobnicate"], []] + [[command, "--help"] for command in sorted(DEFAULTS)]
+def _first_typed_flag(command: str) -> str | None:
+    """The flag of the command's first integer or real option."""
+    for key, default in DEFAULTS[command].items():
+        if isinstance(default, (int, float)) and not isinstance(default, bool):
+            return "--" + key.replace("_", "-")
+    return None
+
+
+_HELP_AND_ERRORS = (
+    [["--help"], ["frobnicate"], []]
+    + [[command, "--help"] for command in sorted(DEFAULTS)]
+    # a bad typed value, and a command after an unknown top-level option
+    + [[command, flag, "x"] for command in sorted(DEFAULTS) if (flag := _first_typed_flag(command))]
+    + [["--frobnicate", "synth", "--help"], ["--frobnicate", "synth", "--seed", "1"], ["-h", "synth"], ["eval"]]
 )
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_ERRORS)
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     with pytest.raises(SystemExit) as e:
-        build_parser().parse_args(argv)
+        _full_tree().parse_args(argv)
     full = capsys.readouterr()
     assert dispatch(argv) == e.value.code
     assert capsys.readouterr() == full
-    assert full.out if "--help" in argv else full.err
+    assert full.out if "--help" in argv or "-h" in argv else full.err
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_an_unrecognized_flag_shows_the_commands_own_usage(capsys, command):
+    assert dispatch([command, "--frobnicate", "1"]) == 2
+    err = capsys.readouterr().err
+    usage = build_parser(command).format_usage()
+    assert usage.startswith(f"usage: maskloop {command} [-h]")
+    assert err == usage + f"maskloop {command}: error: unrecognized arguments: --frobnicate 1\n"
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    data = tmp_path / "scores.json"
+    data.write_text(json.dumps({"pred": [1, 2], "truth": [1, 3]}))
+    assert dispatch(["eval", "regression", "--data", str(data)]) == 0
+    assert built == ["maskloop eval-regression"]
+    capsys.readouterr()
 
 
 # --- each command takes exactly the options it reads --------------------------
@@ -549,8 +600,8 @@ def test_every_option_of_a_command_is_read(served, capsys, monkeypatch, command)
     monkeypatch.setattr(mock_server, "serve", lambda *a, **kw: (_Idle(), _Idle()))
     read: set[str] = set()
     for argv in _variants(command, root, t, url):
-        cfg = _ReadRecorder(_merge_config(build_parser().parse_args([command, *argv]), DEFAULTS[command]))
-        assert _HANDLERS[command](cfg) == 0, argv
+        cfg = _ReadRecorder(_merge_config(build_parser(command).parse_args(argv), DEFAULTS[command]))
+        COMMANDS[command].run(cfg)
         read |= cfg.read
     capsys.readouterr()
     assert sorted(set(DEFAULTS[command]) - {"config"} - read) == []

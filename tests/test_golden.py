@@ -1,0 +1,157 @@
+"""The whole pipeline's bytes, pinned.
+
+One sweep runs every local command on two task sets (sides 32 and 48, 5
+tasks, seed 3) with the oracle and the region-grow segmenter, then a remote
+rollout and a remote search against an in-process ``mock_server.serve``. It
+runs from a fresh working directory with relative paths only, because input
+paths are hashed into each header's ``config_hash``. Every file written and
+each command's stdout is hashed and compared with ``tests/golden.json``; the
+sweep runs under ``--jobs 1`` and ``--jobs 2`` against the same pins.
+
+The remote commands hash the mock's URL, port included, into their
+``config_hash``, and the port differs from run to run. So the remote outputs
+are hashed with the ``config_hash`` value blanked; every other byte counts.
+
+A change that alters outputs on purpose regenerates the pins with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists the changed files.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+
+import pytest
+
+from maskloop import mock_server
+from maskloop.cli import dispatch
+from maskloop.env import load_tasks
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+REMOTE_DIR = "remote"
+_CONFIG_HASH = re.compile(rb'"config_hash": "[0-9a-f]+"')
+
+
+def _local_commands(side: int, seg: str, jobs: str) -> list[tuple[str, list[str]]]:
+    t = f"tasks{side}/manifest.json"
+    d = f"{side}-{seg}"
+    s = ["--segmenter", seg, "--seed", "3"]
+    j = ["--jobs", jobs]
+    traj = f"{d}/traj.jsonl"
+    runs = [
+        ("gen-traj", ["--tasks", t, "--out", traj, "--init", "mix", *s, *j]),
+        ("render-sft", ["--traj", traj, "--tasks", t, "--out", f"{d}/sft", "--miou-line", "--segmenter", seg, *j]),
+        (
+            "rollout",
+            ["--tasks", t, "--out", f"{d}/rollout.jsonl", "--policy", "noisy_expert", "--noise-flip", "0.3", *s, *j],
+        ),
+    ]
+    for mode in ("star", "star_plus"):
+        for keep in ("positive", "tau_diff"):
+            runs.append(
+                (
+                    "star",
+                    [
+                        "--tasks", t, "--seed-data", traj + ".manifest.json", "--out", f"{d}/star-{mode}-{keep}",
+                        "--mode", mode, "--keep-rule", keep, "--n-iters", "2", "--noise-flip", "0.3", *s, *j,
+                    ],
+                )
+            )
+    runs += [
+        (
+            "search",
+            [
+                "--tasks", t, "--out", f"{d}/search.json", "--masks-out", f"{d}/masks", "--trace", "--k", "3",
+                "--policy", "noisy_expert", "--noise-flip", "0.2", "--prm", "noisy", *s, *j,
+            ],
+        ),
+        ("eval-noc", ["--tasks", t, "--hist-out", f"{d}/noc.csv", "--segmenter", seg, *j]),
+        ("eval-ciou", ["--pred", f"{d}/masks", "--gt", f"tasks{side}/targets"]),
+        ("eval-filter", ["--tasks", t, "--masks", f"{d}/masks", "--prm", "noisy", "--threshold", "0.9"]),
+    ]
+    return runs
+
+
+def _remote_commands(url: str, jobs: str) -> list[tuple[str, list[str]]]:
+    t = "tasks32/manifest.json"
+    remote = ["--segmenter", "remote", "--segmenter-url", url, "--policy", "remote", "--policy-url", url]
+    common = ["--tasks", t, "--seed", "3", "--jobs", jobs, *remote]
+    return [
+        ("rollout", [*common, "--out", f"{REMOTE_DIR}/rollout.jsonl"]),
+        ("search", [*common, "--out", f"{REMOTE_DIR}/search.json", "--k", "2", "--prm", "remote", "--prm-url", url]),
+    ]
+
+
+def _run(digests: dict, label: str, argv: list[str]) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(argv)
+    assert code == 0, argv
+    digests[f"stdout/{label}"] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def sweep(jobs: int) -> dict[str, str]:
+    """Run the sweep in the current directory; the sha256 of every file it
+    wrote and of each command's stdout, keyed by path or ``stdout/<n>:<command>``."""
+    runs: list[tuple[str, list[str]]] = []
+    for side in (32, 48):
+        runs.append(("synth", ["--n", "5", "--side", str(side), "--seed", "3", "--out", f"tasks{side}"]))
+        for seg in ("oracle", "region_grow"):
+            runs += _local_commands(side, seg, str(jobs))
+    with open("regression.json", "w", encoding="utf-8") as fh:
+        json.dump({"pred": [0.1, 0.5, 0.9, 0.3], "truth": [0.2, 0.4, 0.8, 0.6]}, fh)
+    runs.append(("eval-regression", ["--data", "regression.json"]))
+    digests: dict[str, str] = {}
+    for i, (command, argv) in enumerate(runs):
+        _run(digests, f"{i:02d}:{command}", [command, *argv])
+    server, thread = mock_server.serve(load_tasks("tasks32/manifest.json"), port=0)
+    try:
+        url = "http://%s:%d" % server.server_address[:2]
+        for i, (command, argv) in enumerate(_remote_commands(url, str(jobs)), start=len(runs)):
+            _run(digests, f"{i:02d}:{command}", [command, *argv])
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+    for root, _, names in os.walk("."):
+        for name in names:
+            path = os.path.relpath(os.path.join(root, name)).replace(os.sep, "/")
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if path.startswith(REMOTE_DIR + "/"):
+                data = _CONFIG_HASH.sub(b'"config_hash": ""', data)
+            digests[path] = hashlib.sha256(data).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pipeline_bytes_are_pinned(tmp_path, monkeypatch, jobs):
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    got = sweep(jobs)
+    changed = sorted(k for k in pinned.keys() & got.keys() if pinned[k] != got[k])
+    missing = sorted(pinned.keys() - got.keys())
+    extra = sorted(got.keys() - pinned.keys())
+    assert not (changed or missing or extra), f"changed: {changed}; missing: {missing}; new: {extra}"
+
+
+if __name__ == "__main__":
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        pins = sweep(jobs=1)
+        os.chdir(home)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(pins, fh, indent=1)
+        fh.write("\n")
+    print(f"{len(pins)} digests written to {GOLDEN}", file=sys.stderr)

@@ -170,6 +170,22 @@ def test_mock_service_rejects_malformed_payloads():
         svc.segment({"image_pgm_b64": pgm, "clicks": [{"sign": 2, "x": 0.5, "y": 0.5}]})
     with pytest.raises(MockRequestError):
         svc.handle("/v1/unknown", {})
+    # each field takes only its protocol type: no bool or string for a
+    # number, and the sign is the integer 1 or -1
+    ok_click = {"sign": 1, "x": 0.5, "y": 0.5}
+    ok_box = {"x1": 0.0, "y1": 0.0, "x2": 0.9, "y2": 0.9}
+    svc.segment({"image_pgm_b64": pgm, "clicks": [ok_click], "box": ok_box})
+    for bad in ({"sign": True}, {"sign": 1.0}, {"sign": -1.0}, {"x": "0.5"}, {"y": True}):
+        with pytest.raises(MockRequestError):
+            svc.segment({"image_pgm_b64": pgm, "clicks": [{**ok_click, **bad}]})
+    for bad in ({"x2": "0.9"}, {"x1": False}, {"y2": [0.9]}):
+        with pytest.raises(MockRequestError):
+            svc.segment({"image_pgm_b64": pgm, "box": {**ok_box, **bad}})
+    composite = image_to_ppm_b64(render_overlay(tasks[0].image, tasks[0].target))
+    assert svc.act({"image_ppm_b64": composite, "n_samples": 2})["texts"]
+    for n in (True, 2.0, "2"):
+        with pytest.raises(MockRequestError):
+            svc.act({"image_ppm_b64": composite, "n_samples": n})
 
 
 def test_mock_service_checks_r_neg_before_serving():
@@ -332,11 +348,14 @@ _PPM = st.sampled_from(
 _JUNK = st.sampled_from(
     [base64.b64encode(b"P6\n2 2\n255\n" + bytes(5)).decode(), base64.b64encode(b"P5\n16 16\n255\n").decode()]
 )
+# a number's look-alikes: its string, and a bool
+_LOOKALIKE = st.floats(0.0, 1.0).map(str) | st.booleans()
+_COORD = _NUMBER | _LOOKALIKE | _JSON
 _CLICK = st.fixed_dictionaries(
-    {"sign": st.sampled_from([1, -1]) | _JSON, "x": _NUMBER | _JSON, "y": _NUMBER | _JSON}
+    {"sign": st.sampled_from([1, -1, 1.0, -1.0, True, "1"]) | _JSON, "x": _COORD, "y": _COORD}
 )
-_BOX = st.fixed_dictionaries({k: _NUMBER | _JSON for k in ("x1", "y1", "x2", "y2")})
-_N_SAMPLES = st.integers(-2, MAX_N_SAMPLES + 2) | _NUMBER | _JSON
+_BOX = st.fixed_dictionaries({k: _COORD for k in ("x1", "y1", "x2", "y2")})
+_N_SAMPLES = st.integers(-2, MAX_N_SAMPLES + 2) | st.sampled_from([True, 2.0, "2"]) | _NUMBER | _JSON
 # (path, payload): a request to each endpoint whose fields are each well
 # formed or arbitrary, and arbitrary objects to any path
 _REQUESTS = st.one_of(
@@ -371,6 +390,27 @@ def test_mock_service_answers_any_json_object_or_raises_request_error(request):
         return
     assert isinstance(reply, dict)
     json.dumps(reply)
+    _assert_protocol_types(path, payload)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _assert_protocol_types(path: str, payload: dict) -> None:
+    """Every field of an answered request has its protocol type."""
+    if path == "/v1/segment":
+        assert isinstance(payload["image_pgm_b64"], str)
+        for click in payload.get("clicks", []):
+            assert type(click["sign"]) is int and click["sign"] in (1, -1), click
+            assert _is_number(click["x"]) and _is_number(click["y"]), click
+        box = payload.get("box")
+        assert box is None or all(_is_number(box[k]) for k in ("x1", "y1", "x2", "y2")), box
+    else:
+        assert path in ("/v1/act", "/v1/score")
+        assert isinstance(payload["image_ppm_b64"], str)
+        if path == "/v1/act":
+            assert type(payload.get("n_samples", 1)) is int, payload["n_samples"]
 
 
 def test_mock_service_caps_n_samples():
@@ -942,6 +982,39 @@ def test_restarted_mock_is_reached_again_without_retries(monkeypatch):
             server.server_close()
             thread.join(timeout=5.0)
     assert len(opened) == 2
+
+
+def test_a_pooled_connection_past_descriptor_1023_is_reused(mock, monkeypatch):
+    # select() refuses a descriptor of 1024 or more; the idle check before
+    # reuse must not. Dummy descriptors fill every number below 1024 first.
+    import resource
+
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    need = 1100
+    if hard != resource.RLIM_INFINITY and hard < need:
+        pytest.skip(f"the hard descriptor limit {hard} is below {need}")
+    tasks, endpoint = mock
+    composite = render_overlay(tasks[0].image, tasks[0].target)
+    opened = _record_connects(monkeypatch)
+    dummies: list[int] = []
+
+    def calls():
+        assert call_prm(endpoint, composite, "p") == 1.0
+        assert call_prm(endpoint, composite, "p") == 1.0  # through the idle check
+        return opened[0][1].sock.fileno()
+
+    resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, need), hard))
+    try:
+        while not dummies or dummies[-1] < 1024:
+            dummies.append(os.open(os.devnull, os.O_RDONLY))
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread: no connection yet
+            fd = pool.submit(calls).result(timeout=60.0)
+    finally:
+        for d in dummies:
+            os.close(d)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert fd >= 1024
+    assert len(opened) == 1
 
 
 def test_endpoints_on_one_host_share_one_connection(mock, monkeypatch):
