@@ -35,7 +35,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import mock_server
 from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
 from .errors import MaskLoopError
 from .improve import DatasetManifest, TrainHook
@@ -687,6 +686,8 @@ def cmd_eval_filter(cfg: dict) -> None:
 
 
 def cmd_serve_mock(cfg: dict) -> None:
+    from . import mock_server  # only this command serves; the others never import it
+
     _require(cfg, "tasks")
     tasks = load_tasks(cfg["tasks"])
     server, thread = mock_server.serve(

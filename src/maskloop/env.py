@@ -9,6 +9,7 @@ discounting anywhere.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from collections import Counter
@@ -27,6 +28,7 @@ from .raster import (
     bbox,
     box_to_mask,
     component_labels,
+    encode_pgm,
     iou,
     read_pgm_image,
     read_pgm_mask,
@@ -125,6 +127,12 @@ class Task:
     def target_labels(self) -> np.ndarray:
         """The target's 4-connected component labels, computed on first use."""
         return component_labels(self.target)
+
+    @cached_property
+    def image_pgm_b64(self) -> str:
+        """The image's PGM bytes in base64, as the remote endpoints take
+        them, encoded on first use."""
+        return base64.b64encode(encode_pgm(self.image)).decode("ascii")
 
 
 @dataclass(frozen=True)

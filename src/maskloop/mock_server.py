@@ -1,17 +1,15 @@
 """In-process mock of the remote services, backed by local oracles.
 
 The mock serves the same three endpoints real services would and needs a
-task set to ground itself: /v1/segment identifies the task by the exact
-PGM bytes, while /v1/act and /v1/score recover the current mask from the
-overlay composite and then answer with the expert click and the true IoU
-respectively. A composite matches a task when every pixel equals either
-the task's gray value or its fully masked overlay, which is exactly when
-render_overlay(image, composite != gray) reproduces it; nothing is
-re-rendered per request. When tasks share an image, the first in manifest
-order answers for all of them. Matching fails with 400 for images outside
-the task set, and so does any malformed request, a field of the wrong JSON
-type included: a bool or a string where the protocol has a number, or a
-click sign other than the integer 1 or -1.
+task set to ground itself. A request's task is the first in manifest order
+whose image it carries, found by the base64 text (as a client encodes it)
+or else by the decoded PGM's sha256. /v1/act and /v1/score decode the mask
+the request carries and answer with the expert click and the true IoU; the
+mock renders no overlay. An unknown image gets 400, and so does an overlay
+style other than the mock's (the reply names both), a mask sized unlike the
+image, and any malformed request, a field of the wrong JSON type included:
+a bool or a string where the protocol has a number, or a click sign other
+than the integer 1 or -1.
 
 The HTTP server speaks keep-alive HTTP/1.1 and frames it itself: it reads
 each request line and its header lines (names case-insensitive), and writes
@@ -31,30 +29,28 @@ import base64
 import binascii
 import contextlib
 import email.utils
+import functools
 import hashlib
 import json
 import logging
 import socket
 import socketserver
 import threading
+import time
 from http import HTTPStatus
 from typing import Sequence
 
-import numpy as np
-
 from .env import Action, Task
-from .errors import PnmError
+from .errors import RleError
 from .expert import click_for
 from .policy import PromptConfig, format_action, miou_percent
 from .raster import (
     BitMask,
     NormBox,
-    RgbImage,
-    decode_ppm,
-    encode_pgm,
+    RleMask,
     iou,
-    overlay_table,
     render_overlay,  # noqa: F401 - unused here; bench/mock_launcher.py wraps this name
+    rle_decode,
     rle_encode,
 )
 from .remote import MAX_HEADERS, MAX_LINE, header_tokens
@@ -87,32 +83,22 @@ class MockService:
         self.tasks = list(tasks)
         self.prompt_config = prompt_config
         self.segmenter = OracleSegmenter(r_neg)
-        self._by_pgm: dict[str, Task] = {}
+        # each task's image by its base64 text, and by its PGM bytes' sha256
+        self._by_b64: dict[str, Task] = {}
         shadowed: list[str] = []
         for task in self.tasks:
-            digest = hashlib.sha256(encode_pgm(task.image)).hexdigest()
-            first = self._by_pgm.setdefault(digest, task)
+            first = self._by_b64.setdefault(task.image_pgm_b64, task)
             if first is not task:
                 shadowed.append(f"{task.id} (image of {first.id})")
         if shadowed:
             log.warning("mock: tasks sharing an image answer as the first: %s", ", ".join(shadowed))
-        # the fully masked overlay of every gray level, packed, shape (256,)
-        self._overlay_of = _pack(overlay_table(prompt_config.mask_color, prompt_config.alpha))
-        # per image shape: its tasks in manifest order and their first rows,
-        # gray and fully masked, which rule out most tasks in one comparison
-        self._by_shape: dict[tuple[int, int], tuple[list[Task], np.ndarray, np.ndarray]] = {}
-        for shape in dict.fromkeys(task.image.shape for task in self.tasks):
-            group = [task for task in self.tasks if task.image.shape == shape]
-            rows = np.stack([task.image.data[0] for task in group])
-            self._by_shape[shape] = (group, _pack_gray(rows), self._overlay_of[rows])
+        self._by_pgm = {hashlib.sha256(base64.b64decode(b64)).digest(): task for b64, task in self._by_b64.items()}
+        self._style = (list(prompt_config.mask_color), prompt_config.alpha)
 
     # -- endpoint handlers ------------------------------------------------
 
     def segment(self, payload: dict) -> dict:
-        pgm = _b64_bytes(payload, "image_pgm_b64")
-        task = self._by_pgm.get(hashlib.sha256(pgm).hexdigest())
-        if task is None:
-            raise MockRequestError("unknown image")
+        task = self._task(payload)
         clicks = _parse_clicks(payload.get("clicks", []))
         box = _parse_box(payload.get("box"))
         mask = self.segmenter.segment(task, clicks, box)
@@ -122,7 +108,7 @@ class MockService:
         n = payload.get("n_samples", 1)
         if type(n) is not int or not (1 <= n <= MAX_N_SAMPLES):  # a bool is an int too
             raise MockRequestError(f"bad n_samples: {n!r} (1 to {MAX_N_SAMPLES})")
-        task, mask = self._match_composite(_decode_ppm(_b64_bytes(payload, "image_ppm_b64")))
+        task, mask = self._overlay(payload)
         pct = miou_percent(iou(mask, task.target))
         action = click_for(task, mask)
         if action is None:
@@ -132,7 +118,7 @@ class MockService:
         return {"texts": [text] * n}
 
     def score(self, payload: dict) -> dict:
-        task, mask = self._match_composite(_decode_ppm(_b64_bytes(payload, "image_ppm_b64")))
+        task, mask = self._overlay(payload)
         return {"text": f"Current mIoU: {miou_percent(iou(mask, task.target))}"}
 
     def handle(self, path: str, payload: dict) -> dict:
@@ -144,51 +130,46 @@ class MockService:
             return self.score(payload)
         raise MockRequestError(f"unknown endpoint {path}")
 
-    # -- composite matching ------------------------------------------------
+    # -- request fields ----------------------------------------------------
 
-    def _match_composite(self, composite: RgbImage) -> tuple[Task, BitMask]:
-        """The first task whose overlay renders to these exact bytes, and its mask."""
-        c = _pack(composite.data)
-        if c.shape in self._by_shape:
-            group, gray, full = self._by_shape[c.shape]
-            for i in np.flatnonzero(_explained(c[0], gray, full).all(axis=1)):
-                g = group[i].image.data
-                gray_i = _pack_gray(g)
-                if _explained(c, gray_i, self._overlay_of[g]).all():
-                    return group[i], BitMask(c != gray_i)
-        raise MockRequestError("composite does not match any known task")
+    def _task(self, payload: dict) -> Task:
+        """The first task whose image the request carries."""
+        b64 = payload.get("image_pgm_b64")
+        if not isinstance(b64, str):
+            raise MockRequestError(f"bad image_pgm_b64: {b64!r} (a base64 string)")
+        task = self._by_b64.get(b64)
+        if task is None:
+            try:
+                task = self._by_pgm.get(hashlib.sha256(base64.b64decode(b64, validate=True)).digest())
+            except (binascii.Error, ValueError):
+                raise MockRequestError("image_pgm_b64 is not valid base64")
+            if task is None:
+                raise MockRequestError("unknown image")
+        return task
 
-
-def _pack(rgb: np.ndarray) -> np.ndarray:
-    """One 0xRRGGBB int per pixel, so that a pixel compares in one operation."""
-    rgb = rgb.astype(np.int32)
-    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
-
-
-def _pack_gray(gray: np.ndarray) -> np.ndarray:
-    return gray.astype(np.int32) * 0x010101
-
-
-def _explained(composite: np.ndarray, gray: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Per pixel: the packed composite shows the gray value or the fully masked overlay."""
-    return (composite == gray) | (composite == full)
-
-
-def _b64_bytes(payload: dict, key: str) -> bytes:
-    raw = payload.get(key)
-    if not isinstance(raw, str):
-        raise MockRequestError(f"missing {key}")
-    try:
-        return base64.b64decode(raw, validate=True)
-    except (binascii.Error, ValueError):
-        raise MockRequestError(f"{key} is not valid base64")
-
-
-def _decode_ppm(buf: bytes) -> RgbImage:
-    try:
-        return decode_ppm(buf, "<payload>")
-    except PnmError as e:
-        raise MockRequestError(str(e))
+    def _overlay(self, payload: dict) -> tuple[Task, BitMask]:
+        """The task and the mask an act or score request carries, once its
+        overlay style is found to be the mock's."""
+        color, alpha = payload.get("mask_color"), payload.get("alpha")
+        if not (isinstance(color, list) and len(color) == 3 and all(type(c) is int for c in color)):
+            raise MockRequestError(f"bad mask_color: {color!r} (a list of three integers)")
+        try:
+            alpha = _number(alpha)
+        except (TypeError, OverflowError):
+            raise MockRequestError(f"bad alpha: {alpha!r} (a number)")
+        if (color, alpha) != self._style:
+            ours = "mask_color {}, alpha {}".format(*self._style)
+            raise MockRequestError(f"overlay style mask_color {color}, alpha {alpha} is not this server's: {ours}")
+        task = self._task(payload)
+        try:
+            rle = RleMask.from_dict(payload["mask_rle"])
+        except KeyError:
+            raise MockRequestError("missing mask_rle")
+        except RleError as e:
+            raise MockRequestError(f"bad mask_rle: {e}")
+        if rle.size != task.image.shape:
+            raise MockRequestError(f"mask_rle sized {list(rle.size)}, image is {list(task.image.shape)}")
+        return task, rle_decode(rle)
 
 
 def _number(value: object) -> float:
@@ -247,6 +228,12 @@ def _body_length(headers: dict[str, list[str]]) -> int:
     if n > MAX_BODY_BYTES:
         raise _BadFraming(f"body of {n} bytes exceeds {MAX_BODY_BYTES}", status=413)
     return n
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The Date header's value, formatted once per second."""
+    return email.utils.formatdate(second, usegmt=True)
 
 
 def _json_object(body: bytes) -> dict:
@@ -350,7 +337,7 @@ class _Handler(socketserver.StreamRequestHandler):
         body = json.dumps(obj).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-            f"Date: {email.utils.formatdate(usegmt=True)}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
         )

@@ -30,7 +30,7 @@ from . import remote
 from .env import Action, EpisodeState, Task
 from .errors import ActionParseError, TemplateError
 from .expert import click_for
-from .raster import BitMask, GREEN, NormBox, iou, render_overlay
+from .raster import BitMask, GREEN, NormBox, iou
 from .util import mix_seed, round_half_up
 
 COORD_DECIMAL = "decimal_0_1"
@@ -299,7 +299,8 @@ class NoisyExpertPolicy(Policy):
 
 
 class RemotePolicy(Policy):
-    """Samples action texts from a remote service and parses them.
+    """Samples action texts from a remote service and parses them; the
+    service sees the image, the mask and the overlay style.
 
     Unparseable replies are dropped rather than raised; transport errors
     propagate. A leading 'Current mIoU' line is checked by the parser and
@@ -311,13 +312,9 @@ class RemotePolicy(Policy):
         self.prompt_config = prompt_config
 
     def propose(self, task, state, k, seed=None):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        composite = render_overlay(
-            task.image, state.mask, self.prompt_config.mask_color, self.prompt_config.alpha
-        )
-        prompt = render_prompt(self.prompt_config.template_id, task.prompt)
-        texts = remote.call_policy(self.endpoint, composite, prompt, k)
+        pc = self.prompt_config
+        prompt = render_prompt(pc.template_id, task.prompt)
+        texts = remote.call_policy(self.endpoint, task, state.mask, prompt, k, pc.mask_color, pc.alpha)
         proposals: list[Action] = []
         for text in texts:
             try:
@@ -373,18 +370,17 @@ class NoisyPrm(Prm):
 
 
 class RemotePrm(Prm):
-    """Asks a remote scorer for a 'Current mIoU' verdict on the overlay."""
+    """Asks a remote scorer for a 'Current mIoU' verdict on the mask, sent
+    with the image and the overlay style."""
 
     def __init__(self, endpoint: remote.RemoteEndpoint, prompt_config: PromptConfig = PromptConfig()):
         self.endpoint = endpoint
         self.prompt_config = prompt_config
 
     def score(self, task, mask):
-        composite = render_overlay(
-            task.image, mask, self.prompt_config.mask_color, self.prompt_config.alpha
-        )
-        prompt = render_prompt(self.prompt_config.template_id, task.prompt)
-        return remote.call_prm(self.endpoint, composite, prompt)
+        pc = self.prompt_config
+        prompt = render_prompt(pc.template_id, task.prompt)
+        return remote.call_prm(self.endpoint, task, mask, prompt, pc.mask_color, pc.alpha)
 
 
 def prm_score(prm: Prm, task: Task, mask: BitMask) -> float:

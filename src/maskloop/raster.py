@@ -327,27 +327,27 @@ class RleMask:
             raise RleError(f"size must be (height, width), got {self.size!r}")
         if not counts:
             raise RleError("counts may not be empty")
+        values = size + counts
         # one check per distinct type: bool is an int subclass, but no count
-        kinds = set(map(type, size + counts))
+        kinds = set(map(type, values))
         if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
             raise RleError(f"size and counts must be integers, got {size!r} and {counts[:8]!r}")
         try:
-            values = np.array(size + counts, dtype=np.int64)
+            values = np.fromiter(values, np.int64, len(values))
         except OverflowError:
             raise RleError("size or counts beyond int64")
-        size = tuple(values[:2].tolist())
+        if kinds != {int}:  # numpy integers become Python ints
+            size, counts = tuple(values[:2].tolist()), tuple(values[2:].tolist())
         h, w = size
-        if h < 1 or w < 1:
-            raise RleError(f"invalid size {size}")
-        runs = values[2:]
-        bad = runs < 0
-        bad[1:] |= runs[1:] == 0
-        if bad.any():
-            i = int(np.argmax(bad))
-            if runs[i] < 0:
-                raise RleError(f"negative run at index {i}")
-            raise RleError(f"zero run at index {i} (only the first may be 0)")
-        counts = tuple(runs.tolist())
+        if values.min() < 1:  # one pass: every value is at least 1 but a first run of 0
+            if h < 1 or w < 1:
+                raise RleError(f"invalid size {size}")
+            bad = values[2:] < 1
+            bad[0] = counts[0] < 0
+            if bad.any():
+                i = int(np.argmax(bad))
+                kind = "negative" if counts[i] < 0 else "zero"
+                raise RleError(f"{kind} run at index {i} (runs are at least 1, the first at least 0)")
         if sum(counts) != h * w:  # Python ints: the sum cannot overflow
             raise RleError(f"counts sum {sum(counts)} != {h}*{w}")
         object.__setattr__(self, "size", size)
@@ -373,11 +373,15 @@ class RleMask:
 def rle_encode(mask: BitMask) -> RleMask:
     """Encode a mask into alternating row-major run lengths."""
     flat = mask.data.ravel()
-    change = np.nonzero(np.diff(flat))[0] + 1
-    idx = np.concatenate(([0], change, [flat.size]))
-    runs = np.diff(idx).tolist()
+    # the last pixel of each run, after -1 for the pixel before the first
+    change = np.flatnonzero(flat[1:] != flat[:-1])
+    ends = np.empty(change.size + 2, dtype=np.int64)
+    ends[0] = -1
+    ends[1:-1] = change
+    ends[-1] = flat.size - 1
+    runs = (ends[1:] - ends[:-1]).tolist()
     if flat[0]:
-        runs = [0] + runs
+        runs.insert(0, 0)
     return RleMask(size=mask.shape, counts=tuple(runs))
 
 

@@ -4,12 +4,16 @@ Three JSON-over-HTTP endpoints:
 
   POST /v1/segment  {image_pgm_b64, clicks: [{sign, x, y}], box?}
                     -> {mask_rle: {size: [h, w], counts: [...]}}
-  POST /v1/act      {image_ppm_b64, prompt, n_samples} -> {texts: [...]}
-  POST /v1/score    {image_ppm_b64, prompt} -> {text: "Current mIoU: NN"}
+  POST /v1/act      {image_pgm_b64, mask_rle, mask_color: [r, g, b], alpha,
+                     prompt, n_samples} -> {texts: [...]}
+  POST /v1/score    {image_pgm_b64, mask_rle, mask_color, alpha, prompt}
+                    -> {text: "Current mIoU: NN"}
 
-Images travel base64-encoded in their PGM/PPM container bytes.
-Coordinates are normalized decimals rounded to 6 digits and clamped to
-at most 0.999999, so they stay inside [0, 1).
+Images travel base64-encoded in their PGM bytes, encoded once per task
+(Task.image_pgm_b64). act and score send the mask and the overlay style,
+not a rendered overlay: a server renders it as raster.render_overlay
+renders the SFT samples. Coordinates are normalized decimals rounded to 6
+digits and clamped to at most 0.999999, so they stay inside [0, 1).
 
 The client frames HTTP/1.1 itself; http.client only opens connections.
 Each thread keeps one keep-alive connection per (scheme, host, port)
@@ -31,7 +35,6 @@ lines, conflicting Content-Length values) fail immediately.
 
 from __future__ import annotations
 
-import base64
 import http.client
 import json
 import select
@@ -42,19 +45,13 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ProtocolError, RemoteError
-from .raster import (
-    BitMask,
-    GrayImage,
-    NormBox,
-    RgbImage,
-    RleMask,
-    encode_pgm,
-    encode_ppm,
-    rle_decode,
-)
+from .raster import GREEN, BitMask, NormBox, RleMask, rle_decode, rle_encode
+
+if TYPE_CHECKING:
+    from .env import Task
 
 _local = threading.local()
 
@@ -62,6 +59,9 @@ _local = threading.local()
 # carry this many header lines (http.client's and http.server's limits)
 MAX_LINE = 65536
 MAX_HEADERS = 100
+
+# json.dumps builds a new encoder per call when given any non-default option
+_JSON = json.JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,9 @@ class RemoteEndpoint:
             raise ValueError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} s, got {self.timeout!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-
-
-def image_to_pgm_b64(image: GrayImage) -> str:
-    return base64.b64encode(encode_pgm(image)).decode("ascii")
-
-
-def image_to_ppm_b64(image: RgbImage) -> str:
-    return base64.b64encode(encode_ppm(image)).decode("ascii")
+        # parsed once for every request: the URL and its connection pool key
+        object.__setattr__(self, "_url", url)
+        object.__setattr__(self, "_key", (url.scheme, url.hostname, url.port))
 
 
 def _open(url: urllib.parse.SplitResult) -> tuple[http.client.HTTPConnection, str]:
@@ -286,10 +281,9 @@ def _drop(key: tuple) -> None:
 
 
 def _post(endpoint: RemoteEndpoint, path: str, payload: dict) -> dict:
-    url = urllib.parse.urlsplit(endpoint.base_url)
-    key = (url.scheme, url.hostname, url.port)
+    url, key = endpoint._url, endpoint._key
     where = endpoint.base_url.rstrip("/") + path
-    body = json.dumps(payload, allow_nan=False).encode()
+    body = _JSON.encode(payload).encode()
     last_error: Exception | None = None
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
@@ -355,13 +349,13 @@ def _box_payload(box: NormBox | None) -> dict | None:
 
 def call_segment(
     endpoint: RemoteEndpoint,
-    image: GrayImage,
+    task: Task,
     clicks: Sequence,
     box: NormBox | None = None,
 ) -> BitMask:
-    """Ask the remote segmenter for a mask; dimensions must match the image."""
+    """Ask the remote segmenter for a mask of task's image; its dimensions must match the image."""
     payload: dict = {
-        "image_pgm_b64": image_to_pgm_b64(image),
+        "image_pgm_b64": task.image_pgm_b64,
         "clicks": _click_payload(clicks),
     }
     b = _box_payload(box)
@@ -374,36 +368,37 @@ def call_segment(
         raise ProtocolError(f"segment reply missing mask_rle: {e}")
     except ValueError as e:
         raise ProtocolError(f"segment reply carries bad rle: {e}")
-    if rle.size != image.shape:
-        raise ProtocolError(f"segment reply sized {rle.size}, image is {image.shape}")
+    if rle.size != task.image.shape:
+        raise ProtocolError(f"segment reply sized {rle.size}, image is {task.image.shape}")
     return rle_decode(rle)
 
 
-def call_policy(endpoint: RemoteEndpoint, composite: RgbImage, prompt: str, k: int) -> list[str]:
-    """Sample k action texts for an overlay image; returns raw strings."""
+def _overlay_payload(task: Task, mask: BitMask, prompt: str, mask_color: tuple, alpha: float) -> dict:
+    """The prompt and what a server renders the overlay from: the image, the mask and the style."""
+    rle, color = rle_encode(mask).to_dict(), list(mask_color)
+    return {"image_pgm_b64": task.image_pgm_b64, "mask_rle": rle, "mask_color": color, "alpha": alpha, "prompt": prompt}
+
+
+def call_policy(
+    endpoint: RemoteEndpoint, task: Task, mask: BitMask, prompt: str, k: int, mask_color: tuple = GREEN, alpha=0.5
+) -> list[str]:
+    """Sample k action texts for mask on task's image, overlaid in mask_color at alpha; returns raw strings."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    body = _post(
-        endpoint,
-        "/v1/act",
-        {"image_ppm_b64": image_to_ppm_b64(composite), "prompt": prompt, "n_samples": k},
-    )
-    texts = body.get("texts")
+    payload = {**_overlay_payload(task, mask, prompt, mask_color, alpha), "n_samples": k}
+    texts = _post(endpoint, "/v1/act", payload).get("texts")
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise ProtocolError("act reply must carry a list of strings under 'texts'")
     return texts
 
 
-def call_prm(endpoint: RemoteEndpoint, composite: RgbImage, prompt: str) -> float:
-    """Ask the remote scorer to rate an overlay; returns a [0, 1] ratio."""
+def call_prm(
+    endpoint: RemoteEndpoint, task: Task, mask: BitMask, prompt: str, mask_color: tuple = GREEN, alpha=0.5
+) -> float:
+    """Ask the remote scorer to rate mask on task's image, overlaid in mask_color at alpha; returns a [0, 1] ratio."""
     from .policy import parse_stated_miou  # local import to avoid a cycle
 
-    body = _post(
-        endpoint,
-        "/v1/score",
-        {"image_ppm_b64": image_to_ppm_b64(composite), "prompt": prompt},
-    )
-    text = body.get("text")
+    text = _post(endpoint, "/v1/score", _overlay_payload(task, mask, prompt, mask_color, alpha)).get("text")
     if not isinstance(text, str):
         raise ProtocolError("score reply must carry a string under 'text'")
     return parse_stated_miou(text)

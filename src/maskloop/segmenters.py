@@ -160,4 +160,4 @@ class RemoteSegmenter(Segmenter):
         self.endpoint = endpoint
 
     def segment(self, task, clicks, box=None):
-        return remote.call_segment(self.endpoint, task.image, clicks, box)
+        return remote.call_segment(self.endpoint, task, clicks, box)

@@ -8,13 +8,18 @@ not tautology.
 
 from __future__ import annotations
 
-from collections import deque
+import contextlib
+import hashlib
+import io
+import json
+import threading
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from maskloop import env
+from maskloop import env, mock_server
 from maskloop.errors import ReplayMismatchError
 from maskloop.expert import next_click
 from maskloop.raster import BitMask, edt_sq, rle_decode, rle_encode
@@ -241,6 +246,67 @@ def replay_repair(traj, task, segmenter, config, keep_rule):
             reason = out.stop_reason
             break
     return Trajectory(task.id, traj.init, tuple(steps), r, reason), True
+
+
+# what an injected fault does to a request: answer 500 or 503, close the
+# connection before the reply, or close it halfway through the reply's body
+FAULTS = (500, 503, "close", "cut")
+# no request meets more faults than this, so max_retries above it always ends in a reply
+MAX_FAULTS = 2
+
+
+def fault_for(digest: bytes, attempt: int) -> object | None:
+    """The fault that the attempt-th arrival of a request body with this
+    sha256 meets, or None: about one arrival in two, for the first
+    MAX_FAULTS arrivals. Keyed on the body, not on arrival order across
+    bodies, so that every thread interleaving sees the same faults."""
+    if attempt >= MAX_FAULTS:
+        return None
+    h = hashlib.sha256(digest + bytes([attempt])).digest()
+    return FAULTS[h[1] % len(FAULTS)] if h[0] < 128 else None
+
+
+@contextlib.contextmanager
+def faulty_mock(tasks, **kwargs):
+    """``mock_server.serve`` whose HTTP handler injects ``fault_for``'s
+    faults; yields (base URL, Counter of the faults injected)."""
+    server, thread = mock_server.serve(tasks, port=0, **kwargs)
+    arrivals: Counter = Counter()
+    injected: Counter = Counter()
+    lock = threading.Lock()
+
+    class Faulty(server.RequestHandlerClass):
+        def do_POST(self):  # noqa: N802
+            body = self.rfile.read(int(self.headers["content-length"][0]))
+            digest = hashlib.sha256(body).digest()
+            with lock:
+                fault = fault_for(digest, arrivals[digest])
+                arrivals[digest] += 1
+                if fault is not None:
+                    injected[fault] += 1
+            if fault in (500, 503):
+                self._send(fault, {"error": "injected fault"})
+            elif fault == "close":
+                self.close_connection = True
+            elif fault == "cut":
+                data = json.dumps(self.service.handle(self.path, json.loads(body))).encode()
+                head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(data)
+                self.request.sendall(head + data[: len(data) // 2])
+                self.close_connection = True
+            else:  # the mock's own path, reading the body already read
+                rfile, self.rfile = self.rfile, io.BytesIO(body)
+                try:
+                    super().do_POST()
+                finally:
+                    self.rfile = rfile
+
+    server.RequestHandlerClass = Faulty  # before any connection: serve() has sent nothing
+    try:
+        yield "http://%s:%d" % server.server_address[:2], injected
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
 
 
 def rand_mask(rng: np.random.Generator, h: int, w: int, p: float = 0.5) -> np.ndarray:

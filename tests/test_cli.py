@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -647,6 +649,29 @@ def test_eval_filter_with_remote_prm_matches_oracle(served, tmp_path, capsys):
     assert code == 0
     assert remote == oracle
     assert len(oracle["kept"]) == 2 and len(oracle["rejected"]) == 2
+
+
+def test_a_remote_rollout_in_another_overlay_style_names_both_styles(served, tmp_path, capsys, caplog):
+    _, t, url = served
+    out = str(tmp_path / "rollout.jsonl")
+    remote = ["--policy", "remote", "--policy-url", url, "--segmenter", "remote", "--segmenter-url", url]
+    code, reply = run(capsys, "rollout", "--tasks", t, "--out", out, *remote, "--alpha", "0.4", "--max-retries", "0")
+    assert code == 0
+    assert reply["n_trajectories"] == 0 and reply["n_failures"] == 4
+    named = "overlay style mask_color [0, 255, 0], alpha 0.4 is not this server's: mask_color [0, 255, 0], alpha 0.5"
+    with open(reply["manifest"], encoding="utf-8") as fh:
+        failures = json.load(fh)["header"]["failures"]
+    assert len(failures) == 4 and all("/v1/act -> 400" in m and named in m for m in failures.values())
+    assert caplog.text.count(named) == 4  # each failed task is logged
+
+
+def test_importing_the_cli_leaves_the_mock_server_out():
+    code = "import sys, maskloop.cli; print('maskloop.mock_server' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mock_server.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

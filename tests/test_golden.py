@@ -12,6 +12,10 @@ The remote commands hash the mock's URL, port included, into their
 ``config_hash``, and the port differs from run to run. So the remote outputs
 are hashed with the ``config_hash`` value blanked; every other byte counts.
 
+The remote commands run once more through ``conftest.faulty_mock``, which
+answers some requests with a 500 or 503 or closes the connection before or
+during the reply; with retries to spare, their outputs match the same pins.
+
 A change that alters outputs on purpose regenerates the pins with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -29,10 +33,13 @@ import os
 import re
 import sys
 import tempfile
+import time
+import types
 
 import pytest
 
-from maskloop import mock_server
+from conftest import FAULTS, MAX_FAULTS, faulty_mock
+from maskloop import mock_server, remote
 from maskloop.cli import dispatch
 from maskloop.env import load_tasks
 
@@ -99,30 +106,24 @@ def _run(digests: dict, label: str, argv: list[str]) -> None:
     digests[f"stdout/{label}"] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
-def sweep(jobs: int) -> dict[str, str]:
-    """Run the sweep in the current directory; the sha256 of every file it
-    wrote and of each command's stdout, keyed by path or ``stdout/<n>:<command>``."""
+def _local_runs(jobs: int) -> list[tuple[str, list[str]]]:
     runs: list[tuple[str, list[str]]] = []
     for side in (32, 48):
         runs.append(("synth", ["--n", "5", "--side", str(side), "--seed", "3", "--out", f"tasks{side}"]))
         for seg in ("oracle", "region_grow"):
             runs += _local_commands(side, seg, str(jobs))
-    with open("regression.json", "w", encoding="utf-8") as fh:
-        json.dump({"pred": [0.1, 0.5, 0.9, 0.3], "truth": [0.2, 0.4, 0.8, 0.6]}, fh)
     runs.append(("eval-regression", ["--data", "regression.json"]))
-    digests: dict[str, str] = {}
-    for i, (command, argv) in enumerate(runs):
-        _run(digests, f"{i:02d}:{command}", [command, *argv])
-    server, thread = mock_server.serve(load_tasks("tasks32/manifest.json"), port=0)
-    try:
-        url = "http://%s:%d" % server.server_address[:2]
-        for i, (command, argv) in enumerate(_remote_commands(url, str(jobs)), start=len(runs)):
-            _run(digests, f"{i:02d}:{command}", [command, *argv])
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
-    for root, _, names in os.walk("."):
+    return runs
+
+
+def _run_remote(digests: dict, url: str, jobs: int, *extra: str) -> None:
+    """The remote commands against url, numbered after the local runs."""
+    for i, (command, argv) in enumerate(_remote_commands(url, str(jobs)), start=len(_local_runs(jobs))):
+        _run(digests, f"{i:02d}:{command}", [command, *argv, *extra])
+
+
+def _hash_files(digests: dict, top: str = ".") -> None:
+    for root, _, names in os.walk(top):
         for name in names:
             path = os.path.relpath(os.path.join(root, name)).replace(os.sep, "/")
             with open(path, "rb") as fh:
@@ -130,19 +131,64 @@ def sweep(jobs: int) -> dict[str, str]:
             if path.startswith(REMOTE_DIR + "/"):
                 data = _CONFIG_HASH.sub(b'"config_hash": ""', data)
             digests[path] = hashlib.sha256(data).hexdigest()
+
+
+def sweep(jobs: int) -> dict[str, str]:
+    """Run the sweep in the current directory; the sha256 of every file it
+    wrote and of each command's stdout, keyed by path or ``stdout/<n>:<command>``."""
+    with open("regression.json", "w", encoding="utf-8") as fh:
+        json.dump({"pred": [0.1, 0.5, 0.9, 0.3], "truth": [0.2, 0.4, 0.8, 0.6]}, fh)
+    digests: dict[str, str] = {}
+    for i, (command, argv) in enumerate(_local_runs(jobs)):
+        _run(digests, f"{i:02d}:{command}", [command, *argv])
+    server, thread = mock_server.serve(load_tasks("tasks32/manifest.json"), port=0)
+    try:
+        _run_remote(digests, "http://%s:%d" % server.server_address[:2], jobs)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+    _hash_files(digests)
     return dict(sorted(digests.items()))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_pipeline_bytes_are_pinned(tmp_path, monkeypatch, jobs):
-    with open(GOLDEN, "r", encoding="utf-8") as fh:
-        pinned = json.load(fh)
-    monkeypatch.chdir(tmp_path)
-    got = sweep(jobs)
+def _compare(pinned: dict, got: dict) -> None:
     changed = sorted(k for k in pinned.keys() & got.keys() if pinned[k] != got[k])
     missing = sorted(pinned.keys() - got.keys())
     extra = sorted(got.keys() - pinned.keys())
     assert not (changed or missing or extra), f"changed: {changed}; missing: {missing}; new: {extra}"
+
+
+def _pins() -> dict:
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pipeline_bytes_are_pinned(tmp_path, monkeypatch, jobs):
+    pinned = _pins()
+    monkeypatch.chdir(tmp_path)
+    _compare(pinned, sweep(jobs))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_remote_bytes_hold_under_faults(tmp_path, monkeypatch, jobs):
+    # no request meets more than MAX_FAULTS faults, so with more retries
+    # than that each ends in a reply, and the outputs are the clean run's
+    pinned = _pins()
+    monkeypatch.chdir(tmp_path)
+    backoffs: list[float] = []  # recorded, not slept
+    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=backoffs.append, monotonic=time.monotonic))
+    synth = _local_runs(jobs)[0]
+    assert synth[1][-1] == "tasks32"
+    _run({}, "synth", [synth[0], *synth[1]])
+    digests: dict[str, str] = {}
+    with faulty_mock(load_tasks("tasks32/manifest.json")) as (url, injected):
+        _run_remote(digests, url, jobs, "--max-retries", str(MAX_FAULTS + 1))
+    _hash_files(digests, REMOTE_DIR)
+    assert set(injected) == set(FAULTS), injected  # each kind of fault was met
+    assert len(backoffs) == sum(injected.values())  # and cost exactly one retry
+    _compare({k: v for k, v in pinned.items() if k.startswith(REMOTE_DIR + "/") or k in digests}, digests)
 
 
 if __name__ == "__main__":

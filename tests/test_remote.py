@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import socket
 import socketserver
 import subprocess
@@ -27,6 +28,7 @@ from hypothesis.extra.numpy import arrays
 import maskloop
 from maskloop.env import Action, InitSpec, Task, reset
 from maskloop.errors import ProtocolError, RemoteError
+from maskloop.expert import click_for
 from maskloop.mock_server import (
     MAX_BODY_BYTES,
     MAX_N_SAMPLES,
@@ -34,16 +36,17 @@ from maskloop.mock_server import (
     MockService,
     serve,
 )
-from maskloop.policy import PromptConfig, RemotePolicy, RemotePrm, parse_action, render_prompt
-from maskloop.raster import BitMask, GrayImage, RgbImage, iou, render_overlay, rle_encode
-from maskloop.remote import (
-    RemoteEndpoint,
-    call_policy,
-    call_prm,
-    call_segment,
-    image_to_pgm_b64,
-    image_to_ppm_b64,
+from maskloop.policy import (
+    PromptConfig,
+    RemotePolicy,
+    RemotePrm,
+    format_action,
+    miou_percent,
+    parse_action,
+    render_prompt,
 )
+from maskloop.raster import BitMask, GrayImage, iou, rle_encode
+from maskloop.remote import RemoteEndpoint, call_policy, call_prm, call_segment
 from maskloop.segmenters import OracleSegmenter, RemoteSegmenter
 from maskloop.trajgen import synth_tasks
 from maskloop.util import round_half_up
@@ -64,6 +67,20 @@ def mock():
 def _pc(task, px, py):
     w, h = task.image.width, task.image.height
     return (px + 0.5) / w, (py + 0.5) / h
+
+
+def _overlay(task, mask=None, **fields):
+    """An act or score payload: task's image, a mask (its target unless
+    given) and the mock's default overlay style, then fields on top."""
+    mask = task.target if mask is None else mask
+    rle = rle_encode(mask).to_dict()
+    return {"image_pgm_b64": task.image_pgm_b64, "mask_rle": rle, "mask_color": [0, 255, 0], "alpha": 0.5, **fields}
+
+
+def _task_of(image: np.ndarray, task_id: str = "t") -> Task:
+    """A task on this gray image whose target is every pixel."""
+    h, w = image.shape
+    return Task(task_id, GrayImage(image), BitMask.full(w, h), "p")
 
 
 # --- segment endpoint -----------------------------------------------------
@@ -90,16 +107,14 @@ def test_remote_segment_with_negative_click_and_box(mock):
     from maskloop.raster import NormBox
 
     box = NormBox(0.0, 0.0, 0.9, 0.9)
-    got = call_segment(endpoint, task.image, clicks, box)
+    got = call_segment(endpoint, task, clicks, box)
     assert got == OracleSegmenter().segment(task, clicks, box)
 
 
 def test_remote_segment_unknown_image_is_client_error(mock):
     _, endpoint = mock
-    from maskloop.raster import GrayImage
-
-    stranger = GrayImage(np.full((32, 32), 123, dtype=np.uint8))
-    with pytest.raises(RemoteError):
+    stranger = _task_of(np.full((32, 32), 123, dtype=np.uint8))
+    with pytest.raises(RemoteError, match="unknown image"):
         call_segment(endpoint, stranger, [], None)
 
 
@@ -120,10 +135,7 @@ def test_remote_policy_returns_parseable_expert_click(mock):
 def test_call_policy_text_count_and_grammar(mock):
     tasks, endpoint = mock
     task = tasks[2]
-    composite = render_overlay(task.image, BitMask.zeros(32, 32), (0, 255, 0), 0.5)
-    from maskloop.policy import render_prompt
-
-    texts = call_policy(endpoint, composite, render_prompt("default", task.prompt), 4)
+    texts = call_policy(endpoint, task, BitMask.zeros(32, 32), render_prompt("default", task.prompt), 4)
     assert len(texts) == 4
     stated, action = parse_action(texts[0], "decimal_0_1")
     assert stated == 0.0
@@ -165,7 +177,7 @@ def test_mock_service_rejects_malformed_payloads():
         svc.segment({})
     with pytest.raises(MockRequestError):
         svc.segment({"image_pgm_b64": "!!!not-base64!!!"})
-    pgm = image_to_pgm_b64(tasks[0].image)
+    pgm = tasks[0].image_pgm_b64
     with pytest.raises(MockRequestError):
         svc.segment({"image_pgm_b64": pgm, "clicks": [{"sign": 2, "x": 0.5, "y": 0.5}]})
     with pytest.raises(MockRequestError):
@@ -181,11 +193,10 @@ def test_mock_service_rejects_malformed_payloads():
     for bad in ({"x2": "0.9"}, {"x1": False}, {"y2": [0.9]}):
         with pytest.raises(MockRequestError):
             svc.segment({"image_pgm_b64": pgm, "box": {**ok_box, **bad}})
-    composite = image_to_ppm_b64(render_overlay(tasks[0].image, tasks[0].target))
-    assert svc.act({"image_ppm_b64": composite, "n_samples": 2})["texts"]
+    assert svc.act(_overlay(tasks[0], n_samples=2))["texts"]
     for n in (True, 2.0, "2"):
-        with pytest.raises(MockRequestError):
-            svc.act({"image_ppm_b64": composite, "n_samples": n})
+        with pytest.raises(MockRequestError, match="n_samples"):
+            svc.act(_overlay(tasks[0], n_samples=n))
 
 
 def test_mock_service_checks_r_neg_before_serving():
@@ -197,19 +208,17 @@ def test_mock_service_checks_r_neg_before_serving():
     ys, xs = np.nonzero(task.target.data)
     clicks = [Action.positive(*_pc(task, int(xs[0]), int(ys[0]))), Action.negative(*_pc(task, int(xs[1]), int(ys[1])))]
     wire = [{"sign": a.sign, "x": a.point.x, "y": a.point.y} for a in clicks]
-    reply = MockService(tasks, r_neg=0).segment({"image_pgm_b64": image_to_pgm_b64(task.image), "clicks": wire})
+    reply = MockService(tasks, r_neg=0).segment({"image_pgm_b64": task.image_pgm_b64, "clicks": wire})
     assert reply["mask_rle"] == rle_encode(OracleSegmenter(r_neg=0).segment(task, clicks)).to_dict()
 
 
-def test_mock_service_rejects_foreign_composite():
+def test_mock_service_rejects_an_unknown_image_on_act_and_score():
     tasks = synth_tasks(1, side=32, seed=52)
     svc = MockService(tasks)
-    noise = np.random.default_rng(0).integers(0, 256, (32, 32, 3), dtype=np.uint8)
-    from maskloop.raster import RgbImage
-
-    payload = {"image_ppm_b64": image_to_ppm_b64(RgbImage(noise))}
-    with pytest.raises(MockRequestError):
-        svc.score(payload)
+    stranger = _task_of(np.random.default_rng(0).integers(0, 256, (32, 32), dtype=np.uint8))
+    for endpoint in (svc.act, svc.score):
+        with pytest.raises(MockRequestError, match="unknown image"):
+            endpoint(_overlay(stranger))
 
 
 def test_click_payload_wire_format():
@@ -233,60 +242,109 @@ def test_coords_next_to_one_stay_inside_the_unit_interval(mock):
     top = math.nextafter(1.0, 0.0)
     clicks = [Action.positive(top, top)]
     box = NormBox(0.0, 0.0, 1.0 - 1e-7, top)
-    got = call_segment(endpoint, task.image, clicks, box)
+    got = call_segment(endpoint, task, clicks, box)
     assert got == OracleSegmenter().segment(task, clicks, box)
 
 
-# --- composite matching ---------------------------------------------------------
-
-
-def _match_by_render(tasks, composite, color, alpha):
-    """The matching rule as one re-render per task, in manifest order."""
-    for task in tasks:
-        if task.image.shape != composite.data.shape[:2]:
-            continue
-        candidate = BitMask((composite.data != task.image.data[..., None]).any(axis=2))
-        if render_overlay(task.image, candidate, color, alpha) == composite:
-            return task, candidate
-    return None
+# --- act and score: the image, the mask and the overlay style ------------------
 
 
 @st.composite
-def _matching_cases(draw):
-    # few gray levels, so first rows and whole images repeat across tasks,
-    # and colors that may equal a gray level, so overlay and gray coincide
-    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=3))
-    level = st.sampled_from(levels)
-    tasks = []
-    for i in range(draw(st.integers(1, 4))):
-        h, w = draw(st.sampled_from([(2, 3), (3, 3)]))
-        image = GrayImage(draw(arrays(np.uint8, (h, w), elements=level)))
-        tasks.append(Task(f"t{i}", image, BitMask.full(w, h), "p"))
-    color = tuple(draw(st.tuples(*[level | st.integers(0, 255)] * 3)))
-    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-    source = draw(st.sampled_from(tasks)).image
-    mask = BitMask(draw(arrays(bool, source.shape)))
-    composite = render_overlay(source, mask, color, alpha).data.copy()
-    if draw(st.booleans()):
-        h, w = source.shape
-        at = (draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)), draw(st.integers(0, 2)))
-        composite[at] ^= draw(st.integers(1, 255))
-    return tasks, color, alpha, RgbImage(composite)
+def _overlay_cases(draw):
+    """A task on a random image, square or not, and a mask on it: empty,
+    full or any; the service also knows a task of another shape."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    image = draw(arrays(np.uint8, (h, w)))
+    target = draw(arrays(bool, (h, w)))
+    target[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True  # a target is never empty
+    mask = draw(st.sampled_from([np.zeros((h, w), bool), np.ones((h, w), bool)]) | arrays(bool, (h, w)))
+    task = Task("t", GrayImage(image), BitMask(target), "p")
+    other = _task_of(np.zeros((h + 1, w), dtype=np.uint8), "other")
+    return [other, task], task, BitMask(mask)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_matching_cases())
-def test_pixel_matching_agrees_with_matching_by_re_render(case):
-    tasks, color, alpha, composite = case
-    svc = MockService(tasks, PromptConfig(mask_color=color, alpha=alpha))
-    expected = _match_by_render(tasks, composite, color, alpha)
-    if expected is None:
-        with pytest.raises(MockRequestError):
-            svc._match_composite(composite)
-    else:
-        task, mask = svc._match_composite(composite)
-        assert task is expected[0]
-        assert mask == expected[1]
+@settings(max_examples=150, deadline=None)
+@given(_overlay_cases())
+def test_act_and_score_answer_the_local_iou_and_expert_click(case):
+    tasks, task, mask = case
+    svc = MockService(tasks)
+    stated = f"Current mIoU: {miou_percent(iou(mask, task.target))}"
+    action = click_for(task, mask)
+    text = stated if action is None else f"{stated}\n{format_action(action)}"
+    assert svc.score(_overlay(task, mask)) == {"text": stated}
+    assert svc.act(_overlay(task, mask, n_samples=2)) == {"texts": [text, text]}
+
+
+def test_an_image_in_other_base64_is_found_by_its_digest():
+    # a 16x16 PGM is 269 bytes: its last base64 digit carries two unused
+    # bits, which decoding ignores; setting them spells the same bytes
+    # differently, which the lookup by text misses and the digest finds
+    task = synth_tasks(1, side=16, seed=58)[0]
+    b64 = task.image_pgm_b64
+    assert b64.endswith("=") and not b64.endswith("==")
+    digits = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    other = b64[:-2] + digits[digits.index(b64[-2]) | 1] + "="
+    assert other != b64 and base64.b64decode(other) == base64.b64decode(b64)
+    svc = MockService([task])
+    assert svc.score(_overlay(task, image_pgm_b64=other)) == {"text": "Current mIoU: 100"}
+    ys, xs = np.nonzero(task.target.data)
+    x, y = _pc(task, int(xs[0]), int(ys[0]))
+    payload = {"image_pgm_b64": other, "clicks": [{"sign": 1, "x": x, "y": y}]}
+    assert svc.segment(payload) == {"mask_rle": rle_encode(task.target).to_dict()}
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"mask_rle": True}, "mask_rle"),
+        ({"mask_rle": "0,256"}, "mask_rle"),
+        ({"mask_rle": {"size": [16, 16]}}, "mask_rle"),
+        ({"mask_rle": {"size": [16, 16], "counts": [True, 255]}}, "mask_rle"),
+        ({"mask_rle": {"size": [16, 16], "counts": [1, 0, 255]}}, "mask_rle"),
+        ({"mask_rle": {"size": [16, 16], "counts": [255]}}, "mask_rle"),
+        ({"mask_rle": {"size": ["16", 16], "counts": [256]}}, "mask_rle"),
+        ({"mask_rle": {"size": [16, 16], "counts": "256"}}, "mask_rle"),
+        ({"mask_rle": {"size": [8, 32], "counts": [256]}}, "mask_rle sized [8, 32], image is [16, 16]"),
+        ({"mask_rle": {"size": [10**9, 10**9], "counts": [10**18]}}, "mask_rle sized [1000000000, 1000000000]"),
+        ({"mask_color": True}, "mask_color"),
+        ({"mask_color": "0,255,0"}, "mask_color"),
+        ({"mask_color": [0, True, 0]}, "mask_color"),
+        ({"mask_color": [0, 255.0, 0]}, "mask_color"),
+        ({"mask_color": [0, 255]}, "mask_color"),
+        ({"alpha": True}, "alpha"),
+        ({"alpha": "0.5"}, "alpha"),
+        ({"alpha": [0.5]}, "alpha"),
+        ({"image_pgm_b64": True}, "image_pgm_b64"),
+    ],
+)
+def test_a_malformed_overlay_field_gets_a_named_400(fields, named):
+    task = synth_tasks(1, side=16, seed=58)[0]
+    svc = MockService([task])
+    for path in ("/v1/act", "/v1/score"):
+        payload = _overlay(task, **fields)
+        with pytest.raises(MockRequestError, match=re.escape(named)):
+            svc.handle(path, payload)
+        for key in fields:
+            with pytest.raises(MockRequestError, match=re.escape(key)):
+                svc.handle(path, {k: v for k, v in payload.items() if k != key})  # and a missing one
+
+
+def test_a_style_other_than_the_servers_gets_a_400_naming_both(mock):
+    tasks, endpoint = mock
+    task = tasks[0]
+    assert call_prm(endpoint, task, task.target, "p") == 1.0
+    for style, theirs in [
+        (dict(alpha=0.4), "mask_color [0, 255, 0], alpha 0.4"),
+        (dict(mask_color=(255, 0, 0)), "mask_color [255, 0, 0], alpha 0.5"),
+    ]:
+        with pytest.raises(RemoteError, match="-> 400") as e:
+            call_prm(endpoint, task, task.target, "p", **style)
+        assert f"overlay style {theirs} is not this server's: mask_color [0, 255, 0], alpha 0.5" in str(e.value)
+    svc = MockService(tasks, PromptConfig(mask_color=(255, 0, 0), alpha=0.25))
+    assert svc.score(_overlay(task, mask_color=[255, 0, 0], alpha=0.25)) == {"text": "Current mIoU: 100"}
+    named = "alpha 0.5 is not this server's: mask_color [255, 0, 0], alpha 0.25"
+    with pytest.raises(MockRequestError, match=re.escape(named)):
+        svc.score(_overlay(task, mask_color=[255, 0, 0]))
 
 
 def test_matching_renders_nothing_per_request(monkeypatch):
@@ -295,15 +353,14 @@ def test_matching_renders_nothing_per_request(monkeypatch):
 
     tasks = synth_tasks(5, side=16, seed=56)
     svc = MockService(tasks)
-    composites = [image_to_ppm_b64(render_overlay(task.image, task.target)) for task in tasks]
     calls = []
     # every way the mock could render an overlay, through either module
     for module in (mock_server, raster):
         for name in ("render_overlay", "overlay_table"):
             monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a), raising=False)
-    for composite in composites:
-        assert svc.score({"image_ppm_b64": composite}) == {"text": "Current mIoU: 100"}
-        assert svc.act({"image_ppm_b64": composite}) == {"texts": ["Current mIoU: 100"]}
+    for task in tasks:
+        assert svc.score(_overlay(task)) == {"text": "Current mIoU: 100"}
+        assert svc.act(_overlay(task)) == {"texts": ["Current mIoU: 100"]}
     assert calls == []
 
 
@@ -319,11 +376,10 @@ def test_tasks_sharing_an_image_resolve_to_the_first(caplog):
     assert "second (image of first)" in caplog.text
     # a click on the first task's target selects it under the first's oracle
     x, y = _pc(base, int(xs[0]), int(ys[0]))
-    payload = {"image_pgm_b64": image_to_pgm_b64(base.image), "clicks": [{"sign": 1, "x": x, "y": y}]}
+    payload = {"image_pgm_b64": base.image_pgm_b64, "clicks": [{"sign": 1, "x": x, "y": y}]}
     assert svc.segment(payload) == {"mask_rle": rle_encode(first.target).to_dict()}
-    composite = image_to_ppm_b64(render_overlay(base.image, first.target))
-    assert svc.score({"image_ppm_b64": composite}) == {"text": "Current mIoU: 100"}
-    assert svc.act({"image_ppm_b64": composite}) == {"texts": ["Current mIoU: 100"]}
+    assert svc.score(_overlay(second, first.target)) == {"text": "Current mIoU: 100"}
+    assert svc.act(_overlay(second, first.target)) == {"texts": ["Current mIoU: 100"]}
 
 
 # --- malformed requests ------------------------------------------------------------
@@ -338,18 +394,30 @@ _JSON = st.recursive(
 # JSON numbers are unbounded: json.loads yields ints beyond any float, NaN and Infinity
 _NUMBER = st.floats(0.0, 1.0) | st.floats() | st.integers(-(10**400), 10**400)
 # images that get past the first checks, and PNM-shaped junk
-_PGM = st.just(image_to_pgm_b64(_PROPERTY_TASKS[0].image))
-_PPM = st.sampled_from(
-    [
-        image_to_ppm_b64(render_overlay(_PROPERTY_TASKS[1].image, _PROPERTY_TASKS[1].target)),
-        image_to_ppm_b64(render_overlay(_PROPERTY_TASKS[0].image, BitMask.zeros(16, 16))),
-    ]
-)
+_PGM = st.sampled_from([task.image_pgm_b64 for task in _PROPERTY_TASKS])
 _JUNK = st.sampled_from(
     [base64.b64encode(b"P6\n2 2\n255\n" + bytes(5)).decode(), base64.b64encode(b"P5\n16 16\n255\n").decode()]
 )
 # a number's look-alikes: its string, and a bool
 _LOOKALIKE = st.floats(0.0, 1.0).map(str) | st.booleans()
+# masks that fit the images, one that does not, and malformed run lengths
+_RLE = st.sampled_from(
+    [rle_encode(m).to_dict() for m in (_PROPERTY_TASKS[0].target, BitMask.zeros(16, 16), BitMask.full(8, 8))]
+)
+_RUNS = st.lists(st.integers(-1, 257) | _LOOKALIKE | _JSON, max_size=4)
+_BAD_RLE = st.fixed_dictionaries(
+    {"size": st.lists(st.integers(-1, 17) | _LOOKALIKE, max_size=3) | _JSON, "counts": _RUNS | _JSON}
+)
+
+
+def _mostly(ok, bad):
+    """ok three draws in four, so that requests with every field well formed are common"""
+    return st.integers(0, 3).flatmap(lambda i: ok if i else bad)
+
+
+_MASK_RLE = _mostly(_RLE, _BAD_RLE | _LOOKALIKE | _JSON)
+_MASK_COLOR = _mostly(st.just([0, 255, 0]), st.lists(st.integers(-1, 256) | _LOOKALIKE, max_size=4) | _JSON)
+_ALPHA = _mostly(st.just(0.5), _NUMBER | _LOOKALIKE | _JSON)
 _COORD = _NUMBER | _LOOKALIKE | _JSON
 _CLICK = st.fixed_dictionaries(
     {"sign": st.sampled_from([1, -1, 1.0, -1.0, True, "1"]) | _JSON, "x": _COORD, "y": _COORD}
@@ -362,14 +430,19 @@ _REQUESTS = st.one_of(
     st.tuples(
         st.just("/v1/segment"),
         st.fixed_dictionaries(
-            {"image_pgm_b64": _PGM | _PPM | _JUNK | _JSON},
+            {"image_pgm_b64": _PGM | _JUNK | _JSON},
             optional={"clicks": st.lists(_CLICK | _JSON, max_size=3) | _JSON, "box": _BOX | _JSON},
         ),
     ),
     st.tuples(
         st.sampled_from(["/v1/act", "/v1/score"]),
         st.fixed_dictionaries(
-            {"image_ppm_b64": _PPM | _PGM | _JUNK | _JSON},
+            {
+                "image_pgm_b64": _mostly(_PGM, _JUNK | _JSON),
+                "mask_rle": _MASK_RLE,
+                "mask_color": _MASK_COLOR,
+                "alpha": _ALPHA,
+            },
             optional={"n_samples": _N_SAMPLES, "prompt": _JSON},
         ),
     ),
@@ -408,18 +481,21 @@ def _assert_protocol_types(path: str, payload: dict) -> None:
         assert box is None or all(_is_number(box[k]) for k in ("x1", "y1", "x2", "y2")), box
     else:
         assert path in ("/v1/act", "/v1/score")
-        assert isinstance(payload["image_ppm_b64"], str)
+        assert isinstance(payload["image_pgm_b64"], str)
+        rle = payload["mask_rle"]
+        assert all(type(v) is int for v in rle["size"] + rle["counts"]), rle
+        assert [type(c) for c in payload["mask_color"]] == [int] * 3, payload["mask_color"]
+        assert _is_number(payload["alpha"]), payload["alpha"]
         if path == "/v1/act":
             assert type(payload.get("n_samples", 1)) is int, payload["n_samples"]
 
 
 def test_mock_service_caps_n_samples():
     task = _PROPERTY_TASKS[0]
-    composite = image_to_ppm_b64(render_overlay(task.image, task.target))
-    assert len(_PROPERTY_SVC.act({"image_ppm_b64": composite, "n_samples": MAX_N_SAMPLES})["texts"]) == MAX_N_SAMPLES
+    assert len(_PROPERTY_SVC.act(_overlay(task, n_samples=MAX_N_SAMPLES))["texts"]) == MAX_N_SAMPLES
     for n in (0, MAX_N_SAMPLES + 1, 10**12, "3"):
         with pytest.raises(MockRequestError):
-            _PROPERTY_SVC.act({"image_ppm_b64": composite, "n_samples": n})
+            _PROPERTY_SVC.act(_overlay(task, n_samples=n))
 
 
 def _raw_post(conn, path, body=b"", headers=None):
@@ -438,7 +514,7 @@ def _raw_connection(endpoint):
 
 
 def _score_body(task):
-    return json.dumps({"image_ppm_b64": image_to_ppm_b64(render_overlay(task.image, task.target))}).encode()
+    return json.dumps(_overlay(task)).encode()
 
 
 def test_bad_payloads_get_400_and_keep_the_connection(mock):
@@ -447,9 +523,9 @@ def test_bad_payloads_get_400_and_keep_the_connection(mock):
     try:
         assert _raw_post(conn, "/v1/score", _score_body(tasks[0]))[:2] == (200, None)
         sock = conn.sock
-        too_many = {"image_ppm_b64": "", "n_samples": MAX_N_SAMPLES + 1}
+        too_many = {**_overlay(tasks[0]), "n_samples": MAX_N_SAMPLES + 1}
         for path, body in [
-            ("/v1/score", b'{"image_ppm_b64": "\xff"}'),  # not UTF-8
+            ("/v1/score", b'{"image_pgm_b64": "\xff"}'),  # not UTF-8
             ("/v1/score", b"{nope"),
             ("/v1/score", b"[1, 2]"),
             ("/v1/score", b"[" * 100_000),
@@ -639,17 +715,14 @@ def scripted():
         thread.join(timeout=5.0)
 
 
-def _any_ppm():
-    from maskloop.raster import RgbImage
-
-    return RgbImage(np.zeros((4, 4, 3), dtype=np.uint8))
+_ANY = _task_of(np.zeros((4, 4), dtype=np.uint8))  # for servers that read no request
 
 
 def test_server_errors_are_retried(scripted):
     ok = json.dumps({"text": "Current mIoU: 40"}).encode()
     handler, endpoint = scripted([(500, b"boom"), (500, b"boom"), (200, ok)])
     start = time.perf_counter()
-    assert call_prm(endpoint, _any_ppm(), "p") == 0.4
+    assert call_prm(endpoint, _ANY, _ANY.target, "p") == 0.4
     assert len(handler.hits) == 3
     assert time.perf_counter() - start >= 0.05 + 0.1  # backoff before each retry
 
@@ -657,61 +730,55 @@ def test_server_errors_are_retried(scripted):
 def test_server_errors_exhaust_retries(scripted):
     handler, endpoint = scripted([(503, b"down")])
     with pytest.raises(RemoteError):
-        call_prm(endpoint, _any_ppm(), "p")
+        call_prm(endpoint, _ANY, _ANY.target, "p")
     assert len(handler.hits) == endpoint.max_retries + 1
 
 
 def test_client_errors_fail_immediately(scripted):
     handler, endpoint = scripted([(400, b'{"error": "bad"}')])
     with pytest.raises(RemoteError):
-        call_prm(endpoint, _any_ppm(), "p")
+        call_prm(endpoint, _ANY, _ANY.target, "p")
     assert len(handler.hits) == 1
 
 
 def test_non_json_reply_is_protocol_error(scripted):
     _, endpoint = scripted([(200, b"<html>hello</html>")])
     with pytest.raises(ProtocolError):
-        call_prm(endpoint, _any_ppm(), "p")
+        call_prm(endpoint, _ANY, _ANY.target, "p")
 
 
 def test_wrong_size_segment_reply_rejected(scripted):
-    from maskloop.raster import GrayImage
-
-    image = GrayImage(np.zeros((4, 4), dtype=np.uint8))
     wrong = rle_encode(BitMask.zeros(3, 3)).to_dict()
     body = json.dumps({"mask_rle": wrong}).encode()
     _, endpoint = scripted([(200, body)])
     with pytest.raises(ProtocolError):
-        call_segment(endpoint, image, [], None)
+        call_segment(endpoint, _ANY, [], None)
 
 
 def test_float_count_segment_reply_rejected(scripted):
-    from maskloop.raster import GrayImage
-
-    image = GrayImage(np.zeros((2, 2), dtype=np.uint8))
-    body = json.dumps({"mask_rle": {"size": [2, 2], "counts": [2.9, 2.1]}}).encode()
+    body = json.dumps({"mask_rle": {"size": [4, 4], "counts": [8.9, 7.1]}}).encode()
     _, endpoint = scripted([(200, body)])
     with pytest.raises(ProtocolError, match="bad rle"):
-        call_segment(endpoint, image, [], None)
+        call_segment(endpoint, _ANY, [], None)
 
 
 def test_transport_failure_is_remote_error():
     endpoint = RemoteEndpoint(base_url="http://127.0.0.1:9", timeout=0.2, max_retries=0)
     with pytest.raises(RemoteError):
-        call_prm(endpoint, _any_ppm(), "p")
+        call_prm(endpoint, _ANY, _ANY.target, "p")
 
 
 def test_dropped_connection_is_retried(scripted):
     ok = json.dumps({"text": "Current mIoU: 40"}).encode()
     handler, endpoint = scripted([(None, b""), (200, ok)])
-    assert call_prm(endpoint, _any_ppm(), "p") == 0.4
+    assert call_prm(endpoint, _ANY, _ANY.target, "p") == 0.4
     assert len(handler.hits) == 2
 
 
 def test_dropped_connection_without_retries_is_remote_error(scripted):
     handler, endpoint = scripted([(None, b"")])
     with pytest.raises(RemoteError):
-        call_prm(RemoteEndpoint(endpoint.base_url, timeout=5.0, max_retries=0), _any_ppm(), "p")
+        call_prm(RemoteEndpoint(endpoint.base_url, timeout=5.0, max_retries=0), _ANY, _ANY.target, "p")
     assert len(handler.hits) == 1
 
 
@@ -813,7 +880,7 @@ def test_client_reads_each_reply_framing(raw, monkeypatch, reply, close, reused)
 
     def calls():
         for _ in range(2):
-            assert call_prm(endpoint, _any_ppm(), "p") == 0.4
+            assert call_prm(endpoint, _ANY, _ANY.target, "p") == 0.4
 
     assert _peak_bytes(lambda: _in_new_thread(calls)) < 1 << 20
     assert len(handler.requests) == 2
@@ -844,8 +911,8 @@ def test_client_refuses_broken_framing_and_drops_the_connection(raw, monkeypatch
 
     def calls():
         with pytest.raises(ProtocolError, match=match):
-            call_prm(endpoint, _any_ppm(), "p")  # not retried: a protocol violation
-        assert call_prm(endpoint, _any_ppm(), "p") == 0.4
+            call_prm(endpoint, _ANY, _ANY.target, "p")  # not retried: a protocol violation
+        assert call_prm(endpoint, _ANY, _ANY.target, "p") == 0.4
 
     assert _peak_bytes(lambda: _in_new_thread(calls)) < 1 << 20
     assert len(handler.requests) == 2
@@ -867,7 +934,7 @@ def test_timeout_bounds_each_attempt_as_a_whole(raw, max_retries):
     handler, endpoint = raw([(_trickle(_ok(), 0.05), False)], timeout=0.25, max_retries=max_retries)
     start = time.monotonic()
     with pytest.raises(RemoteError, match="timed out"):
-        _in_new_thread(lambda: call_prm(endpoint, _any_ppm(), "p"))
+        _in_new_thread(lambda: call_prm(endpoint, _ANY, _ANY.target, "p"))
     assert time.monotonic() - start < 0.25 * (max_retries + 1) + 0.05 * max_retries + 0.5
     assert len(handler.requests) == max_retries + 1
 
@@ -904,9 +971,9 @@ def test_one_pooled_connection_per_client_thread(mock, monkeypatch):
             part[ys[:: k], xs[:: k]] = True
             mask = BitMask(part)
             expected = round_half_up(100.0 * iou(mask, task.target)) / 100.0
-            assert call_prm(endpoint, render_overlay(task.image, mask), "p") == expected
+            assert call_prm(endpoint, task, mask, "p") == expected
             clicks = [Action.positive(*_pc(task, int(xs[k]), int(ys[k])))]
-            assert call_segment(endpoint, task.image, clicks) == OracleSegmenter().segment(task, clicks)
+            assert call_segment(endpoint, task, clicks) == OracleSegmenter().segment(task, clicks)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -923,7 +990,7 @@ def test_one_pooled_connection_per_client_thread(mock, monkeypatch):
 
 def test_restarted_mock_is_reached_again_and_a_stopped_one_is_a_remote_error():
     tasks = synth_tasks(2, side=16, seed=54)
-    composite = render_overlay(tasks[0].image, tasks[0].target)
+    task = tasks[0]
     server, thread = serve(tasks)
     host, port = server.server_address
     endpoint = RemoteEndpoint(base_url=f"http://{host}:{port}", timeout=5.0, max_retries=1)
@@ -936,13 +1003,13 @@ def test_restarted_mock_is_reached_again_and_a_stopped_one_is_a_remote_error():
 
     def calls():
         nonlocal server, thread
-        assert call_prm(endpoint, composite, "p") == 1.0  # pools a connection
+        assert call_prm(endpoint, task, task.target, "p") == 1.0  # pools a connection
         stop()
         server, thread = serve(tasks, port=port)
-        assert call_prm(endpoint, composite, "p") == 1.0  # past the stale connection
+        assert call_prm(endpoint, task, task.target, "p") == 1.0  # past the stale connection
         stop()
         with pytest.raises(RemoteError):
-            call_prm(endpoint, composite, "p")
+            call_prm(endpoint, task, task.target, "p")
 
     with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread: no connection yet
         try:
@@ -956,22 +1023,22 @@ def test_restarted_mock_is_reached_again_without_retries(monkeypatch):
     # the readability check finds the old socket closed and reconnects,
     # so no retry is spent on it
     tasks = synth_tasks(2, side=16, seed=57)
-    composite = render_overlay(tasks[0].image, tasks[0].target)
+    task = tasks[0]
     opened = _record_connects(monkeypatch)
     servers = [serve(tasks)]
     host, port = servers[0][0].server_address
     endpoint = RemoteEndpoint(base_url=f"http://{host}:{port}", timeout=5.0, max_retries=0)
 
     def calls():
-        assert call_prm(endpoint, composite, "p") == 1.0
+        assert call_prm(endpoint, task, task.target, "p") == 1.0
         server, thread = servers[-1]
         server.shutdown()
         server.server_close()
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         servers.append(serve(tasks, port=port))
-        assert call_prm(endpoint, composite, "p") == 1.0
-        assert call_prm(endpoint, composite, "p") == 1.0
+        assert call_prm(endpoint, task, task.target, "p") == 1.0
+        assert call_prm(endpoint, task, task.target, "p") == 1.0
 
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread: no connection yet
@@ -994,13 +1061,13 @@ def test_a_pooled_connection_past_descriptor_1023_is_reused(mock, monkeypatch):
     if hard != resource.RLIM_INFINITY and hard < need:
         pytest.skip(f"the hard descriptor limit {hard} is below {need}")
     tasks, endpoint = mock
-    composite = render_overlay(tasks[0].image, tasks[0].target)
+    task = tasks[0]
     opened = _record_connects(monkeypatch)
     dummies: list[int] = []
 
     def calls():
-        assert call_prm(endpoint, composite, "p") == 1.0
-        assert call_prm(endpoint, composite, "p") == 1.0  # through the idle check
+        assert call_prm(endpoint, task, task.target, "p") == 1.0
+        assert call_prm(endpoint, task, task.target, "p") == 1.0  # through the idle check
         return opened[0][1].sock.fileno()
 
     resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, need), hard))
@@ -1020,16 +1087,15 @@ def test_a_pooled_connection_past_descriptor_1023_is_reused(mock, monkeypatch):
 def test_endpoints_on_one_host_share_one_connection(mock, monkeypatch):
     tasks, endpoint = mock
     task = tasks[0]
-    composite = render_overlay(task.image, task.target)
     segment, act, score = (RemoteEndpoint(endpoint.base_url, timeout=t) for t in (5.0, 6.0, 7.0))
     opened = _record_connects(monkeypatch)
 
     def calls():
         ys, xs = np.nonzero(task.target.data)
         clicks = [Action.positive(*_pc(task, int(xs[0]), int(ys[0])))]
-        assert call_segment(segment, task.image, clicks) == OracleSegmenter().segment(task, clicks)
-        assert len(call_policy(act, composite, render_prompt("default", task.prompt), 2)) == 2
-        assert call_prm(score, composite, "p") == 1.0
+        assert call_segment(segment, task, clicks) == OracleSegmenter().segment(task, clicks)
+        assert len(call_policy(act, task, task.target, render_prompt("default", task.prompt), 2)) == 2
+        assert call_prm(score, task, task.target, "p") == 1.0
         sock = opened[0][1].sock
         return sock.gettimeout(), sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
@@ -1045,7 +1111,7 @@ def test_base_url_path_prefix_is_kept(scripted):
     ok = json.dumps({"text": "Current mIoU: 40"}).encode()
     handler, endpoint = scripted([(200, ok)])
     prefixed = RemoteEndpoint(base_url=endpoint.base_url + "/models/prm/", timeout=5.0)
-    assert call_prm(prefixed, _any_ppm(), "p") == 0.4
+    assert call_prm(prefixed, _ANY, _ANY.target, "p") == 0.4
     assert handler.hits == ["/models/prm/v1/score"]
 
 
@@ -1102,11 +1168,11 @@ def test_http_goes_through_the_proxy_unless_bypassed(proxy, scripted, monkeypatc
     ok = json.dumps({"text": "Current mIoU: 40"}).encode()
     handler, endpoint = scripted([(200, ok)])
     monkeypatch.setenv("HTTP_PROXY", proxy_url)
-    assert call_prm(endpoint, _any_ppm(), "p") == 0.4
+    assert call_prm(endpoint, _ANY, _ANY.target, "p") == 0.4
     assert seen == [f"POST {endpoint.base_url}/v1/score HTTP/1.1"]  # absolute-form target
     assert handler.hits == ["/v1/score"]
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    assert call_prm(endpoint, _any_ppm(), "p") == 0.4
+    assert call_prm(endpoint, _ANY, _ANY.target, "p") == 0.4
     assert len(seen) == 1
     assert handler.hits == ["/v1/score", "/v1/score"]
 
@@ -1116,7 +1182,7 @@ def test_https_through_a_proxy_opens_a_tunnel(proxy, monkeypatch):
     monkeypatch.setenv("HTTPS_PROXY", proxy_url)
     endpoint = RemoteEndpoint(base_url="https://127.0.0.1:9", timeout=5.0, max_retries=0)
     with pytest.raises(RemoteError, match="502"):
-        call_prm(endpoint, _any_ppm(), "p")
+        call_prm(endpoint, _ANY, _ANY.target, "p")
     assert len(seen) == 1
     assert seen[0].startswith("CONNECT 127.0.0.1:9 HTTP/")
 
