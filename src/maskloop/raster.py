@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyMaskError, MaskShapeError, PnmError, RleError
 
@@ -239,6 +238,8 @@ def edt_sq(region: BitMask) -> tuple[np.ndarray, tuple[int, int]]:
     The crop is exact: all outside the box is background, and a pixel
     beyond the pad ring is no nearer the region than its clamp on it.
     """
+    from scipy import ndimage
+
     inside = region.data
     rows = np.flatnonzero(inside.any(axis=1))
     if not rows.size:
@@ -267,6 +268,8 @@ def component_labels(mask: BitMask) -> np.ndarray:
     mask's bounding box is labelled: nothing outside it is foreground, and
     inside it row-major order is the raster's, so the labels are the same.
     """
+    from scipy import ndimage
+
     inside = mask.data
     labels = np.zeros(inside.shape, dtype=np.int32)
     rows = np.flatnonzero(inside.any(axis=1))

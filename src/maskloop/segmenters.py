@@ -15,7 +15,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from . import remote
 from .env import NEGATIVE_CLICK, POSITIVE_CLICK, Action, Task
@@ -79,6 +78,8 @@ _NEIGHBORS = ((0, -1), (-1, 0), (1, 0), (0, 1))
 
 
 def _grow(img: np.ndarray, sx: int, sy: int, delta: int, cap: int) -> np.ndarray:
+    from scipy import ndimage
+
     seed_val = int(img[sy, sx])
     admissible = np.abs(img.astype(np.int16) - seed_val) <= delta
     labels, _ = ndimage.label(admissible, structure=FOUR_CONNECTED)

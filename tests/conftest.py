@@ -269,11 +269,19 @@ def fault_for(digest: bytes, attempt: int) -> object | None:
 @contextlib.contextmanager
 def faulty_mock(tasks, **kwargs):
     """``mock_server.serve`` whose HTTP handler injects ``fault_for``'s
-    faults; yields (base URL, Counter of the faults injected)."""
+    faults; yields (base URL, list of the (fault, request body) pairs
+    injected in arrival order, restart). restart() empties the list and
+    starts the schedule over, as a new server would, without the half
+    second a server's shutdown waits."""
     server, thread = mock_server.serve(tasks, port=0, **kwargs)
     arrivals: Counter = Counter()
-    injected: Counter = Counter()
+    injected: list = []
     lock = threading.Lock()
+
+    def restart() -> None:
+        with lock:
+            arrivals.clear()
+            injected.clear()
 
     class Faulty(server.RequestHandlerClass):
         def do_POST(self):  # noqa: N802
@@ -283,7 +291,7 @@ def faulty_mock(tasks, **kwargs):
                 fault = fault_for(digest, arrivals[digest])
                 arrivals[digest] += 1
                 if fault is not None:
-                    injected[fault] += 1
+                    injected.append((fault, body))
             if fault in (500, 503):
                 self._send(fault, {"error": "injected fault"})
             elif fault == "close":
@@ -302,7 +310,7 @@ def faulty_mock(tasks, **kwargs):
 
     server.RequestHandlerClass = Faulty  # before any connection: serve() has sent nothing
     try:
-        yield "http://%s:%d" % server.server_address[:2], injected
+        yield "http://%s:%d" % server.server_address[:2], injected, restart
     finally:
         server.shutdown()
         server.server_close()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import os
+import subprocess
 import sys
 
 import pytest
@@ -44,3 +45,16 @@ def test_traced_method_resolves(modname, clsname, attr, span):
 def test_mock_launcher_wraps_a_name_that_exists(owner, attr):
     module = importlib.import_module("maskloop.mock_server")
     assert callable(getattr(module if owner is None else getattr(module, owner), attr))
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # bench/spans.py looks each module up in sys.modules right after
+    # `from maskloop.cli import dispatch`; the mock launcher imports
+    # maskloop.mock_server itself
+    traced = {modname for modname, *_ in spans.FUNCTIONS + spans.METHODS} - {"maskloop.mock_server"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(importlib.import_module("maskloop").__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, maskloop.cli; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert sorted(traced - set(out.stdout.split())) == []

@@ -665,13 +665,51 @@ def test_a_remote_rollout_in_another_overlay_style_names_both_styles(served, tmp
     assert caplog.text.count(named) == 4  # each failed task is logged
 
 
-def test_importing_the_cli_leaves_the_mock_server_out():
-    code = "import sys, maskloop.cli; print('maskloop.mock_server' in sys.modules)"
+# run in a fresh interpreter with a scratch directory as argv[1]: which of
+# the deferred modules each stage has loaded
+_DEFERRED_IMPORTS = """
+import contextlib, io, json, os, sys
+deferred = ("scipy.ndimage", "maskloop.mock_server")
+seen = {}
+import maskloop
+seen["import maskloop"] = sorted(n for n in sys.modules if n.startswith("maskloop."))
+from maskloop.cli import dispatch
+seen["import maskloop.cli"] = [n for n in deferred if n in sys.modules]
+d = sys.argv[1]
+tasks = os.path.join(d, "tasks")
+with open(os.path.join(d, "regression.json"), "w") as fh:
+    json.dump({"pred": [0.1, 0.5, 0.9], "truth": [0.2, 0.4, 0.8]}, fh)
+runs = {
+    "synth, eval-ciou, eval-regression": [
+        ["synth", "--n", "3", "--side", "32", "--out", tasks],
+        ["eval-ciou", "--pred", os.path.join(tasks, "targets"), "--gt", os.path.join(tasks, "targets")],
+        ["eval-regression", "--data", os.path.join(d, "regression.json")],
+    ],
+    "gen-traj": [["gen-traj", "--tasks", os.path.join(tasks, "manifest.json"), "--out", os.path.join(d, "t.jsonl")]],
+}
+for stage, argvs in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(dispatch(argv) == 0 for argv in argvs)
+    seen[stage] = [n for n in deferred if n in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_importing_the_cli_leaves_the_mock_server_out(tmp_path):
+    # the package root imports no submodule, scipy.ndimage loads with the
+    # first command that computes a distance transform or labels, and only
+    # serve-mock loads the mock server
     src = os.path.dirname(os.path.dirname(os.path.abspath(mock_server.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    argv = [sys.executable, "-c", _DEFERRED_IMPORTS, str(tmp_path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == {
+        "import maskloop": [],
+        "import maskloop.cli": [],
+        "synth, eval-ciou, eval-regression": [],
+        "gen-traj": ["scipy.ndimage"],
+    }
 
 
 @pytest.mark.parametrize(

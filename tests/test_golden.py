@@ -15,6 +15,9 @@ are hashed with the ``config_hash`` value blanked; every other byte counts.
 The remote commands run once more through ``conftest.faulty_mock``, which
 answers some requests with a 500 or 503 or closes the connection before or
 during the reply; with retries to spare, their outputs match the same pins.
+Then, with the injector's schedule started over, they run with
+``--max-retries 0``: each task that met a fault fails, is counted and
+named, and every other task's record is the clean run's.
 
 A change that alters outputs on purpose regenerates the pins with
 
@@ -46,6 +49,12 @@ from maskloop.env import load_tasks
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 REMOTE_DIR = "remote"
 _CONFIG_HASH = re.compile(rb'"config_hash": "[0-9a-f]+"')
+# the tasks whose requests meet a fault first, for each remote command run
+# in turn: faults are keyed on request bodies, so --jobs does not change them
+ZERO_RETRY_FAILURES = {
+    "rollout": ["synth-0000", "synth-0002", "synth-0003", "synth-0004"],
+    "search": ["synth-0000", "synth-0001", "synth-0003", "synth-0004"],
+}
 
 
 def _local_commands(side: int, seg: str, jobs: str) -> list[tuple[str, list[str]]]:
@@ -122,6 +131,20 @@ def _run_remote(digests: dict, url: str, jobs: int, *extra: str) -> None:
         _run(digests, f"{i:02d}:{command}", [command, *argv, *extra])
 
 
+def _remote_output(command: str) -> tuple[dict, dict]:
+    """A remote command's records keyed by task id, and its header's failures."""
+    if command == "rollout":
+        with open(f"{REMOTE_DIR}/rollout.jsonl.manifest.json", encoding="utf-8") as fh:
+            header = json.load(fh)["header"]
+        with open(f"{REMOTE_DIR}/rollout.jsonl", encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+    else:
+        with open(f"{REMOTE_DIR}/search.json", encoding="utf-8") as fh:
+            out = json.load(fh)
+        header, records = out["header"], out["results"]
+    return {r["task_id"]: r for r in records}, header.get("failures", {})
+
+
 def _hash_files(digests: dict, top: str = ".") -> None:
     for root, _, names in os.walk(top):
         for name in names:
@@ -183,12 +206,31 @@ def test_remote_bytes_hold_under_faults(tmp_path, monkeypatch, jobs):
     assert synth[1][-1] == "tasks32"
     _run({}, "synth", [synth[0], *synth[1]])
     digests: dict[str, str] = {}
-    with faulty_mock(load_tasks("tasks32/manifest.json")) as (url, injected):
+    tasks = load_tasks("tasks32/manifest.json")
+    with faulty_mock(tasks) as (url, injected, restart):
         _run_remote(digests, url, jobs, "--max-retries", str(MAX_FAULTS + 1))
-    _hash_files(digests, REMOTE_DIR)
-    assert set(injected) == set(FAULTS), injected  # each kind of fault was met
-    assert len(backoffs) == sum(injected.values())  # and cost exactly one retry
-    _compare({k: v for k, v in pinned.items() if k.startswith(REMOTE_DIR + "/") or k in digests}, digests)
+        _hash_files(digests, REMOTE_DIR)
+        assert {fault for fault, _ in injected} == set(FAULTS)  # each kind of fault was met
+        assert len(backoffs) == len(injected)  # and cost exactly one retry
+        _compare({k: v for k, v in pinned.items() if k.startswith(REMOTE_DIR + "/") or k in digests}, digests)
+
+        # without retries a task fails at its first fault; the others'
+        # records are the clean run's, which the run above has just matched
+        clean = {command: _remote_output(command)[0] for command in ZERO_RETRY_FAILURES}
+        task_of = {task.image_pgm_b64: task.id for task in tasks}  # each request carries its image
+        assert len(task_of) == len(tasks)
+        restart()
+        for command, argv in _remote_commands(url, str(jobs)):
+            met = len(injected)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert dispatch([command, *argv, "--max-retries", "0"]) == 0
+            faulted = sorted({task_of[json.loads(body)["image_pgm_b64"]] for _, body in injected[met:]})
+            records, failures = _remote_output(command)
+            assert faulted == ZERO_RETRY_FAILURES[command]
+            assert sorted(failures) == faulted
+            assert json.loads(out.getvalue())["n_failures"] == len(faulted)
+            assert records == {k: v for k, v in clean[command].items() if k not in faulted}
 
 
 if __name__ == "__main__":
