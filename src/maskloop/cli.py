@@ -518,18 +518,13 @@ def cmd_star(cfg: dict) -> None:
     segmenter = _segmenter(cfg)
     env_config = _env_config(cfg)
     policy = _policy(cfg)
-    hook = (
-        TrainHook("external_command", cfg["hook_cmd"])
-        if cfg["hook_cmd"]
-        else TrainHook("emit_only")
-    )
     final, reports = star_iteration(
         mode=cfg["mode"],
         policy=policy,
         seed_data=seed_data,
         tasks=tasks,
         n_iters=cfg["n_iters"],
-        hook=hook,
+        hook=TrainHook(cfg["hook_cmd"] or None),
         segmenter=segmenter,
         config=env_config,
         out_dir=cfg["out"],

@@ -98,6 +98,8 @@ def action_to_dict(action: Action) -> dict:
 
 
 def action_from_dict(obj: dict) -> Action:
+    if not isinstance(obj, dict):
+        raise TypeError(f"action must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind in (POSITIVE_CLICK, NEGATIVE_CLICK):
         return Action(kind, point=NormPoint(obj["x"], obj["y"]))
@@ -209,12 +211,16 @@ def init_to_dict(init: InitSpec) -> dict:
 
 
 def init_from_dict(obj: dict) -> InitSpec:
+    if not isinstance(obj, dict):
+        raise TypeError(f"init must be an object, got {obj!r}")
     variant = obj.get("variant")
     if variant == INIT_EMPTY:
         return InitSpec.empty()
     if variant == INIT_BOX:
         b = obj["box"]
-        return InitSpec.from_box(NormBox(b[0], b[1], b[2], b[3]))
+        if not isinstance(b, (list, tuple)) or len(b) != 4:
+            raise ValueError(f"init box must be [x1, y1, x2, y2], got {b!r}")
+        return InitSpec.from_box(NormBox(*b))
     if variant == INIT_RANDOM:
         return InitSpec.from_random_clicks(obj["n_pos"], obj["n_neg"], obj["seed"])
     raise ValueError(f"unknown init variant {variant!r}")
@@ -326,12 +332,18 @@ def load_tasks(manifest_path: str) -> list[Task]:
     """Load tasks from a JSON manifest of image/target PGM paths.
 
     Relative paths resolve against the manifest's directory. A manifest
-    that lists a task id twice, and tasks with mismatched dimensions or
-    empty targets, are rejected outright.
+    that lists a task id twice or an entry that is not an object with a
+    string id, and tasks with mismatched dimensions or empty targets, are
+    rejected outright.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     entries = data["tasks"] if isinstance(data, dict) else data
+    if not isinstance(entries, list):
+        raise ValueError(f"{manifest_path}: the tasks must be a list, got {entries!r}")
+    for entry in entries:
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise ValueError(f"{manifest_path}: malformed task entry {entry!r}")
     repeated = [task_id for task_id, n in Counter(entry["id"] for entry in entries).items() if n > 1]
     if repeated:
         raise DuplicateTaskIdError(f"{manifest_path}: task ids listed more than once: {repeated}")

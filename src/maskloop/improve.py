@@ -111,22 +111,19 @@ class DatasetManifest:
 class TrainHook:
     """Where refined datasets go: an external command or nowhere.
 
-    external_command mode runs the command with ``{dataset}`` replaced by
-    the dataset path; a nonzero exit aborts the iteration.
+    A command runs with ``{dataset}`` replaced by the dataset path; a
+    nonzero exit aborts the iteration. With no command the path is only
+    logged.
     """
 
-    mode: str = "emit_only"
     command: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("emit_only", "external_command"):
-            raise ValueError(f"unknown hook mode {self.mode!r}")
-        if self.mode == "external_command":
-            if not self.command or "{dataset}" not in self.command:
-                raise ValueError("external_command hooks need a '{dataset}' placeholder")
+        if self.command is not None and "{dataset}" not in self.command:
+            raise ValueError("hook commands need a '{dataset}' placeholder")
 
     def invoke(self, dataset_path: str) -> None:
-        if self.mode == "emit_only":
+        if self.command is None:
             log.info("training hook (emit only): %s", dataset_path)
             return
         argv = [part.replace("{dataset}", dataset_path) for part in shlex.split(self.command)]

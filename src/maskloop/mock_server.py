@@ -391,6 +391,7 @@ def serve(
     service = MockService(tasks, prompt_config, r_neg)
     handler = type("BoundHandler", (_Handler,), {"service": service})
     server = _Server(("127.0.0.1", port), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits up to one interval when the server is idle
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
     return server, thread

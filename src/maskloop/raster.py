@@ -31,10 +31,48 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class BitMask:
-    """Immutable boolean raster of shape (height, width)."""
+def _levels(a: np.ndarray, kind: str) -> np.ndarray:
+    """The intensities as a read-only uint8 array; ValueError outside [0, 255]."""
+    if a.dtype != np.uint8:
+        if a.min() < 0 or a.max() > 255:
+            raise ValueError(f"{kind} intensities must lie in [0, 255]")
+        a = a.astype(np.uint8)
+    return _frozen(a)
+
+
+class _Raster:
+    """Immutable raster over a read-only array of shape (height, width, ...).
+
+    Equal only to a raster of its own type with equal pixels; unhashable.
+    """
 
     __slots__ = ("data",)
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.width}x{self.height})"
+
+
+class BitMask(_Raster):
+    """Immutable boolean raster of shape (height, width)."""
+
+    __slots__ = ()
 
     def __init__(self, data: np.ndarray):
         a = np.array(data, dtype=bool)
@@ -49,18 +87,6 @@ class BitMask:
     @classmethod
     def full(cls, width: int, height: int) -> "BitMask":
         return cls(np.ones((height, width), dtype=bool))
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
 
     def area(self) -> int:
         return int(np.count_nonzero(self.data))
@@ -79,81 +105,32 @@ class BitMask:
     def __invert__(self) -> "BitMask":
         return BitMask(~self.data)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMask):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
-
     def __repr__(self) -> str:
         return f"BitMask({self.width}x{self.height}, area={self.area()})"
 
 
-class GrayImage:
+class GrayImage(_Raster):
     """Immutable 8-bit grayscale raster of shape (height, width)."""
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
     def __init__(self, data: np.ndarray):
         a = np.array(data)
         if a.ndim != 2 or a.size == 0:
             raise MaskShapeError(f"image must be 2-d and nonempty, got shape {a.shape}")
-        if a.dtype != np.uint8:
-            if a.min() < 0 or a.max() > 255:
-                raise ValueError("gray intensities must lie in [0, 255]")
-            a = a.astype(np.uint8)
-        self.data = _frozen(a)
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrayImage):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
-
-    def __repr__(self) -> str:
-        return f"GrayImage({self.width}x{self.height})"
+        self.data = _levels(a, "gray")
 
 
-class RgbImage:
+class RgbImage(_Raster):
     """Immutable 8-bit RGB raster of shape (height, width, 3)."""
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
     def __init__(self, data: np.ndarray):
         a = np.array(data)
         if a.ndim != 3 or a.shape[2] != 3 or a.shape[0] == 0 or a.shape[1] == 0:
             raise MaskShapeError(f"rgb raster must have shape (h, w, 3), got {a.shape}")
-        if a.dtype != np.uint8:
-            if a.min() < 0 or a.max() > 255:
-                raise ValueError("rgb intensities must lie in [0, 255]")
-            a = a.astype(np.uint8)
-        self.data = _frozen(a)
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RgbImage):
-            return NotImplemented
-        return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
-
-    def __repr__(self) -> str:
-        return f"RgbImage({self.width}x{self.height})"
+        self.data = _levels(a, "rgb")
 
 
 @dataclass(frozen=True)
@@ -190,10 +167,13 @@ def _check_same_shape(a, b) -> None:
         raise MaskShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def check_paired(image: GrayImage, mask: BitMask) -> None:
-    """Raise unless image and mask share dimensions."""
-    if image.shape != mask.shape:
-        raise MaskShapeError(f"image {image.shape} does not match mask {mask.shape}")
+def _foreground_box(mask: BitMask) -> tuple[int, int, int, int] | None:
+    """Half-open pixel box (x0, y0, x1, y1) of the foreground; None if empty."""
+    rows = np.flatnonzero(mask.data.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(mask.data.any(axis=0))
+    return int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1
 
 
 def pixel_center(px: int, py: int, width: int, height: int) -> NormPoint:
@@ -240,15 +220,13 @@ def edt_sq(region: BitMask) -> tuple[np.ndarray, tuple[int, int]]:
     """
     from scipy import ndimage
 
-    inside = region.data
-    rows = np.flatnonzero(inside.any(axis=1))
-    if not rows.size:
+    box = _foreground_box(region)
+    if box is None:
         return _frozen(np.zeros((0, 0), dtype=np.int64)), (0, 0)
-    cols = np.flatnonzero(inside.any(axis=0))
-    y0, x0 = int(rows[0]), int(cols[0])
-    h, w = int(rows[-1]) + 1 - y0, int(cols[-1]) + 1 - x0
+    x0, y0, x1, y1 = box
+    h, w = y1 - y0, x1 - x0
     padded = np.zeros((h + 2, w + 2), dtype=bool)
-    padded[1:-1, 1:-1] = inside[y0 : y0 + h, x0 : x0 + w]
+    padded[1:-1, 1:-1] = region.data[y0:y1, x0:x1]
     fy, fx = ndimage.distance_transform_edt(padded, return_distances=False, return_indices=True)
     dy = fy[1:-1, 1:-1] - np.arange(1, h + 1, dtype=np.int64)[:, None]
     dx = fx[1:-1, 1:-1] - np.arange(1, w + 1, dtype=np.int64)
@@ -270,13 +248,12 @@ def component_labels(mask: BitMask) -> np.ndarray:
     """
     from scipy import ndimage
 
-    inside = mask.data
-    labels = np.zeros(inside.shape, dtype=np.int32)
-    rows = np.flatnonzero(inside.any(axis=1))
-    if rows.size:
-        cols = np.flatnonzero(inside.any(axis=0))
-        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-        ndimage.label(inside[box], structure=FOUR_CONNECTED, output=labels[box])
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    box = _foreground_box(mask)
+    if box is not None:
+        x0, y0, x1, y1 = box
+        crop = np.s_[y0:y1, x0:x1]
+        ndimage.label(mask.data[crop], structure=FOUR_CONNECTED, output=labels[crop])
     return _frozen(labels)
 
 
@@ -286,17 +263,13 @@ def bbox(mask: BitMask) -> NormBox:
     The lower edge of pixel min and the upper edge of pixel max, i.e.
     min/W and (max+1)/W, the latter clamped just below 1.0.
     """
-    if mask.is_empty():
+    box = _foreground_box(mask)
+    if box is None:
         raise EmptyMaskError("bbox of an empty mask is undefined")
-    ys, xs = np.nonzero(mask.data)
+    x0, y0, x1, y1 = box
     w, h = mask.width, mask.height
     top = math.nextafter(1.0, 0.0)
-    return NormBox(
-        x1=int(xs.min()) / w,
-        y1=int(ys.min()) / h,
-        x2=min((int(xs.max()) + 1) / w, top),
-        y2=min((int(ys.max()) + 1) / h, top),
-    )
+    return NormBox(x1=x0 / w, y1=y0 / h, x2=min(x1 / w, top), y2=min(y1 / h, top))
 
 
 def box_to_mask(box: NormBox, width: int, height: int) -> BitMask:
@@ -424,7 +397,7 @@ def render_overlay(
     Masked pixels take their gray level's row of overlay_table; unmasked
     pixels replicate the gray value. Inputs are left untouched.
     """
-    check_paired(image, mask)
+    _check_same_shape(image, mask)
     # rows 0-255: each gray level unmasked; rows 256-511: the same level masked
     levels = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
     table = np.concatenate([levels, overlay_table(color, alpha)])

@@ -271,8 +271,8 @@ def faulty_mock(tasks, **kwargs):
     """``mock_server.serve`` whose HTTP handler injects ``fault_for``'s
     faults; yields (base URL, list of the (fault, request body) pairs
     injected in arrival order, restart). restart() empties the list and
-    starts the schedule over, as a new server would, without the half
-    second a server's shutdown waits."""
+    starts the schedule over, as a new server would, without stopping
+    and starting one."""
     server, thread = mock_server.serve(tasks, port=0, **kwargs)
     arrivals: Counter = Counter()
     injected: list = []

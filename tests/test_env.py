@@ -280,5 +280,27 @@ def test_load_tasks_rejects_a_repeated_task_id(tmp_path):
         load_tasks(manifest)
 
 
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ({"tasks": ["a", "b"]}, "malformed task entry 'a'"),
+        ({"tasks": [{"id": ["a"], "prompt": "x"}]}, "malformed task entry {'id': ['a']"),
+        ([{"image_path": "a.pgm"}], "malformed task entry {'image_path'"),
+        ({"tasks": "ab"}, "the tasks must be a list, got 'ab'"),
+    ],
+)
+def test_load_tasks_names_a_malformed_manifest(tmp_path, capsys, manifest, named):
+    from maskloop.cli import dispatch
+
+    p = tmp_path / "manifest.json"
+    p.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as e:
+        load_tasks(str(p))
+    assert str(e.value).startswith(f"{p}: {named}")
+    assert dispatch(["eval-noc", "--tasks", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: {named}") and err.count("\n") == 1
+
+
 def test_kind_constants_are_distinct():
     assert len({POSITIVE_CLICK, NEGATIVE_CLICK, BOX}) == 3

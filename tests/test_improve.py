@@ -399,24 +399,23 @@ def test_manifest_paths_are_relative_to_manifest(tmp_path):
 
 
 def test_train_hook_validation():
-    with pytest.raises(ValueError):
-        TrainHook(mode="magic")
-    with pytest.raises(ValueError):
-        TrainHook(mode="external_command", command="train.sh")
-    TrainHook(mode="external_command", command="train.sh {dataset}")
+    for command in ("train.sh", ""):
+        with pytest.raises(ValueError):
+            TrainHook(command)
+    TrainHook("train.sh {dataset}")
 
 
 def test_train_hook_runs_command(tmp_path):
     marker = tmp_path / "copied.jsonl"
     data = tmp_path / "data.jsonl"
     data.write_text("{}\n")
-    hook = TrainHook(mode="external_command", command=f"cp {{dataset}} {marker}")
+    hook = TrainHook(f"cp {{dataset}} {marker}")
     hook.invoke(str(data))
     assert marker.read_text() == "{}\n"
 
 
 def test_train_hook_raises_on_failure(tmp_path):
-    hook = TrainHook(mode="external_command", command="cp {dataset} /nonexistent-dir-xyz/out")
+    hook = TrainHook("cp {dataset} /nonexistent-dir-xyz/out")
     with pytest.raises(HookError):
         hook.invoke(str(tmp_path / "missing.jsonl"))
 
@@ -557,7 +556,7 @@ def test_star_iteration_invokes_hook_each_iter(tmp_path):
     manifest, _, tasks, _ = _seed_manifest(tmp_path, n=2)
     log_dir = tmp_path / "hooklog"
     log_dir.mkdir()
-    hook = TrainHook(mode="external_command", command=f"cp {{dataset}} {log_dir}/last.jsonl")
+    hook = TrainHook(f"cp {{dataset}} {log_dir}/last.jsonl")
     star_iteration(
         "star", ExpertPolicy(), manifest, tasks, 2, hook, OracleSegmenter(), out_dir=str(tmp_path / "runs")
     )

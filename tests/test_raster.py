@@ -590,3 +590,54 @@ def test_set_ops_and_equality():
     assert (a & b) == mask_of(["#.", ".."])
     assert (a | b) == mask_of(["##", "#."])
     assert (~a) == mask_of(["..", "##"])
+
+
+# one 2x3 raster of each type: (constructor, pixels, repr)
+RASTERS = [
+    (BitMask, np.array([[1, 0, 1], [0, 0, 1]], bool), "BitMask(3x2, area=3)"),
+    (GrayImage, np.array([[1, 0, 1], [0, 0, 1]], np.uint8), "GrayImage(3x2)"),
+    (RgbImage, np.ones((2, 3, 3), np.uint8), "RgbImage(3x2)"),
+]
+
+
+@pytest.mark.parametrize("make, pixels, text", RASTERS)
+def test_rasters_share_value_semantics(make, pixels, text):
+    r = make(pixels)
+    assert (r.width, r.height, r.shape) == (3, 2, pixels.shape)
+    assert repr(r) == text
+    assert r == make(pixels.copy()) and not r != make(pixels.copy())
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(r)
+    with pytest.raises(ValueError):
+        r.data[0, 0] = 0
+    with pytest.raises(AttributeError):
+        r.note = "no __dict__"
+    # rasters of different types never compare equal, even over equal arrays
+    others = [other(p) for other, p, _ in RASTERS if other is not make]
+    if make is not RgbImage:
+        twin = (GrayImage if make is BitMask else BitMask)(pixels)
+        assert np.array_equal(twin.data, r.data)
+        others.append(twin)
+    for other in others:
+        assert r != other and other != r and not r == other
+
+
+@pytest.mark.parametrize("make, pixels, _", RASTERS)
+def test_rasters_reject_a_bad_rank_or_size(make, pixels, _):
+    for bad in (pixels[0], pixels[None], pixels[:0], pixels[:, :0]):
+        with pytest.raises(MaskShapeError):
+            make(bad)
+    if make is RgbImage:
+        with pytest.raises(MaskShapeError):
+            make(pixels[:, :, :2])
+
+
+@pytest.mark.parametrize("make", [GrayImage, RgbImage])
+@pytest.mark.parametrize("level", [-1, 256, 300.0])
+def test_images_reject_an_out_of_range_level(make, level):
+    pixels = np.zeros((2, 3, 3) if make is RgbImage else (2, 3), np.int64).astype(type(level))
+    pixels[1, 2] = level
+    with pytest.raises(ValueError, match=r"intensities must lie in \[0, 255\]"):
+        make(pixels)
+    pixels[1, 2] = 255
+    assert make(pixels).data.dtype == np.uint8

@@ -701,7 +701,7 @@ def scripted():
     def start(script):
         handler = type("Scripted", (_ScriptedHandler,), {"script": script, "hits": []})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
         thread.start()
         servers.append((server, thread))
         host, port = server.server_address
@@ -819,7 +819,7 @@ def raw():
         handler = type("Raw", (_RawHandler,), {"script": script, "requests": []})
         server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
         server.daemon_threads = True
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
         thread.start()
         servers.append((server, thread))
         host, port = server.server_address
@@ -1154,7 +1154,7 @@ def proxy(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
     handler = type("Proxy", (_ForwardProxy,), {"seen": []})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
     host, port = server.server_address
     yield handler.seen, f"http://{host}:{port}"

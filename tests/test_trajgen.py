@@ -203,6 +203,23 @@ def test_jsonl_error_names_the_line(tmp_path):
         read_jsonl(str(path))
     assert e.value.line == 1
 
+    # a box of the wrong length, a non-object init or action: named, not a traceback
+    for field, value in [
+        ("init", {"variant": "from_box", "box": [0.1, 0.1, 0.5]}),
+        ("init", "from_box"),
+        ("action", ["positive_click", 0.5, 0.5]),
+    ]:
+        bad = json.loads(json.dumps(good))
+        if field == "init":
+            bad["init"] = value
+        else:
+            bad["steps"][0]["action"] = value
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(JsonlError) as e:
+            read_jsonl(str(path))
+        assert e.value.line == 2, value
+        assert "invalid trajectory record" in str(e.value)
+
 
 def test_jsonl_float_counts_name_the_line(tmp_path):
     import json
