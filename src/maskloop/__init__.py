@@ -6,6 +6,8 @@ alone loads none of them.
 
 The pieces, roughly bottom-up:
 
+- :mod:`maskloop.fields`: the readers every JSON record read from outside
+  goes through.
 - :mod:`maskloop.raster`: masks, images, exact distance transforms, RLE,
   PGM/PPM io, overlay rendering.
 - :mod:`maskloop.env`: tasks, actions, episode state and stepping.

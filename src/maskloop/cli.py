@@ -35,8 +35,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import fields
 from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
-from .errors import MaskLoopError
+from .errors import FieldError, MaskLoopError
 from .improve import DatasetManifest, TrainHook
 from .improve import rollout as run_rollout
 from .improve import star_iteration
@@ -76,39 +77,28 @@ class UsageError(Exception):
 # option plumbing
 
 
-def _parse_color(value) -> tuple[int, int, int]:
+def _parse_color(value: str | list) -> tuple[int, int, int]:
     """mask_color from a flag or a config file: "R,G,B", or a list of three
-    from a config file, each channel in [0, 255]."""
-    parts = value if isinstance(value, list) else str(value).split(",")
-    with contextlib.suppress(TypeError, ValueError):
+    integers from a config file, each channel in [0, 255]."""
+    parts = value if isinstance(value, list) else value.split(",")
+    with contextlib.suppress(ValueError):
         rgb = tuple(int(p) for p in parts)
         if len(rgb) == 3 and all(0 <= c <= 255 for c in rgb):
             return rgb
     raise UsageError(f"option 'mask_color' takes R,G,B, each in [0, 255], got {value!r}")
 
 
-# what a config-file value may be, by the type of the key's default: the
-# rule its flag applies
-_FILE_TYPES = {
-    bool: (bool, "a JSON bool"),
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    str: (str, "a string"),
-    type(None): (str, "a string"),
-}
-
-
-def _typed(key: str, value, default):
-    """Check a config-file value against its key's rule; a number for a
-    float key comes back as a float. mask_color takes what _parse_color takes."""
+def _file_value(cfg: dict, key: str, default):
+    """A config-file value by its flag's rule: a bool key takes a JSON bool,
+    an int key an integer, a float key a number (read as a float), any
+    other key a string; mask_color also takes a list of three integers."""
     if key == "mask_color":
+        value = (fields.integers if isinstance(cfg[key], list) else fields.string)(cfg, key)
         _parse_color(value)
         return value
-    types, what = _FILE_TYPES[type(default)]
-    # a JSON bool is a Python int, but only a bool key takes one
-    if not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool):
-        raise UsageError(f"config key {key!r} takes {what}, got {value!r}")
-    return float(value) if isinstance(default, float) else value
+    if isinstance(default, bool):
+        return fields.choice(cfg, key, (True, False))
+    return {int: fields.integer, float: fields.number}.get(type(default), fields.string)(cfg, key)
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -123,7 +113,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise UsageError(f"{config_path}: unknown config keys {sorted(unknown)}")
-        effective.update((k, _typed(k, v, defaults[k])) for k, v in file_cfg.items())
+        for key in file_cfg:
+            try:
+                effective[key] = _file_value(file_cfg, key, defaults[key])
+            except FieldError as e:
+                raise UsageError(f"{config_path}: config key {key!r}: {e.problem}")
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -652,10 +646,15 @@ def cmd_eval_regression(cfg: dict) -> None:
     _require(cfg, "data")
     with open(cfg["data"], "r", encoding="utf-8") as fh:
         data = json.load(fh)
+
+    def numbers(key: str) -> list[float]:
+        xs = fields.array(data, key)
+        return [fields.number(xs, i, key) for i in range(len(xs))]
+
     try:
-        pred, truth = data["pred"], data["truth"]
-    except (KeyError, TypeError):
-        raise UsageError(f"{cfg['data']}: expected an object with 'pred' and 'truth' arrays")
+        pred, truth = numbers("pred"), numbers("truth")
+    except FieldError as e:
+        raise UsageError(f"{cfg['data']}: {e}")
     _emit(regression_metrics(pred, truth))
 
 

@@ -19,7 +19,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DuplicateTaskIdError, EpisodeDoneError, MaskShapeError
+from . import fields
+from .errors import DuplicateTaskIdError, EpisodeDoneError, FieldError, MaskShapeError
 from .raster import (
     BitMask,
     GrayImage,
@@ -46,6 +47,7 @@ STOP_TAU = "reached_tau_stop"
 STOP_MAX = "max_steps"
 STOP_LOW_IMPACT = "low_impact"
 STOP_CONVERGED = "converged"
+STOP_REASONS = (STOP_RUNNING, STOP_TAU, STOP_MAX, STOP_LOW_IMPACT, STOP_CONVERGED)
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,12 @@ def action_to_dict(action: Action) -> dict:
     return {"kind": BOX, "x1": b.x1, "y1": b.y1, "x2": b.x2, "y2": b.y2}
 
 
-def action_from_dict(obj: dict) -> Action:
-    if not isinstance(obj, dict):
-        raise TypeError(f"action must be an object, got {obj!r}")
-    kind = obj.get("kind")
-    if kind in (POSITIVE_CLICK, NEGATIVE_CLICK):
-        return Action(kind, point=NormPoint(obj["x"], obj["y"]))
+def action_from_dict(obj: dict, where: str = "") -> Action:
+    """Read an action from JSON; ``where`` is its path, for the errors."""
+    kind = fields.choice(obj, "kind", (POSITIVE_CLICK, NEGATIVE_CLICK, BOX), where)
     if kind == BOX:
-        return Action(BOX, box=NormBox(obj["x1"], obj["y1"], obj["x2"], obj["y2"]))
-    raise ValueError(f"unknown action kind {kind!r}")
+        return Action(BOX, box=NormBox(*(fields.number(obj, k, where) for k in ("x1", "y1", "x2", "y2"))))
+    return Action(kind, point=NormPoint(fields.number(obj, "x", where), fields.number(obj, "y", where)))
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,8 @@ class InitSpec:
         elif self.variant == INIT_RANDOM:
             if self.n_pos < 0 or self.n_neg < 0 or self.n_pos + self.n_neg < 1:
                 raise ValueError("random init needs at least one click")
-            if self.seed is None:
-                raise ValueError("random init needs a seed")
+            if self.seed is None or self.seed < 0:  # numpy takes no negative seed
+                raise ValueError(f"random init needs a seed of at least 0, got {self.seed}")
         else:
             raise ValueError(f"unknown init variant {self.variant!r}")
 
@@ -210,20 +209,18 @@ def init_to_dict(init: InitSpec) -> dict:
     }
 
 
-def init_from_dict(obj: dict) -> InitSpec:
-    if not isinstance(obj, dict):
-        raise TypeError(f"init must be an object, got {obj!r}")
-    variant = obj.get("variant")
+def init_from_dict(obj: dict, where: str = "") -> InitSpec:
+    """Read an episode start from JSON; ``where`` is its path, for the errors."""
+    variant = fields.choice(obj, "variant", (INIT_EMPTY, INIT_BOX, INIT_RANDOM), where)
     if variant == INIT_EMPTY:
         return InitSpec.empty()
     if variant == INIT_BOX:
-        b = obj["box"]
-        if not isinstance(b, (list, tuple)) or len(b) != 4:
-            raise ValueError(f"init box must be [x1, y1, x2, y2], got {b!r}")
-        return InitSpec.from_box(NormBox(*b))
-    if variant == INIT_RANDOM:
-        return InitSpec.from_random_clicks(obj["n_pos"], obj["n_neg"], obj["seed"])
-    raise ValueError(f"unknown init variant {variant!r}")
+        b = fields.array(obj, "box", where)
+        if len(b) != 4:
+            raise FieldError(fields.path(where, "box"), f"expected [x1, y1, x2, y2], got {len(b)} values")
+        return InitSpec.from_box(NormBox(*(fields.number(b, i, fields.path(where, "box")) for i in range(4))))
+    n_pos, n_neg, seed = (fields.integer(obj, k, where) for k in ("n_pos", "n_neg", "seed"))
+    return InitSpec.from_random_clicks(n_pos, n_neg, seed)
 
 
 @dataclass(frozen=True)
@@ -331,28 +328,34 @@ def _check_mask(task: Task, mask: BitMask) -> None:
 def load_tasks(manifest_path: str) -> list[Task]:
     """Load tasks from a JSON manifest of image/target PGM paths.
 
-    Relative paths resolve against the manifest's directory. A manifest
-    that lists a task id twice or an entry that is not an object with a
-    string id, and tasks with mismatched dimensions or empty targets, are
-    rejected outright.
+    The manifest is an object whose ``tasks`` list holds the entries, or
+    that list alone. Each entry's id, image_path, target_path and prompt
+    are strings, and the id is a plain file name: not empty, ``.`` or
+    ``..``, and free of ``/``, ``\\`` and NUL, since outputs are named
+    after it. Relative paths resolve against the manifest's directory. A
+    manifest that lists a task id twice, and tasks with mismatched
+    dimensions or empty targets, are rejected outright.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    entries = data["tasks"] if isinstance(data, dict) else data
-    if not isinstance(entries, list):
-        raise ValueError(f"{manifest_path}: the tasks must be a list, got {entries!r}")
-    for entry in entries:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            raise ValueError(f"{manifest_path}: malformed task entry {entry!r}")
-    repeated = [task_id for task_id, n in Counter(entry["id"] for entry in entries).items() if n > 1]
+    rows = []
+    with fields.source(manifest_path):
+        entries = fields.array(data if isinstance(data, dict) else {"tasks": data}, "tasks")
+        for i in range(len(entries)):
+            entry, where = fields.obj(entries, i, "tasks"), f"tasks[{i}]"
+            task_id = fields.string(entry, "id", where)
+            if task_id in ("", ".", "..") or any(c in task_id for c in "/\\\0"):
+                raise FieldError(f"{where}.id", f"expected a plain file name, got {task_id!r}")
+            rows.append([task_id, *(fields.string(entry, k, where) for k in ("image_path", "target_path", "prompt"))])
+    repeated = [task_id for task_id, n in Counter(row[0] for row in rows).items() if n > 1]
     if repeated:
         raise DuplicateTaskIdError(f"{manifest_path}: task ids listed more than once: {repeated}")
     base = os.path.dirname(os.path.abspath(manifest_path))
     tasks = []
-    for entry in entries:
-        image = read_pgm_image(_resolve(base, entry["image_path"]))
-        target = read_pgm_mask(_resolve(base, entry["target_path"]))
-        tasks.append(Task(id=entry["id"], image=image, target=target, prompt=entry["prompt"]))
+    for task_id, image_path, target_path, prompt in rows:
+        image = read_pgm_image(_resolve(base, image_path))
+        target = read_pgm_mask(_resolve(base, target_path))
+        tasks.append(Task(id=task_id, image=image, target=target, prompt=prompt))
     return tasks
 
 

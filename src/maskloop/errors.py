@@ -47,14 +47,27 @@ class TemplateError(MaskLoopError, ValueError):
     """Unknown prompt template id."""
 
 
+class FieldError(MaskLoopError, ValueError):
+    """A field of JSON read from outside is missing or holds the wrong type.
+
+    ``path`` names the field, such as ``steps[1].reward_before``, and
+    ``problem`` says what is wrong with it.
+    """
+
+    def __init__(self, path: str, problem: str):
+        super().__init__(f"{path}: {problem}" if path else problem)
+        self.path = path
+        self.problem = problem
+
+
 class JsonlError(MaskLoopError, ValueError):
     """A JSONL record failed to parse or validate.
 
-    ``line`` is the 1-based line number of the offending record.
+    ``line`` is the 1-based line number of the offending record in ``path``.
     """
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path: str, line: int, message: str):
+        super().__init__(f"{path}: line {line}: {message}")
         self.line = line
 
 

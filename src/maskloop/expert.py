@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .env import Action, Task
-from .raster import BitMask, argmax_point, edt_sq, pixel_center
+from .raster import BitMask, argmax_point, check_same_shape, edt_sq, pixel_center
 
 
 def _deepest(region: np.ndarray) -> tuple[int, tuple[int, int]]:
@@ -34,8 +34,7 @@ def _deepest(region: np.ndarray) -> tuple[int, tuple[int, int]]:
 
 def next_click(pred: BitMask, gt: BitMask) -> Action | None:
     """The expert's next click, or None once pred equals gt."""
-    if pred.shape != gt.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
+    check_same_shape(pred, gt)
     fn_max, fn_at = _deepest(gt.data & ~pred.data)
     fp_max, fp_at = _deepest(~gt.data & pred.data)
     if fn_max == fp_max == 0:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import env as envmod
+from . import fields
 from .env import EnvConfig, InitSpec, Task
 from .errors import HookError, ReplayMismatchError
 from .policy import Policy
@@ -80,25 +81,22 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str) -> "DatasetManifest":
-        """Load and verify: every file must parse and the counts must match."""
+        """Load and verify: every field must have its type, every file must
+        parse and the counts must match."""
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        with fields.source(path):
+            name = fields.string(obj, "name")
+            listed = fields.array(obj, "files")
+            names = [fields.string(listed, i, "files") for i in range(len(listed))]
+            provenance = fields.choice(obj, "provenance", PROVENANCES)
+            declared = fields.integer(fields.obj(obj, "counts"), "trajectories", "counts")
         base = os.path.dirname(os.path.abspath(path))
-        files = tuple(
-            f if os.path.isabs(f) else os.path.join(base, f) for f in obj["files"]
-        )
+        files = tuple(f if os.path.isabs(f) else os.path.join(base, f) for f in names)
         total = sum(len(read_jsonl(f)) for f in files)
-        declared = obj["counts"]["trajectories"]
         if total != declared:
-            raise ValueError(
-                f"{path}: manifest declares {declared} trajectories, files hold {total}"
-            )
-        return cls(
-            name=obj["name"],
-            files=files,
-            provenance=obj["provenance"],
-            n_trajectories=declared,
-        )
+            raise ValueError(f"{path}: manifest declares {declared} trajectories, files hold {total}")
+        return cls(name=name, files=files, provenance=provenance, n_trajectories=declared)
 
     def load_trajectories(self) -> list[Trajectory]:
         out: list[Trajectory] = []

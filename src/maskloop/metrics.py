@@ -9,9 +9,9 @@ import numpy as np
 
 from . import env as envmod
 from .env import EnvConfig, InitSpec, Task
-from .errors import DegenerateInputError, MaskShapeError
+from .errors import DegenerateInputError
 from .policy import Prm, prm_score
-from .raster import BitMask
+from .raster import BitMask, check_same_shape
 from .segmenters import Segmenter
 from .trajgen import expert_chooser, run_episode
 
@@ -26,8 +26,7 @@ def ciou(pairs: Sequence[tuple[BitMask, BitMask]]) -> float:
     inter_sum = 0
     union_sum = 0
     for pred, gt in pairs:
-        if pred.shape != gt.shape:
-            raise MaskShapeError(f"pair shape mismatch: {pred.shape} vs {gt.shape}")
+        check_same_shape(pred, gt)
         inter_sum += int(np.count_nonzero(pred.data & gt.data))
         union_sum += int(np.count_nonzero(pred.data | gt.data))
     if union_sum == 0:

@@ -7,9 +7,10 @@ or else by the decoded PGM's sha256. /v1/act and /v1/score decode the mask
 the request carries and answer with the expert click and the true IoU; the
 mock renders no overlay. An unknown image gets 400, and so does an overlay
 style other than the mock's (the reply names both), a mask sized unlike the
-image, and any malformed request, a field of the wrong JSON type included:
-a bool or a string where the protocol has a number, or a click sign other
-than the integer 1 or -1.
+image, and any malformed request. Payload fields are read through
+maskloop.fields, so a field of the wrong JSON type (a bool or a string
+where the protocol has a number, a click sign other than the integer 1 or
+-1) gets a 400 that names the field's path, such as ``clicks[0].sign``.
 
 The HTTP server speaks keep-alive HTTP/1.1 and frames it itself: it reads
 each request line and its header lines (names case-insensitive), and writes
@@ -40,8 +41,8 @@ import time
 from http import HTTPStatus
 from typing import Sequence
 
+from . import fields
 from .env import Action, Task
-from .errors import RleError
 from .expert import click_for
 from .policy import PromptConfig, format_action, miou_percent
 from .raster import (
@@ -98,17 +99,21 @@ class MockService:
     # -- endpoint handlers ------------------------------------------------
 
     def segment(self, payload: dict) -> dict:
-        task = self._task(payload)
-        clicks = _parse_clicks(payload.get("clicks", []))
-        box = _parse_box(payload.get("box"))
+        try:
+            task, clicks, box = self._task(payload), _parse_clicks(payload), _parse_box(payload)
+        except ValueError as e:  # a field the protocol refuses is a bad request
+            raise MockRequestError(str(e)) from None
         mask = self.segmenter.segment(task, clicks, box)
         return {"mask_rle": rle_encode(mask).to_dict()}
 
     def act(self, payload: dict) -> dict:
-        n = payload.get("n_samples", 1)
-        if type(n) is not int or not (1 <= n <= MAX_N_SAMPLES):  # a bool is an int too
-            raise MockRequestError(f"bad n_samples: {n!r} (1 to {MAX_N_SAMPLES})")
-        task, mask = self._overlay(payload)
+        try:
+            n = fields.integer(payload, "n_samples") if "n_samples" in payload else 1
+            if not 1 <= n <= MAX_N_SAMPLES:
+                raise MockRequestError(f"n_samples: {n} is outside 1 to {MAX_N_SAMPLES}")
+            task, mask = self._overlay(payload)
+        except ValueError as e:
+            raise MockRequestError(str(e)) from None
         pct = miou_percent(iou(mask, task.target))
         action = click_for(task, mask)
         if action is None:
@@ -118,7 +123,10 @@ class MockService:
         return {"texts": [text] * n}
 
     def score(self, payload: dict) -> dict:
-        task, mask = self._overlay(payload)
+        try:
+            task, mask = self._overlay(payload)
+        except ValueError as e:
+            raise MockRequestError(str(e)) from None
         return {"text": f"Current mIoU: {miou_percent(iou(mask, task.target))}"}
 
     def handle(self, path: str, payload: dict) -> dict:
@@ -134,9 +142,7 @@ class MockService:
 
     def _task(self, payload: dict) -> Task:
         """The first task whose image the request carries."""
-        b64 = payload.get("image_pgm_b64")
-        if not isinstance(b64, str):
-            raise MockRequestError(f"bad image_pgm_b64: {b64!r} (a base64 string)")
+        b64 = fields.string(payload, "image_pgm_b64")
         task = self._by_b64.get(b64)
         if task is None:
             try:
@@ -150,62 +156,35 @@ class MockService:
     def _overlay(self, payload: dict) -> tuple[Task, BitMask]:
         """The task and the mask an act or score request carries, once its
         overlay style is found to be the mock's."""
-        color, alpha = payload.get("mask_color"), payload.get("alpha")
-        if not (isinstance(color, list) and len(color) == 3 and all(type(c) is int for c in color)):
-            raise MockRequestError(f"bad mask_color: {color!r} (a list of three integers)")
-        try:
-            alpha = _number(alpha)
-        except (TypeError, OverflowError):
-            raise MockRequestError(f"bad alpha: {alpha!r} (a number)")
+        color, alpha = fields.integers(payload, "mask_color"), fields.number(payload, "alpha")
+        if len(color) != 3:
+            raise MockRequestError(f"mask_color: expected three integers, got {color}")
         if (color, alpha) != self._style:
             ours = "mask_color {}, alpha {}".format(*self._style)
             raise MockRequestError(f"overlay style mask_color {color}, alpha {alpha} is not this server's: {ours}")
         task = self._task(payload)
-        try:
-            rle = RleMask.from_dict(payload["mask_rle"])
-        except KeyError:
-            raise MockRequestError("missing mask_rle")
-        except RleError as e:
-            raise MockRequestError(f"bad mask_rle: {e}")
+        rle = RleMask.from_dict(fields.obj(payload, "mask_rle"), "mask_rle")
         if rle.size != task.image.shape:
             raise MockRequestError(f"mask_rle sized {list(rle.size)}, image is {list(task.image.shape)}")
         return task, rle_decode(rle)
 
 
-def _number(value: object) -> float:
-    """A protocol number: a JSON integer or real, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)  # OverflowError past float's range: JSON integers are unbounded
-
-
-def _parse_clicks(items: object) -> list[Action]:
-    if not isinstance(items, list):
-        raise MockRequestError("clicks must be a list")
+def _parse_clicks(payload: dict) -> list[Action]:
+    items = fields.array(payload, "clicks") if "clicks" in payload else []
     clicks: list[Action] = []
-    for item in items:
-        try:
-            sign = item["sign"]
-            x = _number(item["x"])
-            y = _number(item["y"])
-        except (KeyError, TypeError, OverflowError):
-            raise MockRequestError(f"bad click {item!r}")
-        if type(sign) is not int or sign not in (1, -1):  # not True, not 1.0
-            raise MockRequestError(f"bad click sign {sign!r}")
-        try:
-            clicks.append(Action.positive(x, y) if sign == 1 else Action.negative(x, y))
-        except ValueError as e:
-            raise MockRequestError(str(e))
+    for i in range(len(items)):
+        click, where = fields.obj(items, i, "clicks"), f"clicks[{i}]"
+        sign = fields.choice(click, "sign", (1, -1), where)
+        x, y = fields.number(click, "x", where), fields.number(click, "y", where)
+        clicks.append(Action.positive(x, y) if sign == 1 else Action.negative(x, y))
     return clicks
 
 
-def _parse_box(obj: object) -> NormBox | None:
-    if obj is None:
+def _parse_box(payload: dict) -> NormBox | None:
+    if payload.get("box") is None:
         return None
-    try:
-        return NormBox(*(_number(obj[k]) for k in ("x1", "y1", "x2", "y2")))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise MockRequestError(f"bad box: {e}")
+    box = fields.obj(payload, "box")
+    return NormBox(*(fields.number(box, k, "box") for k in ("x1", "y1", "x2", "y2")))
 
 
 class _BadFraming(MockRequestError):

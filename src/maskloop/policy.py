@@ -30,7 +30,7 @@ from . import remote
 from .env import Action, EpisodeState, Task
 from .errors import ActionParseError, TemplateError
 from .expert import click_for
-from .raster import BitMask, GREEN, NormBox, iou
+from .raster import BitMask, GREEN, NormBox, check_same_shape, iou
 from .util import mix_seed, round_half_up
 
 COORD_DECIMAL = "decimal_0_1"
@@ -385,6 +385,5 @@ class RemotePrm(Prm):
 
 def prm_score(prm: Prm, task: Task, mask: BitMask) -> float:
     """Score a mask after checking it matches the task's dimensions."""
-    if mask.shape != task.image.shape:
-        raise ValueError(f"mask {mask.shape} does not match task {task.image.shape}")
+    check_same_shape(mask, task.image)
     return prm.score(task, mask)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .errors import EmptyMaskError, MaskShapeError, PnmError, RleError
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -95,11 +96,11 @@ class BitMask(_Raster):
         return not self.data.any()
 
     def __and__(self, other: "BitMask") -> "BitMask":
-        _check_same_shape(self, other)
+        check_same_shape(self, other)
         return BitMask(self.data & other.data)
 
     def __or__(self, other: "BitMask") -> "BitMask":
-        _check_same_shape(self, other)
+        check_same_shape(self, other)
         return BitMask(self.data | other.data)
 
     def __invert__(self) -> "BitMask":
@@ -162,7 +163,8 @@ class NormBox:
             raise ValueError(f"box corners out of order: {self}")
 
 
-def _check_same_shape(a, b) -> None:
+def check_same_shape(a, b) -> None:
+    """MaskShapeError unless two rasters (or anything with a shape) line up."""
     if a.shape != b.shape:
         raise MaskShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
@@ -192,7 +194,7 @@ def point_to_pixel(p: NormPoint, width: int, height: int) -> tuple[int, int]:
 
 def iou(a: BitMask, b: BitMask) -> float:
     """Intersection over union; two empty masks count as a perfect match."""
-    _check_same_shape(a, b)
+    check_same_shape(a, b)
     inter = int(np.count_nonzero(a.data & b.data))
     union = int(np.count_nonzero(a.data | b.data))
     if union == 0:
@@ -291,59 +293,45 @@ class RleMask:
 
     ``size`` is (height, width); ``counts`` alternate background and
     foreground runs over the row-major raster, starting with a
-    (possibly zero) background run.
+    (possibly zero) background run. Runs from outside arrive through
+    from_dict, which checks them; rle_encode's are right by construction.
     """
 
     size: tuple[int, int]
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        size, counts = tuple(self.size), tuple(self.counts)
+    def to_dict(self) -> dict:
+        return {"size": [self.size[0], self.size[1]], "counts": list(self.counts)}
+
+    @classmethod
+    def from_dict(cls, obj: dict, where: str = "") -> "RleMask":
+        """Read runs from JSON: integers within int64, the first run at
+        least 0, every other at least 1, summing to height * width.
+        ``where`` is the object's path, for the errors."""
+        size = fields.integers(obj, "size", where)
+        counts = fields.integers(obj, "counts", where)
+        at = fields.path(where, "counts")
         if len(size) != 2:
-            raise RleError(f"size must be (height, width), got {self.size!r}")
+            raise RleError(f"{fields.path(where, 'size')}: expected [height, width], got {size!r}")
         if not counts:
-            raise RleError("counts may not be empty")
-        values = size + counts
-        # one check per distinct type: bool is an int subclass, but no count
-        kinds = set(map(type, values))
-        if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
-            raise RleError(f"size and counts must be integers, got {size!r} and {counts[:8]!r}")
+            raise RleError(f"{at}: may not be empty")
         try:
-            values = np.fromiter(values, np.int64, len(values))
+            values = np.fromiter(size + counts, np.int64, len(size) + len(counts))
         except OverflowError:
-            raise RleError("size or counts beyond int64")
-        if kinds != {int}:  # numpy integers become Python ints
-            size, counts = tuple(values[:2].tolist()), tuple(values[2:].tolist())
+            raise RleError(f"{where or 'rle'}: size or counts beyond int64")
         h, w = size
         if values.min() < 1:  # one pass: every value is at least 1 but a first run of 0
             if h < 1 or w < 1:
-                raise RleError(f"invalid size {size}")
+                raise RleError(f"{fields.path(where, 'size')}: invalid size {size}")
             bad = values[2:] < 1
             bad[0] = counts[0] < 0
             if bad.any():
                 i = int(np.argmax(bad))
                 kind = "negative" if counts[i] < 0 else "zero"
-                raise RleError(f"{kind} run at index {i} (runs are at least 1, the first at least 0)")
+                raise RleError(f"{at}: {kind} run at index {i} (runs are at least 1, the first at least 0)")
         if sum(counts) != h * w:  # Python ints: the sum cannot overflow
-            raise RleError(f"counts sum {sum(counts)} != {h}*{w}")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "counts", counts)
-
-    def to_dict(self) -> dict:
-        return {"size": [self.size[0], self.size[1]], "counts": list(self.counts)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RleMask":
-        try:
-            size = obj["size"]
-            counts = obj["counts"]
-        except (KeyError, TypeError) as e:
-            raise RleError(f"malformed rle object: {e}")
-        if not isinstance(size, (list, tuple)) or len(size) != 2:
-            raise RleError(f"malformed rle size: {size!r}")
-        if not isinstance(counts, (list, tuple)):
-            raise RleError(f"malformed rle counts: {counts!r}")
-        return cls(size=tuple(size), counts=tuple(counts))
+            raise RleError(f"{at}: sum {sum(counts)} != {h}*{w}")
+        return cls(size=(h, w), counts=tuple(counts))
 
 
 def rle_encode(mask: BitMask) -> RleMask:
@@ -397,7 +385,7 @@ def render_overlay(
     Masked pixels take their gray level's row of overlay_table; unmasked
     pixels replicate the gray value. Inputs are left untouched.
     """
-    _check_same_shape(image, mask)
+    check_same_shape(image, mask)
     # rows 0-255: each gray level unmasked; rows 256-511: the same level masked
     levels = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
     table = np.concatenate([levels, overlay_table(color, alpha)])

@@ -30,7 +30,8 @@ whole, from connecting to the reply's last byte. Transport failures,
 timeouts and HTTP 5xx are retried up to max_retries, after a backoff of
 0.05 s doubling to at most 1 s; 4xx and protocol violations (a garbled
 status line, a line over MAX_LINE bytes, more than MAX_HEADERS header
-lines, conflicting Content-Length values) fail immediately.
+lines, conflicting Content-Length values) fail immediately, and so does a
+reply whose fields, read through maskloop.fields, lack their protocol type.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ import urllib.request
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import ProtocolError, RemoteError
+from . import fields
+from .errors import FieldError, ProtocolError, RemoteError
 from .raster import GREEN, BitMask, NormBox, RleMask, rle_decode, rle_encode
 
 if TYPE_CHECKING:
@@ -363,10 +365,8 @@ def call_segment(
         payload["box"] = b
     body = _post(endpoint, "/v1/segment", payload)
     try:
-        rle = RleMask.from_dict(body["mask_rle"])
-    except (KeyError, TypeError) as e:
-        raise ProtocolError(f"segment reply missing mask_rle: {e}")
-    except ValueError as e:
+        rle = RleMask.from_dict(fields.obj(body, "mask_rle"), "mask_rle")
+    except ValueError as e:  # a FieldError or an RleError
         raise ProtocolError(f"segment reply carries bad rle: {e}")
     if rle.size != task.image.shape:
         raise ProtocolError(f"segment reply sized {rle.size}, image is {task.image.shape}")
@@ -386,10 +386,12 @@ def call_policy(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     payload = {**_overlay_payload(task, mask, prompt, mask_color, alpha), "n_samples": k}
-    texts = _post(endpoint, "/v1/act", payload).get("texts")
-    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-        raise ProtocolError("act reply must carry a list of strings under 'texts'")
-    return texts
+    reply = _post(endpoint, "/v1/act", payload)
+    try:
+        texts = fields.array(reply, "texts")
+        return [fields.string(texts, i, "texts") for i in range(len(texts))]
+    except FieldError as e:
+        raise ProtocolError(f"act reply: {e}")
 
 
 def call_prm(
@@ -398,7 +400,9 @@ def call_prm(
     """Ask the remote scorer to rate mask on task's image, overlaid in mask_color at alpha; returns a [0, 1] ratio."""
     from .policy import parse_stated_miou  # local import to avoid a cycle
 
-    text = _post(endpoint, "/v1/score", _overlay_payload(task, mask, prompt, mask_color, alpha)).get("text")
-    if not isinstance(text, str):
-        raise ProtocolError("score reply must carry a string under 'text'")
+    reply = _post(endpoint, "/v1/score", _overlay_payload(task, mask, prompt, mask_color, alpha))
+    try:
+        text = fields.string(reply, "text")
+    except FieldError as e:
+        raise ProtocolError(f"score reply: {e}")
     return parse_stated_miou(text)

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import env as envmod
+from . import fields
 from .env import (
     Action,
     EnvConfig,
@@ -214,22 +215,23 @@ def trajectory_to_dict(trajectory: Trajectory) -> dict:
     }
 
 
-def trajectory_from_dict(obj: dict) -> Trajectory:
-    steps = tuple(
-        TrajectoryStep(
-            action=action_from_dict(st["action"]),
-            mask_after=RleMask.from_dict(st["mask_after"]),
-            reward_before=float(st["reward_before"]),
-            reward_after=float(st["reward_after"]),
-        )
-        for st in obj["steps"]
+def _step_from_dict(st: dict, where: str) -> TrajectoryStep:
+    return TrajectoryStep(
+        action=action_from_dict(fields.obj(st, "action", where), fields.path(where, "action")),
+        mask_after=RleMask.from_dict(fields.obj(st, "mask_after", where), fields.path(where, "mask_after")),
+        reward_before=fields.number(st, "reward_before", where),
+        reward_after=fields.number(st, "reward_after", where),
     )
+
+
+def trajectory_from_dict(obj: dict) -> Trajectory:
+    steps = fields.array(obj, "steps")
     return Trajectory(
-        task_id=obj["task_id"],
-        init=init_from_dict(obj["init"]),
-        steps=steps,
-        final_reward=float(obj["final_reward"]),
-        stop_reason=obj["stop_reason"],
+        task_id=fields.string(obj, "task_id"),
+        init=init_from_dict(fields.obj(obj, "init"), "init"),
+        steps=tuple(_step_from_dict(fields.obj(steps, i, "steps"), f"steps[{i}]") for i in range(len(steps))),
+        final_reward=fields.number(obj, "final_reward"),
+        stop_reason=fields.choice(obj, "stop_reason", envmod.STOP_REASONS),
     )
 
 
@@ -250,12 +252,12 @@ def read_jsonl(path: str) -> list[Trajectory]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise JsonlError(i, f"invalid JSON: {e}")
+            except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
+                raise JsonlError(path, i, f"invalid JSON: {e}")
             try:
                 out.append(trajectory_from_dict(obj))
-            except (KeyError, TypeError, ValueError) as e:
-                raise JsonlError(i, f"invalid trajectory record: {e}")
+            except ValueError as e:  # a FieldError, or a value out of its range
+                raise JsonlError(path, i, f"invalid trajectory record: {e}")
     return out
 
 

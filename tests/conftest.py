@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+import select
 import threading
 from collections import Counter, deque
 
@@ -249,8 +250,12 @@ def replay_repair(traj, task, segmenter, config, keep_rule):
 
 
 # what an injected fault does to a request: answer 500 or 503, close the
-# connection before the reply, or close it halfway through the reply's body
+# connection before the reply, or close it halfway through the reply's body;
+# fault_for's schedule draws from these
 FAULTS = (500, 503, "close", "cut")
+# the other kind, "stall", holds the reply until the client hangs up, for at
+# most this many seconds, then closes the connection unanswered
+STALL_S = 10.0
 # no request meets more faults than this, so max_retries above it always ends in a reply
 MAX_FAULTS = 2
 
@@ -267,12 +272,12 @@ def fault_for(digest: bytes, attempt: int) -> object | None:
 
 
 @contextlib.contextmanager
-def faulty_mock(tasks, **kwargs):
-    """``mock_server.serve`` whose HTTP handler injects ``fault_for``'s
-    faults; yields (base URL, list of the (fault, request body) pairs
-    injected in arrival order, restart). restart() empties the list and
-    starts the schedule over, as a new server would, without stopping
-    and starting one."""
+def faulty_mock(tasks, faults=fault_for, **kwargs):
+    """``mock_server.serve`` whose HTTP handler injects the faults that
+    ``faults(digest, attempt)`` names, ``fault_for``'s by default; yields
+    (base URL, list of the (fault, request body) pairs injected in arrival
+    order, restart). restart() empties the list and starts the schedule
+    over, as a new server would, without stopping and starting one."""
     server, thread = mock_server.serve(tasks, port=0, **kwargs)
     arrivals: Counter = Counter()
     injected: list = []
@@ -288,13 +293,16 @@ def faulty_mock(tasks, **kwargs):
             body = self.rfile.read(int(self.headers["content-length"][0]))
             digest = hashlib.sha256(body).digest()
             with lock:
-                fault = fault_for(digest, arrivals[digest])
+                fault = faults(digest, arrivals[digest])
                 arrivals[digest] += 1
                 if fault is not None:
                     injected.append((fault, body))
             if fault in (500, 503):
                 self._send(fault, {"error": "injected fault"})
             elif fault == "close":
+                self.close_connection = True
+            elif fault == "stall":  # the client's hangup, or the server's shutdown, ends it
+                select.select([self.request], [], [], STALL_S)
                 self.close_connection = True
             elif fault == "cut":
                 data = json.dumps(self.service.handle(self.path, json.loads(body))).encode()

@@ -799,3 +799,32 @@ def test_config_file_stays_out_of_the_header(tmp_path, capsys, task_manifest):
         headers.append(json.loads(manifest.read_text())["header"])
     assert headers[0] == headers[1]
     assert headers[2]["config_hash"] != headers[0]["config_hash"]
+
+
+def _files(root) -> set[str]:
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names}
+
+
+def test_a_task_id_that_is_not_a_plain_file_name_writes_nothing_outside_out(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    tasks = run(capsys, "synth", "--n", "2", "--side", "16", "--out", str(run_dir / "tasks"))[1]["manifest"]
+    traj = str(run_dir / "traj.jsonl")
+    assert run(capsys, "gen-traj", "--tasks", tasks, "--out", traj, "--init", "empty")[0] == 0
+    # the first task, and its trajectory, renamed two directories up
+    manifest = json.loads(open(tasks).read())
+    manifest["tasks"][0]["id"] = "../../escaped"
+    with open(tasks, "w") as fh:
+        json.dump(manifest, fh)
+    lines = open(traj).read().replace('"synth-0000"', '"../../escaped"')
+    with open(traj, "w") as fh:
+        fh.write(lines)
+    before = _files(tmp_path)
+    for argv, outs in [
+        (["search", "--tasks", tasks, "--out", str(run_dir / "s.json"), "--masks-out", str(run_dir / "masks")],
+         ("run/s.json", "run/masks")),
+        (["render-sft", "--traj", traj, "--tasks", tasks, "--out", str(run_dir / "sft")], ("run/sft",)),
+    ]:
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tasks}: tasks[0].id: expected a plain file name, got '../../escaped'\n"
+        assert {f for f in _files(tmp_path) - before if not f.startswith(outs)} == set()

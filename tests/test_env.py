@@ -280,13 +280,19 @@ def test_load_tasks_rejects_a_repeated_task_id(tmp_path):
         load_tasks(manifest)
 
 
+_ENTRY = {"id": "a", "image_path": "a.pgm", "target_path": "a.pgm", "prompt": "x"}
+
+
 @pytest.mark.parametrize(
     "manifest, named",
     [
-        ({"tasks": ["a", "b"]}, "malformed task entry 'a'"),
-        ({"tasks": [{"id": ["a"], "prompt": "x"}]}, "malformed task entry {'id': ['a']"),
-        ([{"image_path": "a.pgm"}], "malformed task entry {'image_path'"),
-        ({"tasks": "ab"}, "the tasks must be a list, got 'ab'"),
+        ({"tasks": ["a", "b"]}, 'tasks[0]: expected an object, got "a"'),
+        ({"tasks": [{"id": ["a"], "prompt": "x"}]}, 'tasks[0].id: expected a string, got ["a"]'),
+        ([{"image_path": "a.pgm"}], "tasks[0].id: missing"),
+        ({"tasks": "ab"}, 'tasks: expected a list, got "ab"'),
+        ({"tasks": [{**_ENTRY, "prompt": 42}]}, "tasks[0].prompt: expected a string, got 42"),
+        ({"tasks": [_ENTRY, {k: v for k, v in _ENTRY.items() if k != "image_path"}]}, "tasks[1].image_path: missing"),
+        ({"tasks": [{**_ENTRY, "id": "../../escaped"}]}, "tasks[0].id: expected a plain file name"),
     ],
 )
 def test_load_tasks_names_a_malformed_manifest(tmp_path, capsys, manifest, named):

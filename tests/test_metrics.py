@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from maskloop.env import Task
 from maskloop.errors import DegenerateInputError, MaskShapeError
 from maskloop.metrics import average_ranks, ciou, filter_masks, noc, noc_histogram, regression_metrics
-from maskloop.policy import NoisyPrm, OraclePrm
+from maskloop.expert import next_click
+from maskloop.policy import NoisyPrm, OraclePrm, prm_score
 from maskloop.raster import BitMask, GrayImage, iou
 from maskloop.segmenters import OracleSegmenter, Segmenter
 from maskloop.trajgen import synth_tasks
@@ -54,6 +55,21 @@ def test_ciou_matches_single_iou_when_repeated(rng):
 def test_ciou_shape_mismatch():
     with pytest.raises(MaskShapeError):
         ciou([(BitMask.zeros(2, 2), BitMask.zeros(3, 2))])
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda a, b: next_click(a, b),
+        lambda a, b: prm_score(OraclePrm(), _task(["#.."] * 3), a),
+        lambda a, b: ciou([(a, b)]),
+    ],
+    ids=["expert.next_click", "policy.prm_score", "metrics.ciou"],
+)
+def test_every_shape_mismatch_is_a_mask_shape_error(check):
+    # one rule, raster.check_same_shape: a 2x3 mask against a 3x3 one
+    with pytest.raises(MaskShapeError, match=r"shape mismatch: \(3, 2\) vs \(3, 3\)"):
+        check(BitMask.zeros(2, 3), BitMask.zeros(3, 3))
 
 
 def test_ciou_degenerate_inputs():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maskloop.errors import EmptyMaskError, MaskShapeError, PnmError, RleError
+from maskloop.errors import EmptyMaskError, FieldError, MaskShapeError, PnmError, RleError
 from maskloop.raster import (
     BitMask,
     GrayImage,
@@ -364,13 +364,17 @@ def test_rle_round_trips_any_raster(m):
     assert RleMask.from_dict(json.loads(json.dumps(rle.to_dict()))) == rle
 
 
+def _rle(size, counts) -> dict:
+    return {"size": list(size), "counts": list(counts)}
+
+
 def test_rle_rejects_bad_counts():
     with pytest.raises(RleError):
-        RleMask(size=(2, 2), counts=(1, 1))  # sums to 2, not 4
+        RleMask.from_dict(_rle((2, 2), (1, 1)))  # sums to 2, not 4
     with pytest.raises(RleError):
-        RleMask(size=(2, 2), counts=(1, 0, 3))  # zero run after the first
+        RleMask.from_dict(_rle((2, 2), (1, 0, 3)))  # zero run after the first
     with pytest.raises(RleError):
-        RleMask(size=(2, 2), counts=())
+        RleMask.from_dict(_rle((2, 2), ()))
 
 
 @pytest.mark.parametrize(
@@ -394,23 +398,26 @@ def test_rle_rejects_bad_counts():
     ],
 )
 def test_rle_accepts_integers_only(size, counts):
-    with pytest.raises(RleError):
-        RleMask(size=size, counts=counts)
+    obj = {"size": list(size), "counts": counts if isinstance(counts, str) else list(counts)}
+    # a value of another JSON type is a FieldError; integers out of range an RleError
+    integral = not isinstance(counts, str) and all(type(v) is int for v in (*size, *counts))
+    with pytest.raises(RleError if integral else FieldError):
+        RleMask.from_dict(obj)
 
 
-def test_rle_keeps_run_checks_and_normalizes_to_python_ints():
-    with pytest.raises(RleError, match="negative run at index 1"):
-        RleMask(size=(1, 2), counts=(3, -1))
-    with pytest.raises(RleError, match="zero run at index 1"):
-        RleMask(size=(1, 2), counts=(1, 0, -1, 2))  # the first bad run is named
+def test_rle_from_dict_keeps_run_checks_and_names_the_field():
+    with pytest.raises(RleError, match=r"^counts: negative run at index 1"):
+        RleMask.from_dict(_rle((1, 2), (3, -1)))
+    with pytest.raises(RleError, match=r"^mask\.counts: zero run at index 1"):
+        RleMask.from_dict(_rle((1, 2), (1, 0, -1, 2)), "mask")  # the first bad run is named
     with pytest.raises(RleError, match="sum"):
         # runs near the int64 limit: an int64 sum would wrap around to 2
-        RleMask(size=(1, 2), counts=(2**62, 2**62, 2**62, 2**62 + 2))
-    rle = RleMask(size=(np.int64(2), 2), counts=[np.int64(0), np.int32(3), 1])
-    assert rle.size == (2, 2) and rle.counts == (0, 3, 1)
-    assert all(type(v) is int for v in rle.size + rle.counts)
-    for bad in ({"size": [2, 2], "counts": "4"}, {"size": [2, 2], "counts": 4}, {"size": "22", "counts": [4]}):
-        with pytest.raises(RleError):
+        RleMask.from_dict(_rle((1, 2), (2**62, 2**62, 2**62, 2**62 + 2)))
+    named = r"^steps\[0\]\.mask_after\.counts\[1\]: expected an integer in a list of integers, got 3.0"
+    with pytest.raises(FieldError, match=named):
+        RleMask.from_dict(_rle((2, 2), (0, 3.0, 1)), "steps[0].mask_after")
+    for bad in ({"size": [2, 2], "counts": "4"}, {"size": [2, 2], "counts": 4}, {"size": "22", "counts": [4]}, [2, 2]):
+        with pytest.raises(FieldError):
             RleMask.from_dict(bad)
 
 

@@ -207,6 +207,7 @@ def test_jsonl_error_names_the_line(tmp_path):
     for field, value in [
         ("init", {"variant": "from_box", "box": [0.1, 0.1, 0.5]}),
         ("init", "from_box"),
+        ("init", {"variant": "from_random_clicks", "n_pos": 1, "n_neg": 0, "seed": -1}),  # a negative seed
         ("action", ["positive_click", 0.5, 0.5]),
     ]:
         bad = json.loads(json.dumps(good))
@@ -219,6 +220,14 @@ def test_jsonl_error_names_the_line(tmp_path):
             read_jsonl(str(path))
         assert e.value.line == 2, value
         assert "invalid trajectory record" in str(e.value)
+
+
+def test_jsonl_too_deep_nesting_names_the_line(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n" + "[" * 100_000 + "]" * 100_000 + "\n")  # line 1 is blank
+    with pytest.raises(JsonlError, match="invalid JSON") as e:
+        read_jsonl(str(path))
+    assert e.value.line == 2
 
 
 def test_jsonl_float_counts_name_the_line(tmp_path):
