@@ -106,8 +106,10 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     effective = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            file_cfg = fields.read_json(config_path)
+        except FieldError as e:
+            raise UsageError(str(e))
         if not isinstance(file_cfg, dict):
             raise UsageError(f"{config_path}: config must be a JSON object")
         unknown = set(file_cfg) - set(defaults)
@@ -315,7 +317,6 @@ DEFAULTS: dict[str, dict] = {
     "render-sft": {
         **_COMMON,
         "jobs": 1,
-        **_SEG,
         "coord_format": COORD_DECIMAL,
         **_OVERLAY,
         "template": "default",
@@ -448,7 +449,6 @@ def cmd_render_sft(cfg: dict) -> None:
     trajectories = read_jsonl(cfg["traj"])
     tasks = {t.id: t for t in load_tasks(cfg["tasks"])}
     prompt_config = _prompt_config(cfg, "coord_format", "mask_color", "alpha", "template", "miou_line")
-    segmenter = _segmenter(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     seen: dict[str, int] = {}
     work = []
@@ -464,7 +464,7 @@ def cmd_render_sft(cfg: dict) -> None:
         traj, task, sub = item
         os.makedirs(os.path.join(cfg["out"], sub), exist_ok=True)
         recs = []
-        for sample in render_sft(traj, task, prompt_config, segmenter):
+        for sample in render_sft(traj, task, prompt_config):
             rel = os.path.join(sub, f"step_{sample.step_index}.ppm")
             write_ppm(sample.image, os.path.join(cfg["out"], rel))
             recs.append({"image_path": rel, "prompt": sample.prompt, "target": sample.target})
@@ -644,8 +644,7 @@ def cmd_eval_noc(cfg: dict) -> None:
 
 def cmd_eval_regression(cfg: dict) -> None:
     _require(cfg, "data")
-    with open(cfg["data"], "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = fields.read_json(cfg["data"])
 
     def numbers(key: str) -> list[float]:
         xs = fields.array(data, key)

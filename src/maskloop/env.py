@@ -10,7 +10,6 @@ discounting anywhere.
 from __future__ import annotations
 
 import base64
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -336,8 +335,7 @@ def load_tasks(manifest_path: str) -> list[Task]:
     manifest that lists a task id twice, and tasks with mismatched
     dimensions or empty targets, are rejected outright.
     """
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = fields.read_json(manifest_path)
     rows = []
     with fields.source(manifest_path):
         entries = fields.array(data if isinstance(data, dict) else {"tasks": data}, "tasks")

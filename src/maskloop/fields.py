@@ -2,11 +2,11 @@
 
 Config files, trajectory JSONL, task and dataset manifests and the remote
 protocol's requests and replies are all read through these readers, so
-the JSON type rule is stated here once. An object, a list and a string
-are that JSON type. A number is a finite JSON integer or real, never a
-bool, and reads as a float. An integer is a JSON integer, never a bool
-and never a real (2.0 is not one). A choice is one value out of a set,
-equal in type as well as in value.
+the JSON type rule is stated here once; read_json decodes a whole file.
+An object, a list and a string are that JSON type. A number is a finite
+JSON integer or real, never a bool, and reads as a float. An integer is
+a JSON integer, never a bool and never a real (2.0 is not one). A choice
+is one value out of a set, equal in type as well as in value.
 
 Each reader takes the object or list that holds the field, the field's
 key or index, and the holder's path. It returns the value, or raises
@@ -94,6 +94,16 @@ def choice(holder, key: str | int, options: tuple, where: str = ""):
     if value in options and type(value) is type(options[options.index(value)]):
         return value
     _refuse(value, key, where, "one of " + ", ".join(map(_show, options)))
+
+
+def read_json(name: str):
+    """The JSON value in file ``name``. A file that is not JSON, or nests
+    too deep to decode, raises FieldError naming the file."""
+    with open(name, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:  # ValueError: bad JSON or bad UTF-8
+            raise FieldError(name, f"invalid JSON: {e}") from None
 
 
 @contextlib.contextmanager

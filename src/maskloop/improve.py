@@ -19,12 +19,11 @@ dataset path to an external command (or just records it).
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import env as envmod
@@ -60,6 +59,8 @@ class DatasetManifest:
     files: tuple[str, ...]
     provenance: str
     n_trajectories: int
+    # the records load() parsed to count them; None for a manifest built in memory
+    parsed: tuple[Trajectory, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -82,9 +83,9 @@ class DatasetManifest:
     @classmethod
     def load(cls, path: str) -> "DatasetManifest":
         """Load and verify: every field must have its type, every file must
-        parse and the counts must match."""
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        parse and the counts must match. load_trajectories then returns
+        the records parsed here instead of parsing the files again."""
+        obj = fields.read_json(path)
         with fields.source(path):
             name = fields.string(obj, "name")
             listed = fields.array(obj, "files")
@@ -93,16 +94,15 @@ class DatasetManifest:
             declared = fields.integer(fields.obj(obj, "counts"), "trajectories", "counts")
         base = os.path.dirname(os.path.abspath(path))
         files = tuple(f if os.path.isabs(f) else os.path.join(base, f) for f in names)
-        total = sum(len(read_jsonl(f)) for f in files)
-        if total != declared:
-            raise ValueError(f"{path}: manifest declares {declared} trajectories, files hold {total}")
-        return cls(name=name, files=files, provenance=provenance, n_trajectories=declared)
+        parsed = tuple(traj for f in files for traj in read_jsonl(f))
+        if len(parsed) != declared:
+            raise ValueError(f"{path}: manifest declares {declared} trajectories, files hold {len(parsed)}")
+        return cls(name=name, files=files, provenance=provenance, n_trajectories=declared, parsed=parsed)
 
     def load_trajectories(self) -> list[Trajectory]:
-        out: list[Trajectory] = []
-        for f in self.files:
-            out.extend(read_jsonl(f))
-        return out
+        if self.parsed is not None:
+            return list(self.parsed)
+        return [traj for f in self.files for traj in read_jsonl(f)]
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def refine_star_plus_verbose(
         task, segmenter, config, state, r, expert_chooser(task), min_gain(config.tau_diff)
     )
     steps = kept + encode_steps(rest.steps)
-    return Trajectory(task.id, rollout_traj.init, steps, rest.reward, rest.stop_reason), True
+    return replace(rollout_traj, steps=steps, final_reward=rest.reward, stop_reason=rest.stop_reason), True
 
 
 def star_filter(trajectories: Sequence[Trajectory], tau_star: float) -> list[Trajectory]:

@@ -1,10 +1,12 @@
 """Trajectory datasets: expert demonstrations, rendering, synthetic tasks.
 
 A trajectory records an episode as (action, mask after, reward before,
-reward after) steps. Expert and policy episodes, and the expert's
-continuation of a repaired rollout, all run on run_episode; they differ
-only in how the next action is chosen and in the rule for keeping a
-step. generate_trajectory runs the expert with two pruning rules: the
+reward after) steps. A random-click start also records its opening mask,
+the segmenter's answer to the sampled clicks, so rendering finds every
+mask in the record and runs no segmenter. Expert and policy episodes,
+and the expert's continuation of a repaired rollout, all run on
+run_episode; they differ only in how the next action is chosen and in
+the rule for keeping a step. generate_trajectory runs the expert with two pruning rules: the
 episode stops once reward reaches tau_stop, and a step whose reward gain
 falls below tau_diff is dropped along with the rest of the episode (a
 low-impact click means the remaining headroom is not worth imitating).
@@ -31,7 +33,7 @@ from .env import (
     init_from_dict,
     init_to_dict,
 )
-from .errors import JsonlError
+from .errors import FieldError, JsonlError
 from .expert import click_for
 from .policy import PromptConfig, format_action, miou_percent, render_prompt
 from .raster import (
@@ -61,6 +63,15 @@ class Trajectory:
     steps: tuple[TrajectoryStep, ...]
     final_reward: float
     stop_reason: str
+    # the mask a random-click init opens on; None for any other init
+    opening_mask: RleMask | None = None
+
+    def __post_init__(self):
+        random = envmod.INIT_RANDOM
+        if self.init.variant == random and self.opening_mask is None:
+            raise FieldError("opening_mask", f"missing; a {random} init records its opening mask")
+        if self.init.variant != random and self.opening_mask is not None:
+            raise FieldError("opening_mask", f"recorded for init {self.init.variant}; only {random} has one")
 
 
 class EpisodeStep(NamedTuple):
@@ -135,11 +146,12 @@ def record_episode(
     """Reset, then drive one episode unless the opening mask already
     reaches tau_stop."""
     state = envmod.reset(task, init, segmenter)
+    opening = rle_encode(state.mask) if init.variant == envmod.INIT_RANDOM else None
     r = envmod.reward(state.mask, task.target)
     if r >= config.tau_stop:
-        return Trajectory(task.id, init, (), r, envmod.STOP_TAU)
+        return Trajectory(task.id, init, (), r, envmod.STOP_TAU, opening)
     ep = run_episode(task, segmenter, config, state, r, choose, keep)
-    return Trajectory(task.id, init, encode_steps(ep.steps), ep.reward, ep.stop_reason)
+    return Trajectory(task.id, init, encode_steps(ep.steps), ep.reward, ep.stop_reason, opening)
 
 
 def generate_trajectory(
@@ -168,20 +180,21 @@ def render_sft(
     trajectory: Trajectory,
     task: Task,
     prompt_config: PromptConfig = PromptConfig(),
-    segmenter: Segmenter | None = None,
 ) -> list[SftSample]:
     """Render one sample per step: the pre-action overlay plus the action text.
 
     With miou_line enabled the reply text leads with the pre-action score,
-    which is what a stepwise reward model trains on. Only random-click
-    inits need the segmenter (to rebuild the opening mask); stored step
-    masks cover everything after that.
+    which is what a stepwise reward model trains on. Every mask comes from
+    the record: a random-click init's opening mask, then each step's mask
+    after; empty and box inits open as env.reset opens them, with no
+    segmenter.
     """
     if trajectory.task_id != task.id:
         raise ValueError(f"trajectory for {trajectory.task_id!r} rendered on {task.id!r}")
-    if trajectory.init.variant == envmod.INIT_RANDOM and segmenter is None:
-        raise ValueError("random-click init needs a segmenter to rebuild the first mask")
-    mask = envmod.reset(task, trajectory.init, segmenter).mask
+    if trajectory.opening_mask is None:
+        mask = envmod.reset(task, trajectory.init, None).mask
+    else:  # render_overlay refuses a mask of another shape than the image's
+        mask = rle_decode(trajectory.opening_mask)
     prompt = render_prompt(prompt_config.template_id, task.prompt)
     samples: list[SftSample] = []
     for t, st in enumerate(trajectory.steps):
@@ -198,9 +211,10 @@ def render_sft(
 
 
 def trajectory_to_dict(trajectory: Trajectory) -> dict:
-    return {
-        "task_id": trajectory.task_id,
-        "init": init_to_dict(trajectory.init),
+    out: dict = {"task_id": trajectory.task_id, "init": init_to_dict(trajectory.init)}
+    if trajectory.opening_mask is not None:
+        out["opening_mask"] = trajectory.opening_mask.to_dict()
+    return out | {
         "steps": [
             {
                 "action": action_to_dict(st.action),
@@ -225,13 +239,17 @@ def _step_from_dict(st: dict, where: str) -> TrajectoryStep:
 
 
 def trajectory_from_dict(obj: dict) -> Trajectory:
+    init = init_from_dict(fields.obj(obj, "init"), "init")
+    # read whenever present, so that Trajectory refuses it on another init
+    has_opening = init.variant == envmod.INIT_RANDOM or "opening_mask" in obj
     steps = fields.array(obj, "steps")
     return Trajectory(
         task_id=fields.string(obj, "task_id"),
-        init=init_from_dict(fields.obj(obj, "init"), "init"),
+        init=init,
         steps=tuple(_step_from_dict(fields.obj(steps, i, "steps"), f"steps[{i}]") for i in range(len(steps))),
         final_reward=fields.number(obj, "final_reward"),
         stop_reason=fields.choice(obj, "stop_reason", envmod.STOP_REASONS),
+        opening_mask=RleMask.from_dict(fields.obj(obj, "opening_mask"), "opening_mask") if has_opening else None,
     )
 
 

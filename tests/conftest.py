@@ -229,9 +229,9 @@ def replay_repair(traj, task, segmenter, config, keep_rule):
         if out.done:
             if i + 1 < len(traj.steps):
                 raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
-            return Trajectory(task.id, traj.init, tuple(steps), r, out.stop_reason), False
+            return Trajectory(task.id, traj.init, tuple(steps), r, out.stop_reason, traj.opening_mask), False
     else:
-        return Trajectory(task.id, traj.init, tuple(steps), r, traj.stop_reason), False
+        return Trajectory(task.id, traj.init, tuple(steps), r, traj.stop_reason, traj.opening_mask), False
     while True:
         action = next_click(state.mask, task.target)
         if action is None:
@@ -246,7 +246,7 @@ def replay_repair(traj, task, segmenter, config, keep_rule):
         if out.done:
             reason = out.stop_reason
             break
-    return Trajectory(task.id, traj.init, tuple(steps), r, reason), True
+    return Trajectory(task.id, traj.init, tuple(steps), r, reason, traj.opening_mask), True
 
 
 # what an injected fault does to a request: answer 500 or 503, close the

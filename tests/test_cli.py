@@ -13,7 +13,7 @@ import pytest
 from maskloop import mock_server
 from maskloop.cli import COMMANDS, DEFAULTS, _add_opts, _merge_config, build_parser, dispatch
 from maskloop.env import load_tasks, write_task_dir
-from maskloop.raster import BitMask, read_pgm_mask, write_pgm
+from maskloop.raster import GREEN, BitMask, read_pgm_mask, read_ppm, render_overlay, rle_decode, write_pgm
 from maskloop.trajgen import read_jsonl, synth_tasks
 
 
@@ -318,6 +318,43 @@ def test_render_sft_command(tmp_path, capsys, task_manifest):
     assert rec["target"].split(":")[0] in ("Positive point", "Negative point", "Box")
 
 
+def test_render_sft_renders_a_random_init_from_its_record(tmp_path, capsys, task_manifest):
+    # region grow opens on other masks than the oracle would; render-sft
+    # takes no segmenter and draws the masks the record holds
+    traj_path = str(tmp_path / "trajs.jsonl")
+    argv = ["--tasks", task_manifest, "--out", traj_path, "--init", "random:1,1", "--segmenter", "region_grow"]
+    assert run(capsys, "gen-traj", *argv)[0] == 0
+    out_dir = tmp_path / "sft"
+    code, out = run(capsys, "render-sft", "--traj", traj_path, "--tasks", task_manifest, "--out", str(out_dir))
+    assert code == 0
+    tasks = {t.id: t for t in load_tasks(task_manifest)}
+    trajs = [t for t in read_jsonl(traj_path) if t.steps]
+    assert trajs and out["n_samples"] == sum(len(t.steps) for t in trajs)
+    for traj in trajs:
+        task = tasks[traj.task_id]
+        first = read_ppm(str(out_dir / traj.task_id / "step_0.ppm"))
+        assert first == render_overlay(task.image, rle_decode(traj.opening_mask), GREEN, 0.5)
+
+
+@pytest.mark.parametrize("init", ["random:1,1", "empty"])
+def test_render_sft_refuses_a_record_whose_opening_mask_does_not_fit_its_init(tmp_path, capsys, task_manifest, init):
+    traj_path = tmp_path / "trajs.jsonl"
+    assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", str(traj_path), "--init", init)[0] == 0
+    records = [json.loads(line) for line in traj_path.read_text().splitlines()]
+    if init == "empty":  # a record that carries an opening mask its init does not make
+        records[2] = {"task_id": records[2]["task_id"], "init": records[2]["init"],
+                      "opening_mask": records[2]["steps"][0]["mask_after"], **records[2]}
+    else:  # a random-init record written without its opening mask
+        del records[2]["opening_mask"]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "sft"
+    assert dispatch(["render-sft", "--traj", str(bad), "--tasks", task_manifest, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: line 3: invalid trajectory record: opening_mask: " in err, err
+    assert not out.exists()
+
+
 def test_eval_ciou_identical_dirs(tmp_path, capsys, task_manifest):
     from maskloop.env import load_tasks
 
@@ -376,6 +413,27 @@ def test_eval_regression_rejects_wrong_shape(tmp_path, capsys):
     data.write_text(json.dumps([1, 2, 3]))
     code, _ = run(capsys, "eval-regression", "--data", str(data))
     assert code == 2
+
+
+@pytest.mark.parametrize("content", ['{"pred": [0.1, }', "[" * 100_000 + "]" * 100_000], ids=["invalid", "too-deep"])
+@pytest.mark.parametrize("reader", ["config", "tasks", "seed-data", "data"])
+def test_a_json_file_that_does_not_decode_is_named(tmp_path, capsys, task_manifest, reader, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    traj = str(tmp_path / "t.jsonl")
+    assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", traj, "--init", "empty")[0] == 0
+    argv = {
+        "config": ["synth", "--out", str(tmp_path / "s"), "--config", str(bad)],
+        "tasks": ["eval-noc", "--tasks", str(bad)],
+        "seed-data": ["star", "--tasks", task_manifest, "--seed-data", str(bad), "--out", str(tmp_path / "star")],
+        "data": ["eval-regression", "--data", str(bad)],
+    }[reader]
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    # a config file is part of the invocation; the other files are data
+    assert code == (2 if reader == "config" else 1)
+    prefix = "usage error" if reader == "config" else "error"
+    assert err.startswith(f"{prefix}: {bad}: invalid JSON: "), err
 
 
 def test_eval_filter_splits_by_score(tmp_path, capsys, task_manifest):
@@ -561,7 +619,7 @@ def _variants(command: str, root, t: str, url: str) -> list[list[str]]:
     return {
         "synth": [["--out", o]],
         "gen-traj": [["--tasks", t, "--out", o, *v] for v in segs + [["--init", "random"]]],
-        "render-sft": [["--traj", traj, "--tasks", t, "--out", o, *v] for v in segs],
+        "render-sft": [["--traj", traj, "--tasks", t, "--out", o]],
         "rollout": [
             ["--tasks", t, "--out", o, *v]
             for v in segs + [["--policy", "noisy_expert", "--init", "random"], ["--policy", "remote", "--policy-url", url]]
@@ -612,6 +670,13 @@ def test_every_option_of_a_command_is_read(served, capsys, monkeypatch, command)
 REMOVED_FLAGS = [
     ("synth", "--jobs"),
     ("render-sft", "--seed"),
+    ("render-sft", "--segmenter"),
+    ("render-sft", "--r-neg"),
+    ("render-sft", "--delta"),
+    ("render-sft", "--cap"),
+    ("render-sft", "--segmenter-url"),
+    ("render-sft", "--timeout"),
+    ("render-sft", "--max-retries"),
     ("rollout", "--miou-line"),
     ("star", "--miou-line"),
     ("search", "--tau-stop"),

@@ -133,6 +133,13 @@ def test_the_writers_records_read_back(records):
             _read(kind, records["dir"], records[kind], i)
 
 
+def test_the_random_init_record_offers_its_opening_mask_to_the_property(records):
+    # the third trajectory starts from random clicks, so the property below
+    # also replaces its opening mask and the fields inside it
+    paths = {at for at, _ in _fields(records["jsonl"][2])}
+    assert {"opening_mask", "opening_mask.size", "opening_mask.counts[0]"} <= paths
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_a_field_of_another_json_type_is_named_and_refused(records, data):

@@ -65,7 +65,7 @@ def _local_commands(side: int, seg: str, jobs: str) -> list[tuple[str, list[str]
     traj = f"{d}/traj.jsonl"
     runs = [
         ("gen-traj", ["--tasks", t, "--out", traj, "--init", "mix", *s, *j]),
-        ("render-sft", ["--traj", traj, "--tasks", t, "--out", f"{d}/sft", "--miou-line", "--segmenter", seg, *j]),
+        ("render-sft", ["--traj", traj, "--tasks", t, "--out", f"{d}/sft", "--miou-line", *j]),
         (
             "rollout",
             ["--tasks", t, "--out", f"{d}/rollout.jsonl", "--policy", "noisy_expert", "--noise-flip", "0.3", *s, *j],

@@ -16,6 +16,7 @@ from maskloop.env import (
     EnvConfig,
     InitSpec,
     Task,
+    write_task_dir,
 )
 from maskloop.errors import HookError, RemoteError, ReplayMismatchError
 from maskloop.expert import next_click
@@ -380,6 +381,25 @@ def test_manifest_load_rejects_count_mismatch(tmp_path):
     bad.save(bad_path)
     with pytest.raises(ValueError):
         DatasetManifest.load(bad_path)
+
+
+def test_star_plus_parses_each_seed_file_once(tmp_path, monkeypatch):
+    from maskloop import improve
+    from maskloop.cli import dispatch
+
+    _, manifest_path, tasks, _ = _seed_manifest(tmp_path)
+    task_manifest = write_task_dir(tasks, str(tmp_path / "tasks"))
+    reads: dict[str, int] = {}
+
+    def counted(path):
+        reads[path] = reads.get(path, 0) + 1
+        return read_jsonl(path)
+
+    monkeypatch.setattr(improve, "read_jsonl", counted)
+    argv = ["star", "--tasks", task_manifest, "--seed-data", manifest_path, "--out", str(tmp_path / "star"),
+            "--mode", "star_plus", "--n-iters", "2", "--noise-flip", "0.3"]
+    assert dispatch(argv) == 0
+    assert reads == {str(tmp_path / "seed.jsonl"): 1}
 
 
 def test_manifest_rejects_unknown_provenance():

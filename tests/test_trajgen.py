@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ from maskloop.env import (
     InitSpec,
     Task,
 )
-from maskloop.errors import JsonlError, TemplateError
+from maskloop.errors import FieldError, JsonlError, MaskShapeError, TemplateError
 from maskloop.policy import COORD_INT, PromptConfig
-from maskloop.raster import BitMask, GrayImage, iou, rle_decode
-from maskloop.segmenters import OracleSegmenter, Segmenter
+from maskloop.raster import BitMask, GrayImage, iou, render_overlay, rle_decode, rle_encode
+from maskloop.segmenters import OracleSegmenter, RegionGrowSegmenter, Segmenter
 from maskloop.trajgen import (
     FAMILIES,
     _build_ring,
@@ -333,14 +334,34 @@ def test_render_sft_unknown_template():
         render_sft(traj, task, PromptConfig(template_id="nope"))
 
 
-def test_render_sft_random_init_needs_segmenter():
+def test_render_sft_random_init_opens_on_the_recorded_mask():
     task = synth_tasks(1, seed=4)[0]
     init = InitSpec.from_random_clicks(1, 1, seed=9)
-    traj = generate_trajectory(task, OracleSegmenter(), init=init)
-    with pytest.raises(ValueError):
-        render_sft(traj, task)
-    samples = render_sft(traj, task, segmenter=OracleSegmenter())
+    traj = generate_trajectory(task, RegionGrowSegmenter(delta=8, cap=40), init=init)
+    assert traj.steps
+    cfg = PromptConfig()
+    samples = render_sft(traj, task, cfg)
     assert len(samples) == len(traj.steps)
+    opening = render_overlay(task.image, rle_decode(traj.opening_mask), cfg.mask_color, cfg.alpha)
+    assert samples[0].image == opening
+    # an opening mask of another size than the task's is refused
+    wrong = replace(traj, opening_mask=rle_encode(BitMask.zeros(32, 32)))
+    with pytest.raises(MaskShapeError):
+        render_sft(wrong, task)
+
+
+def test_only_a_random_init_records_an_opening_mask():
+    task = synth_tasks(1, seed=4)[0]
+    traj = generate_trajectory(task, OracleSegmenter(), init=InitSpec.from_random_clicks(1, 1, seed=9))
+    empty = generate_trajectory(task, OracleSegmenter())
+    assert traj.opening_mask is not None and empty.opening_mask is None
+    with pytest.raises(FieldError, match="^opening_mask: missing"):
+        replace(traj, opening_mask=None)
+    with pytest.raises(FieldError, match="^opening_mask: recorded for init empty"):
+        replace(empty, opening_mask=traj.opening_mask)
+    # the field follows init in the record, and only random inits write it
+    assert list(trajectory_to_dict(traj))[:3] == ["task_id", "init", "opening_mask"]
+    assert "opening_mask" not in trajectory_to_dict(empty)
 
 
 # --- synthetic tasks --------------------------------------------------------
