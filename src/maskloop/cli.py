@@ -15,8 +15,9 @@ get the tree of every command.
 Every option can also come from a JSON config file (--config); explicit
 flags win over the file, the file wins over defaults. Successful
 commands print a single JSON object on stdout; output manifests carry a
-reproducibility header (config hash and seed) and no timestamps, so
-identical runs produce identical bytes. Handlers return nothing;
+reproducibility header (the hash of the options the run read, their
+names, and the seed) and no timestamps, so identical runs produce
+identical bytes. Handlers return nothing;
 ``dispatch`` alone maps the outcome to the exit code: 0 ok, 1 runtime
 failure, 2 usage error.
 """
@@ -132,13 +133,42 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 _UNHASHED = ("config", "jobs", "out", "masks_out", "hist_out")
 
 
-def _header(command: str, effective: dict) -> dict:
-    hashed = {k: v for k, v in effective.items() if k not in _UNHASHED}
-    blob = json.dumps({"command": command, "config": hashed}, sort_keys=True, default=str)
+class _Options(dict):
+    """A command's effective options, recording each key read through ``[]``
+    or ``get``. Once ``_header`` has hashed the keys read, reading any other
+    key outside _UNHASHED raises: the header would not cover it."""
+
+    def __init__(self, effective: dict):
+        super().__init__(effective)
+        self.read: set[str] = set()
+        self.hashed: frozenset[str] | None = None
+
+    def _note(self, key: str) -> None:
+        if self.hashed is not None and key not in self.hashed and key not in _UNHASHED:
+            raise RuntimeError(f"option {key!r} read after the header hashed {sorted(self.hashed)}")
+        self.read.add(key)
+
+    def __getitem__(self, key: str):
+        self._note(key)
+        return super().__getitem__(key)
+
+    def get(self, key: str, default=None):
+        self._note(key)
+        return super().get(key, default)
+
+
+def _header(command: str, cfg: _Options) -> dict:
+    """The reproducibility header: the seed, and the hash of the options the
+    run has read, which it names in ``options``; no later read may widen them."""
+    seed = cfg["seed"]
+    options = sorted(cfg.read - set(_UNHASHED))
+    blob = json.dumps({"command": command, "config": {k: cfg[k] for k in options}}, sort_keys=True)
+    cfg.hashed = frozenset(options)
     return {
         "command": command,
         "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16],
-        "seed": effective["seed"],
+        "options": options,
+        "seed": seed,
     }
 
 
@@ -204,8 +234,8 @@ def _prm(cfg: dict) -> Prm:
     raise UsageError(f"unknown prm {kind!r}")
 
 
-def _env_config(cfg: dict) -> EnvConfig:
-    return EnvConfig(max_steps=cfg["max_steps"], tau_stop=cfg["tau_stop"], tau_diff=cfg["tau_diff"])
+def _env_config(cfg: dict, **extra) -> EnvConfig:
+    return EnvConfig(max_steps=cfg["max_steps"], tau_stop=cfg["tau_stop"], **extra)
 
 
 # each --init name as (empty, box, random) ratios; a fixed start always wins the draw
@@ -225,9 +255,9 @@ def _init_rule(cfg: dict) -> Callable[[Task], InitSpec]:
         bad = len(ratios) != 3 or not all(math.isfinite(p) and p >= 0 for p in ratios)
         if bad or abs(sum(ratios) - 1.0) > 1e-9:
             raise ValueError("mix needs three finite ratios, each at least 0, summing to 1")
-        counts = args.split(",") if sep and name == "random" else (cfg["init_n_pos"], cfg["init_n_neg"])
-        n_pos, n_neg = (int(c) for c in counts)
-        if name in ("random", "mix"):
+        if name in ("random", "mix"):  # a fixed start reads no click counts
+            counts = args.split(",") if sep and name == "random" else (cfg["init_n_pos"], cfg["init_n_neg"])
+            n_pos, n_neg = (int(c) for c in counts)
             InitSpec.from_random_clicks(n_pos, n_neg, seed=0)
     except ValueError as e:
         raise UsageError(f"bad init {choice!r}: {e}")
@@ -271,7 +301,6 @@ _SEG = {
 _ENV = {
     "max_steps": 7,
     "tau_stop": 0.95,
-    "tau_diff": 0.01,
 }
 
 _POLICY = {
@@ -309,6 +338,7 @@ DEFAULTS: dict[str, dict] = {
         "seed": 0, "jobs": 1,
         **_SEG,
         **_ENV,
+        "tau_diff": 0.01,
         **_INIT,
         "init": "mix",
         "tasks": None,
@@ -340,6 +370,7 @@ DEFAULTS: dict[str, dict] = {
         "seed": 0, "jobs": 1,
         **_SEG,
         **_ENV,
+        "tau_diff": 0.01,
         **_POLICY,
         "policy": "noisy_expert",
         "tasks": None,
@@ -427,7 +458,7 @@ def cmd_gen_traj(cfg: dict) -> None:
     _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
     segmenter = _segmenter(cfg)
-    env_config = _env_config(cfg)
+    env_config = _env_config(cfg, tau_diff=cfg["tau_diff"])
 
     def one(task: Task):
         return generate_trajectory(task, segmenter, env_config, init(task))
@@ -510,22 +541,26 @@ def cmd_star(cfg: dict) -> None:
     tasks = load_tasks(cfg["tasks"])
     seed_data = DatasetManifest.load(cfg["seed_data"])
     segmenter = _segmenter(cfg)
-    env_config = _env_config(cfg)
     policy = _policy(cfg)
+    mode = cfg["mode"]
+    # star filters rollouts by tau_star; star_plus repairs them by keep_rule
+    # and, past the first rejected action, by the generator's tau_diff margin
+    if mode == "star_plus":
+        by_mode = {"config": _env_config(cfg, tau_diff=cfg["tau_diff"]), "keep_rule": cfg["keep_rule"]}
+    else:
+        by_mode = {"config": _env_config(cfg), "tau_star": cfg["tau_star"]}
     final, reports = star_iteration(
-        mode=cfg["mode"],
+        mode=mode,
         policy=policy,
         seed_data=seed_data,
         tasks=tasks,
         n_iters=cfg["n_iters"],
         hook=TrainHook(cfg["hook_cmd"] or None),
         segmenter=segmenter,
-        config=env_config,
         out_dir=cfg["out"],
-        tau_star=cfg["tau_star"],
         seed=cfg["seed"],
-        keep_rule=cfg["keep_rule"],
         jobs=cfg["jobs"],
+        **by_mode,
     )
     reports_path = os.path.join(cfg["out"], "reports.json")
     write_json(reports_path, {"header": _header("star", cfg), "reports": reports})
@@ -553,7 +588,7 @@ def cmd_search(cfg: dict) -> None:
         convergence_eps=cfg["eps"],
         convergence_patience=cfg["patience"],
     )
-    seed = cfg["seed"]
+    seed, with_trace = cfg["seed"], cfg["trace"]
     masks_out = cfg["masks_out"]
     if masks_out:
         os.makedirs(masks_out, exist_ok=True)
@@ -572,7 +607,7 @@ def cmd_search(cfg: dict) -> None:
             "n_steps": len(trace.steps),
             "final_iou": iou(best_mask, task.target),
         }
-        if cfg["trace"]:
+        if with_trace:
             rec["trace"] = trace.to_dict()
         return rec
 
@@ -650,10 +685,8 @@ def cmd_eval_regression(cfg: dict) -> None:
         xs = fields.array(data, key)
         return [fields.number(xs, i, key) for i in range(len(xs))]
 
-    try:
+    with fields.source(cfg["data"]):
         pred, truth = numbers("pred"), numbers("truth")
-    except FieldError as e:
-        raise UsageError(f"{cfg['data']}: {e}")
     _emit(regression_metrics(pred, truth))
 
 
@@ -766,7 +799,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         effective = _merge_config(args, DEFAULTS[command])
         if "mask_color" in effective:  # a flag's value, checked like a file's
             _parse_color(effective["mask_color"])
-        COMMANDS[command].run(effective)
+        COMMANDS[command].run(_Options(effective))
         return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -219,6 +219,9 @@ def edt_sq(region: BitMask) -> tuple[np.ndarray, tuple[int, int]]:
     dy^2 + dx^2 to each nearest background pixel is rebuilt in integers.
     The crop is exact: all outside the box is background, and a pixel
     beyond the pad ring is no nearer the region than its clamp on it.
+    The squares are summed in place in scipy's int32 indices: no value
+    exceeds the squared depth ((min(h, w) + 1) / 2)^2 of an h x w box,
+    which is below 2^31 while the shorter side is under 92,680 pixels.
     """
     from scipy import ndimage
 
@@ -229,10 +232,14 @@ def edt_sq(region: BitMask) -> tuple[np.ndarray, tuple[int, int]]:
     h, w = y1 - y0, x1 - x0
     padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = region.data[y0:y1, x0:x1]
-    fy, fx = ndimage.distance_transform_edt(padded, return_distances=False, return_indices=True)
-    dy = fy[1:-1, 1:-1] - np.arange(1, h + 1, dtype=np.int64)[:, None]
-    dx = fx[1:-1, 1:-1] - np.arange(1, w + 1, dtype=np.int64)
-    return _frozen(dy * dy + dx * dx), (x0, y0)
+    indices = ndimage.distance_transform_edt(padded, return_distances=False, return_indices=True)
+    dy, dx = indices[:, 1:-1, 1:-1]
+    dy -= np.arange(1, h + 1, dtype=dy.dtype)[:, None]
+    dx -= np.arange(1, w + 1, dtype=dx.dtype)
+    dy *= dy
+    dx *= dx
+    dy += dx
+    return _frozen(dy.astype(np.int64)), (x0, y0)
 
 
 def argmax_point(field: np.ndarray) -> tuple[tuple[int, int], int]:

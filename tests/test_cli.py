@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from maskloop import mock_server
-from maskloop.cli import COMMANDS, DEFAULTS, _add_opts, _merge_config, build_parser, dispatch
+from maskloop.cli import COMMANDS, DEFAULTS, _add_opts, _merge_config, _Options, build_parser, dispatch
 from maskloop.env import load_tasks, write_task_dir
 from maskloop.raster import GREEN, BitMask, read_pgm_mask, read_ppm, render_overlay, rle_decode, write_pgm
 from maskloop.trajgen import read_jsonl, synth_tasks
@@ -409,10 +409,11 @@ def test_eval_regression_fixture(tmp_path, capsys):
 
 
 def test_eval_regression_rejects_wrong_shape(tmp_path, capsys):
+    # a bad data file is a runtime failure, whether or not it decodes
     data = tmp_path / "scores.json"
     data.write_text(json.dumps([1, 2, 3]))
-    code, _ = run(capsys, "eval-regression", "--data", str(data))
-    assert code == 2
+    assert dispatch(["eval-regression", "--data", str(data)]) == 1
+    assert capsys.readouterr().err == f"error: {data}: expected an object, got [1, 2, 3]\n"
 
 
 @pytest.mark.parametrize("content", ['{"pred": [0.1, }', "[" * 100_000 + "]" * 100_000], ids=["invalid", "too-deep"])
@@ -595,22 +596,6 @@ def _write_masks(directory, tasks) -> None:
         write_pgm(mask, str(directory / f"{task.id}.pgm"))
 
 
-class _ReadRecorder(dict):
-    """A config that records every key read from it."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.read: set[str] = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
 def _variants(command: str, root, t: str, url: str) -> list[list[str]]:
     """Argument lists that between them take every code path reading options."""
     segs = [[], ["--segmenter", "region_grow"], ["--segmenter", "remote", "--segmenter-url", url]]
@@ -626,7 +611,7 @@ def _variants(command: str, root, t: str, url: str) -> list[list[str]]:
         ],
         "star": [
             ["--tasks", t, "--seed-data", traj + ".manifest.json", "--out", o, *v]
-            for v in segs + [["--policy", "remote", "--policy-url", url]]
+            for v in segs + [["--policy", "remote", "--policy-url", url], ["--mode", "star"]]
         ],
         "search": [
             ["--tasks", t, "--out", o, *v]
@@ -660,7 +645,7 @@ def test_every_option_of_a_command_is_read(served, capsys, monkeypatch, command)
     monkeypatch.setattr(mock_server, "serve", lambda *a, **kw: (_Idle(), _Idle()))
     read: set[str] = set()
     for argv in _variants(command, root, t, url):
-        cfg = _ReadRecorder(_merge_config(build_parser(command).parse_args(argv), DEFAULTS[command]))
+        cfg = _Options(_merge_config(build_parser(command).parse_args(argv), DEFAULTS[command]))
         COMMANDS[command].run(cfg)
         read |= cfg.read
     capsys.readouterr()
@@ -677,6 +662,7 @@ REMOVED_FLAGS = [
     ("render-sft", "--segmenter-url"),
     ("render-sft", "--timeout"),
     ("render-sft", "--max-retries"),
+    ("rollout", "--tau-diff"),
     ("rollout", "--miou-line"),
     ("star", "--miou-line"),
     ("search", "--tau-stop"),
