@@ -41,8 +41,8 @@ from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
 from .errors import FieldError, MaskLoopError
 from .improve import DatasetManifest, TrainHook
 from .improve import rollout as run_rollout
-from .improve import star_iteration
-from .metrics import ciou, filter_masks, noc, noc_histogram, regression_metrics
+from .improve import star_filter, star_iteration
+from .metrics import ciou, filter_masks, noc, noc_config, noc_histogram, regression_metrics
 from .policy import (
     COORD_DECIMAL,
     ExpertPolicy,
@@ -72,6 +72,17 @@ from .util import map_tasks, mean, mix_seed, parallel_map, write_json
 
 class UsageError(Exception):
     """Bad invocation detected after argument parsing."""
+
+
+@contextlib.contextmanager
+def _option_values(what: str = ""):
+    """Handlers build their components from the options in this block,
+    before reading or writing any file: a ValueError raised here is a bad
+    option value, a usage error (its message after ``what``)."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(f"{what}{e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +261,7 @@ def _init_rule(cfg: dict) -> Callable[[Task], InitSpec]:
     name, sep, args = choice.partition(":")
     if name not in _INIT_RATIOS or (sep and name in ("empty", "box")):
         raise UsageError(f"unknown init {choice!r}: expected empty, box, random[:NP,NN] or mix[:PE,PB,PR]")
-    try:
+    with _option_values(f"bad init {choice!r}: "):
         ratios = [float(p) for p in args.split(",")] if sep and name == "mix" else _INIT_RATIOS[name]
         bad = len(ratios) != 3 or not all(math.isfinite(p) and p >= 0 for p in ratios)
         if bad or abs(sum(ratios) - 1.0) > 1e-9:
@@ -259,8 +270,6 @@ def _init_rule(cfg: dict) -> Callable[[Task], InitSpec]:
             counts = args.split(",") if sep and name == "random" else (cfg["init_n_pos"], cfg["init_n_neg"])
             n_pos, n_neg = (int(c) for c in counts)
             InitSpec.from_random_clicks(n_pos, n_neg, seed=0)
-    except ValueError as e:
-        raise UsageError(f"bad init {choice!r}: {e}")
 
     def init(task: Task) -> InitSpec:
         u = np.random.default_rng(mix_seed(seed, task.id, "init")).random()
@@ -433,7 +442,8 @@ DEFAULTS: dict[str, dict] = {
 
 def cmd_synth(cfg: dict) -> None:
     _require(cfg, "out")
-    tasks = synth_tasks(cfg["n"], side=cfg["side"], seed=cfg["seed"])
+    with _option_values():
+        tasks = synth_tasks(cfg["n"], side=cfg["side"], seed=cfg["seed"])
     path = write_task_dir(tasks, cfg["out"], header=_header("synth", cfg))
     _emit({"manifest": path, "n_tasks": len(tasks)})
 
@@ -454,11 +464,12 @@ def _write_dataset(trajectories: list, out: str, provenance: str, header: dict) 
 
 def cmd_gen_traj(cfg: dict) -> None:
     _require(cfg, "tasks", "out")
-    init = _init_rule(cfg)
+    with _option_values():
+        init = _init_rule(cfg)
+        segmenter = _segmenter(cfg)
+        env_config = _env_config(cfg, tau_diff=cfg["tau_diff"])
     _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
-    segmenter = _segmenter(cfg)
-    env_config = _env_config(cfg, tau_diff=cfg["tau_diff"])
 
     def one(task: Task):
         return generate_trajectory(task, segmenter, env_config, init(task))
@@ -477,9 +488,10 @@ def cmd_gen_traj(cfg: dict) -> None:
 
 def cmd_render_sft(cfg: dict) -> None:
     _require(cfg, "traj", "tasks", "out")
+    with _option_values():
+        prompt_config = _prompt_config(cfg, "coord_format", "mask_color", "alpha", "template", "miou_line")
     trajectories = read_jsonl(cfg["traj"])
     tasks = {t.id: t for t in load_tasks(cfg["tasks"])}
-    prompt_config = _prompt_config(cfg, "coord_format", "mask_color", "alpha", "template", "miou_line")
     os.makedirs(cfg["out"], exist_ok=True)
     seen: dict[str, int] = {}
     work = []
@@ -489,7 +501,9 @@ def cmd_render_sft(cfg: dict) -> None:
             raise UsageError(f"trajectory references unknown task {traj.task_id!r}")
         n = seen.get(traj.task_id, 0)
         seen[traj.task_id] = n + 1
-        work.append((traj, task, traj.task_id if n == 0 else f"{traj.task_id}__{n}"))
+        # the n-th repeat of a task renders into <id>/<n>/, a path no task id
+        # can take, since an id holds no "/"
+        work.append((traj, task, os.path.join(traj.task_id, str(n)) if n else traj.task_id))
 
     def one(item) -> list[dict]:
         traj, task, sub = item
@@ -512,13 +526,15 @@ def cmd_render_sft(cfg: dict) -> None:
 
 def cmd_rollout(cfg: dict) -> None:
     _require(cfg, "tasks", "out")
-    init = _init_rule(cfg)
+    with _option_values():
+        init = _init_rule(cfg)
+        segmenter = _segmenter(cfg)
+        env_config = _env_config(cfg)
+        policy = _policy(cfg)
     _make_parent(cfg["out"])
     tasks = load_tasks(cfg["tasks"])
-    segmenter = _segmenter(cfg)
-    env_config = _env_config(cfg)
     trajectories, failures = run_rollout(
-        _policy(cfg), tasks, segmenter, env_config, seed=cfg["seed"], init=init, jobs=cfg["jobs"]
+        policy, tasks, segmenter, env_config, seed=cfg["seed"], init=init, jobs=cfg["jobs"]
     )
     header = _header("rollout", cfg)
     if failures:
@@ -537,25 +553,30 @@ def cmd_rollout(cfg: dict) -> None:
 
 def cmd_star(cfg: dict) -> None:
     _require(cfg, "tasks", "seed_data", "out")
+    mode = cfg["mode"]
+    with _option_values():
+        segmenter = _segmenter(cfg)
+        policy = _policy(cfg)
+        hook = TrainHook(cfg["hook_cmd"] or None)
+        # star filters rollouts by tau_star; star_plus repairs them by keep_rule
+        # and, past the first rejected action, by the generator's tau_diff margin
+        if mode == "star_plus":
+            by_mode = {"config": _env_config(cfg, tau_diff=cfg["tau_diff"]), "keep_rule": cfg["keep_rule"]}
+        elif mode == "star":
+            by_mode = {"config": _env_config(cfg), "tau_star": cfg["tau_star"]}
+            star_filter([], cfg["tau_star"])  # checks tau_star's range
+        else:
+            raise UsageError(f"unknown mode {mode!r}")
     os.makedirs(cfg["out"], exist_ok=True)
     tasks = load_tasks(cfg["tasks"])
     seed_data = DatasetManifest.load(cfg["seed_data"])
-    segmenter = _segmenter(cfg)
-    policy = _policy(cfg)
-    mode = cfg["mode"]
-    # star filters rollouts by tau_star; star_plus repairs them by keep_rule
-    # and, past the first rejected action, by the generator's tau_diff margin
-    if mode == "star_plus":
-        by_mode = {"config": _env_config(cfg, tau_diff=cfg["tau_diff"]), "keep_rule": cfg["keep_rule"]}
-    else:
-        by_mode = {"config": _env_config(cfg), "tau_star": cfg["tau_star"]}
     final, reports = star_iteration(
         mode=mode,
         policy=policy,
         seed_data=seed_data,
         tasks=tasks,
         n_iters=cfg["n_iters"],
-        hook=TrainHook(cfg["hook_cmd"] or None),
+        hook=hook,
         segmenter=segmenter,
         out_dir=cfg["out"],
         seed=cfg["seed"],
@@ -576,20 +597,18 @@ def cmd_star(cfg: dict) -> None:
 
 def cmd_search(cfg: dict) -> None:
     _require(cfg, "tasks", "out")
-    init = _init_rule(cfg)
-    _make_parent(cfg["out"])
-    tasks = load_tasks(cfg["tasks"])
-    segmenter = _segmenter(cfg)
-    prm = _prm(cfg)
-    policy = _policy(cfg)
-    search_config = SearchConfig(
-        k=cfg["k"],
-        max_steps=cfg["max_steps"],
-        convergence_eps=cfg["eps"],
-        convergence_patience=cfg["patience"],
-    )
+    with _option_values():
+        init = _init_rule(cfg)
+        segmenter = _segmenter(cfg)
+        prm = _prm(cfg)
+        policy = _policy(cfg)
+        search_config = SearchConfig(
+            k=cfg["k"], max_steps=cfg["max_steps"], convergence_eps=cfg["eps"], convergence_patience=cfg["patience"]
+        )
     seed, with_trace = cfg["seed"], cfg["trace"]
     masks_out = cfg["masks_out"]
+    _make_parent(cfg["out"])
+    tasks = load_tasks(cfg["tasks"])
     if masks_out:
         os.makedirs(masks_out, exist_ok=True)
 
@@ -650,11 +669,12 @@ def cmd_eval_ciou(cfg: dict) -> None:
 
 def cmd_eval_noc(cfg: dict) -> None:
     _require(cfg, "tasks")
+    target, cap = cfg["target_iou"], cfg["cap_clicks"]
+    with _option_values():
+        segmenter = _segmenter(cfg)
+        noc_config(target, cap)  # checks both ranges
     _make_parent(cfg["hist_out"])
     tasks = load_tasks(cfg["tasks"])
-    segmenter = _segmenter(cfg)
-    target = cfg["target_iou"]
-    cap = cfg["cap_clicks"]
 
     def one(task: Task) -> tuple[int, bool]:
         return noc(task, segmenter, target_iou=target, cap=cap)
@@ -692,8 +712,10 @@ def cmd_eval_regression(cfg: dict) -> None:
 
 def cmd_eval_filter(cfg: dict) -> None:
     _require(cfg, "tasks", "masks")
+    with _option_values():
+        prm = _prm(cfg)
+        filter_masks(prm, [], cfg["threshold"])  # checks the threshold's range
     tasks = load_tasks(cfg["tasks"])
-    prm = _prm(cfg)
     masks = _list_pgms(cfg["masks"])
     pairs = []
     for task in tasks:
@@ -715,13 +737,10 @@ def cmd_serve_mock(cfg: dict) -> None:
     from . import mock_server  # only this command serves; the others never import it
 
     _require(cfg, "tasks")
+    with _option_values():
+        prompt_config = _prompt_config(cfg, "coord_format", "mask_color", "alpha")
     tasks = load_tasks(cfg["tasks"])
-    server, thread = mock_server.serve(
-        tasks,
-        port=cfg["port"],
-        prompt_config=_prompt_config(cfg, "coord_format", "mask_color", "alpha"),
-        r_neg=cfg["r_neg"],
-    )
+    server, thread = mock_server.serve(tasks, port=cfg["port"], prompt_config=prompt_config, r_neg=cfg["r_neg"])
     host, port = server.server_address[:2]
     print(f"mock server on http://{host}:{port} with {len(tasks)} tasks", file=sys.stderr)
     try:

@@ -1,10 +1,12 @@
-"""The click-annotation decision process.
+"""The click-annotation decision process: its states and its transition.
 
 An episode works on one task (image, target mask, object description).
 The state is the current mask plus the full action history; a step hands
 the whole history to a segmenter, which returns the next mask, and the
 reward is the IoU of that mask against the target. There is no
-discounting anywhere.
+discounting anywhere. ``step`` is the transition alone: it neither scores
+the new mask nor ends the episode. The stop rules (tau_stop, max_steps)
+live in the one episode driver, ``trajgen.run_episode``.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fields
-from .errors import DuplicateTaskIdError, EpisodeDoneError, FieldError, MaskShapeError
+from .errors import DuplicateTaskIdError, FieldError, MaskShapeError
 from .raster import (
     BitMask,
     GrayImage,
@@ -40,13 +42,12 @@ POSITIVE_CLICK = "positive_click"
 NEGATIVE_CLICK = "negative_click"
 BOX = "box"
 
-# stop reasons shared by the environment and the dataset builders
-STOP_RUNNING = "running"
+# why an episode ended, as trajgen.run_episode records it
 STOP_TAU = "reached_tau_stop"
 STOP_MAX = "max_steps"
 STOP_LOW_IMPACT = "low_impact"
 STOP_CONVERGED = "converged"
-STOP_REASONS = (STOP_RUNNING, STOP_TAU, STOP_MAX, STOP_LOW_IMPACT, STOP_CONVERGED)
+STOP_REASONS = (STOP_TAU, STOP_MAX, STOP_LOW_IMPACT, STOP_CONVERGED)
 
 
 @dataclass(frozen=True)
@@ -230,14 +231,6 @@ class EpisodeState:
     mask: BitMask
     history: tuple[Action, ...] = field(default_factory=tuple)
     init_box: NormBox | None = None
-    finished: bool = False
-
-
-class StepOutcome(NamedTuple):
-    state: EpisodeState
-    reward: float
-    done: bool
-    stop_reason: str
 
 
 def reward(mask: BitMask, target: BitMask) -> float:
@@ -271,47 +264,15 @@ def reset(task: Task, init: InitSpec, segmenter) -> EpisodeState:
     return EpisodeState(step=0, mask=mask, history=clicks)
 
 
-def effective_prompts(
-    history: Sequence[Action], init_box: NormBox | None
-) -> tuple[tuple[Action, ...], NormBox | None]:
-    """Split a history into (clicks, box): the box is the most recent box
-    action, falling back to the episode's init box."""
-    clicks = tuple(a for a in history if a.is_click)
-    box = init_box
-    for a in history:
-        if a.kind == BOX:
-            box = a.box
-    return clicks, box
-
-
-def step(
-    state: EpisodeState,
-    action: Action,
-    task: Task,
-    segmenter,
-    config: EnvConfig,
-) -> StepOutcome:
-    """Apply one action: re-segment from the full history, score, advance."""
-    if state.finished or state.step >= config.max_steps:
-        raise EpisodeDoneError(
-            f"task {task.id}: episode already finished at step {state.step}"
-        )
+def step(state: EpisodeState, action: Action, task: Task, segmenter) -> EpisodeState:
+    """Apply one action: re-segment from the full history and advance. The
+    segmenter gets every click and the latest box action, else the init box."""
     history = state.history + (action,)
-    clicks, box = effective_prompts(history, state.init_box)
+    clicks = tuple(a for a in history if a.is_click)
+    box = next((a.box for a in reversed(history) if a.kind == BOX), state.init_box)
     mask = segmenter.segment(task, clicks, box)
     _check_mask(task, mask)
-    r = reward(mask, task.target)
-    n = state.step + 1
-    if r >= config.tau_stop:
-        done, why = True, STOP_TAU
-    elif n >= config.max_steps:
-        done, why = True, STOP_MAX
-    else:
-        done, why = False, STOP_RUNNING
-    new_state = EpisodeState(
-        step=n, mask=mask, history=history, init_box=state.init_box, finished=done
-    )
-    return StepOutcome(new_state, r, done, why)
+    return EpisodeState(step=state.step + 1, mask=mask, history=history, init_box=state.init_box)
 
 
 def _check_mask(task: Task, mask: BitMask) -> None:

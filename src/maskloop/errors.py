@@ -27,10 +27,6 @@ class DuplicateTaskIdError(MaskLoopError, ValueError):
     """A task manifest lists the same task id more than once."""
 
 
-class EpisodeDoneError(MaskLoopError, RuntimeError):
-    """step() was called on a finished episode."""
-
-
 class ActionParseError(MaskLoopError, ValueError):
     """Action text does not match the grammar.
 

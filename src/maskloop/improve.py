@@ -202,12 +202,7 @@ def refine_star_plus_verbose(
         actions = tuple(st.action for st in kept)
         mask = rle_decode(kept[-1].mask_after)
         state = replace(state, step=n, mask=mask, history=state.history + actions)
-        r = kept[-1].reward_after
-    else:
-        r = envmod.reward(state.mask, task.target)
-    rest = run_episode(
-        task, segmenter, config, state, r, expert_chooser(task), min_gain(config.tau_diff)
-    )
+    rest = run_episode(task, segmenter, config, state, expert_chooser(task), min_gain(config.tau_diff))
     steps = kept + encode_steps(rest.steps)
     return replace(rollout_traj, steps=steps, final_reward=rest.reward, stop_reason=rest.stop_reason), True
 

@@ -46,16 +46,20 @@ def noc(
     and returns (clicks used, reached flag); a run that exhausts ``cap``
     clicks without reaching the target returns (cap, False).
     """
+    config = noc_config(target_iou, cap)
+    state = envmod.reset(task, InitSpec.empty(), segmenter)
+    ep = run_episode(task, segmenter, config, state, expert_chooser(task))
+    # the expert converges only once the mask equals the target
+    return len(ep.steps), ep.stop_reason != envmod.STOP_MAX
+
+
+def noc_config(target_iou: float, cap: int) -> EnvConfig:
+    """A clicks-to-target run's limits: target_iou in (0, 1], cap >= 1."""
     if not (0.0 < target_iou <= 1.0):
         raise ValueError(f"target_iou out of (0, 1]: {target_iou}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    config = EnvConfig(max_steps=cap, tau_stop=target_iou, tau_diff=0.0)
-    state = envmod.reset(task, InitSpec.empty(), segmenter)
-    r = envmod.reward(state.mask, task.target)
-    ep = run_episode(task, segmenter, config, state, r, expert_chooser(task))
-    # the expert converges only once the mask equals the target
-    return len(ep.steps), ep.stop_reason != envmod.STOP_MAX
+    return EnvConfig(max_steps=cap, tau_stop=target_iou, tau_diff=0.0)
 
 
 def noc_histogram(counts: Sequence[int]) -> list[tuple[int, int]]:

@@ -1,11 +1,11 @@
 """Reward-guided greedy search over candidate clicks.
 
 Each step asks the policy for up to K candidate actions, applies every
-candidate through the segmenter, scores the resulting masks with a
-process reward model, and adopts the best one. The search never looks at
-the true reward: it stops on the step budget or once the running best
-PRM score stalls, and it returns the best-scoring mask over the whole
-episode (including the initial mask), not necessarily the last one.
+candidate with env.step, scores the resulting masks with a process reward
+model, and adopts the best one. The search never computes the true
+reward, and it reads the target once per step (see prm_greedy). It
+returns the best-scoring mask over the whole episode (including the
+initial mask), not necessarily the last one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env as envmod
-from .env import Action, EnvConfig, InitSpec, Task
+from .env import Action, InitSpec, Task
 from .policy import Policy, Prm, dedupe, prm_score
 from .raster import BitMask
 from .segmenters import Segmenter
@@ -84,14 +84,13 @@ def prm_greedy(
 ) -> tuple[BitMask, float, SearchTrace]:
     """Best-of-K greedy search; returns (best mask, its PRM score, trace).
 
-    The internal episode runs without a true-reward stop (the search only
-    ever consults the PRM), so the loop ends on the step budget, on
-    candidate exhaustion, or once the running best fails to improve by
-    more than convergence_eps for convergence_patience steps in a row.
+    The loop ends on the step budget, on candidate exhaustion, or once the
+    running best fails to improve by more than convergence_eps for
+    convergence_patience steps in a row. It also ends once the adopted
+    mask equals the target, the search's one read of the ground truth.
     On score ties the earlier step and the earlier candidate win.
     ``seed`` is the run seed, passed to every propose call.
     """
-    env_config = EnvConfig(max_steps=config.max_steps, tau_stop=1.0, tau_diff=0.0)
     state = envmod.reset(task, init, segmenter)
     best_mask = state.mask
     best_score = prm_score(prm, task, state.mask)
@@ -100,22 +99,14 @@ def prm_greedy(
     traces: list[StepTrace] = []
     stall = 0
     for t in range(1, config.max_steps + 1):
-        if state.finished:
-            break
         candidates = dedupe(policy.propose(task, state, config.k, seed=seed))
         if not candidates:
             break
-        outcomes = [envmod.step(state, a, task, segmenter, env_config) for a in candidates]
-        scores = [prm_score(prm, task, o.state.mask) for o in outcomes]
+        after = [envmod.step(state, a, task, segmenter) for a in candidates]
+        scores = [prm_score(prm, task, s.mask) for s in after]
         chosen = int(np.argmax(scores))
-        traces.append(
-            StepTrace(
-                candidates=tuple(candidates),
-                scores=tuple(scores),
-                chosen=chosen,
-            )
-        )
-        state = outcomes[chosen].state
+        traces.append(StepTrace(tuple(candidates), tuple(scores), chosen))
+        state = after[chosen]
         if scores[chosen] > best_score:
             improved = scores[chosen] - best_score > config.convergence_eps
             best_mask, best_score, best_step = state.mask, scores[chosen], t
@@ -123,5 +114,9 @@ def prm_greedy(
             improved = False
         stall = 0 if improved else stall + 1
         if stall >= config.convergence_patience:
+            break
+        # the one read of the target: no click improves on it, and asking
+        # the policy again would cost a remote act round trip
+        if state.mask == task.target:
             break
     return best_mask, best_score, SearchTrace(r0, tuple(traces), best_step, best_score)

@@ -4,11 +4,13 @@ A trajectory records an episode as (action, mask after, reward before,
 reward after) steps. A random-click start also records its opening mask,
 the segmenter's answer to the sampled clicks, so rendering finds every
 mask in the record and runs no segmenter. Expert and policy episodes,
-and the expert's continuation of a repaired rollout, all run on
-run_episode; they differ only in how the next action is chosen and in
-the rule for keeping a step. generate_trajectory runs the expert with two pruning rules: the
-episode stops once reward reaches tau_stop, and a step whose reward gain
-falls below tau_diff is dropped along with the rest of the episode (a
+the expert's continuation of a repaired rollout and eval-noc all run on
+run_episode, the one episode driver: env.step applies each action, and
+run_episode alone decides when the episode ends. Callers differ only in
+how the next action is chosen and in the rule for keeping a step.
+generate_trajectory runs the expert with two pruning rules: the episode
+stops once reward reaches tau_stop, and a step whose reward gain falls
+below tau_diff is dropped along with the rest of the episode (a
 low-impact click means the remaining headroom is not worth imitating).
 """
 
@@ -94,38 +96,40 @@ def run_episode(
     segmenter: Segmenter,
     config: EnvConfig,
     state: envmod.EpisodeState,
-    r: float,
     choose: Callable[[envmod.EpisodeState], Action | None],
-    keep: Callable[[envmod.StepOutcome, float], bool] | None = None,
+    keep: Callable[[float, float], bool] | None = None,
 ) -> Episode:
-    """The one episode loop: step ``choose(state)`` until the episode stops.
-
-    ``choose`` returning None ends the episode as converged. A step that
-    ``keep(outcome, reward_before)`` rejects is dropped and ends the
-    episode as low-impact; without ``keep`` every step is kept. Otherwise
-    the environment's own stop rules (tau_stop, max_steps) end it.
-    """
+    """The one episode loop, and the one place an episode ends: from
+    ``state``, before each step, once the reward reaches tau_stop, once the
+    step count reaches max_steps, or once ``choose(state)`` has no action
+    (converged). Each step goes through env.step and is scored with
+    env.reward; one that ``keep(reward_after, reward_before)`` rejects is
+    dropped and ends the episode as low-impact (no ``keep``: keep all)."""
     steps: list[EpisodeStep] = []
+    r = envmod.reward(state.mask, task.target)
     while True:
+        if r >= config.tau_stop:
+            return Episode(steps, r, envmod.STOP_TAU)
+        if state.step >= config.max_steps:
+            return Episode(steps, r, envmod.STOP_MAX)
         action = choose(state)
         if action is None:
             return Episode(steps, r, envmod.STOP_CONVERGED)
-        out = envmod.step(state, action, task, segmenter, config)
-        if keep is not None and not keep(out, r):
+        after = envmod.step(state, action, task, segmenter)
+        r_after = envmod.reward(after.mask, task.target)
+        if keep is not None and not keep(r_after, r):
             return Episode(steps, r, envmod.STOP_LOW_IMPACT)
-        steps.append(EpisodeStep(action, out.state.mask, r, out.reward))
-        state, r = out.state, out.reward
-        if out.done:
-            return Episode(steps, r, out.stop_reason)
+        steps.append(EpisodeStep(action, after.mask, r, r_after))
+        state, r = after, r_after
 
 
 def expert_chooser(task: Task) -> Callable[[envmod.EpisodeState], Action | None]:
     return lambda state: click_for(task, state.mask)
 
 
-def min_gain(margin: float) -> Callable[[envmod.StepOutcome, float], bool]:
+def min_gain(margin: float) -> Callable[[float, float], bool]:
     """The generator's keep rule: a step must gain at least ``margin``."""
-    return lambda out, r: out.reward - r >= margin
+    return lambda after, before: after - before >= margin
 
 
 def encode_steps(steps: Sequence[EpisodeStep]) -> tuple[TrajectoryStep, ...]:
@@ -141,16 +145,13 @@ def record_episode(
     config: EnvConfig,
     init: InitSpec,
     choose: Callable[[envmod.EpisodeState], Action | None],
-    keep: Callable[[envmod.StepOutcome, float], bool] | None = None,
+    keep: Callable[[float, float], bool] | None = None,
 ) -> Trajectory:
-    """Reset, then drive one episode unless the opening mask already
-    reaches tau_stop."""
+    """Reset, then drive one episode; an opening mask that already reaches
+    tau_stop records no step."""
     state = envmod.reset(task, init, segmenter)
     opening = rle_encode(state.mask) if init.variant == envmod.INIT_RANDOM else None
-    r = envmod.reward(state.mask, task.target)
-    if r >= config.tau_stop:
-        return Trajectory(task.id, init, (), r, envmod.STOP_TAU, opening)
-    ep = run_episode(task, segmenter, config, state, r, choose, keep)
+    ep = run_episode(task, segmenter, config, state, choose, keep)
     return Trajectory(task.id, init, encode_steps(ep.steps), ep.reward, ep.stop_reason, opening)
 
 

@@ -206,46 +206,56 @@ def blend_overlay(gray: np.ndarray, mask: np.ndarray, color, alpha: float) -> np
 
 def replay_repair(traj, task, segmenter, config, keep_rule):
     """Repair a rollout by replaying it: step every recorded action through
-    env.step, fail on any mask that differs from the record, keep steps up
-    to the first freshly computed gain the keep rule rejects, then let the
-    expert click until a stop rule ends the episode or a click gains less
-    than tau_diff. A rollout whose every step is kept comes back with its
-    own stop reason unless a kept step ended the episode. Returns
+    env.step, score it with env.reward, fail on any mask that differs from
+    the record, keep steps up to the first freshly computed gain the keep
+    rule rejects, then let the expert click until a stop rule ends the
+    episode or a click gains less than tau_diff. The stop rules are applied
+    here, not by trajgen.run_episode: a kept step that reaches tau_stop or
+    max_steps ends the replay (a recorded action after it is an error), and
+    before each expert click tau_stop, then max_steps, then an exhausted
+    expert end the episode. A rollout whose every step is kept comes back
+    with its own stop reason unless a kept step ended the episode. Returns
     (trajectory, whether the expert took over)."""
+
+    def stop_reason(r, n):
+        if r >= config.tau_stop:
+            return env.STOP_TAU
+        return env.STOP_MAX if n >= config.max_steps else None
+
     if not traj.steps:
         return generate_trajectory(task, segmenter, config, traj.init), False
     state = env.reset(task, traj.init, segmenter)
     r = env.reward(state.mask, task.target)
     steps = []
     for i, rec in enumerate(traj.steps):
-        out = env.step(state, rec.action, task, segmenter, config)
-        if out.state.mask != rle_decode(rec.mask_after):
+        after = env.step(state, rec.action, task, segmenter)
+        if after.mask != rle_decode(rec.mask_after):
             raise ReplayMismatchError(f"task {task.id}: replayed mask diverged at step {i}")
-        gain = out.reward - r
+        r_after = env.reward(after.mask, task.target)
+        gain = r_after - r
         if not (gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff):
             break
         steps.append(rec)
-        state, r = out.state, out.reward
-        if out.done:
+        state, r = after, r_after
+        reason = stop_reason(r, state.step)
+        if reason is not None:
             if i + 1 < len(traj.steps):
                 raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
-            return Trajectory(task.id, traj.init, tuple(steps), r, out.stop_reason, traj.opening_mask), False
+            return Trajectory(task.id, traj.init, tuple(steps), r, reason, traj.opening_mask), False
     else:
         return Trajectory(task.id, traj.init, tuple(steps), r, traj.stop_reason, traj.opening_mask), False
-    while True:
+    while (reason := stop_reason(r, state.step)) is None:
         action = next_click(state.mask, task.target)
         if action is None:
             reason = env.STOP_CONVERGED
             break
-        out = env.step(state, action, task, segmenter, config)
-        if out.reward - r < config.tau_diff:
+        after = env.step(state, action, task, segmenter)
+        r_after = env.reward(after.mask, task.target)
+        if r_after - r < config.tau_diff:
             reason = env.STOP_LOW_IMPACT
             break
-        steps.append(TrajectoryStep(action, rle_encode(out.state.mask), r, out.reward))
-        state, r = out.state, out.reward
-        if out.done:
-            reason = out.stop_reason
-            break
+        steps.append(TrajectoryStep(action, rle_encode(after.mask), r, r_after))
+        state, r = after, r_after
     return Trajectory(task.id, traj.init, tuple(steps), r, reason, traj.opening_mask), True
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,8 @@ from maskloop import mock_server
 from maskloop.cli import COMMANDS, DEFAULTS, _add_opts, _merge_config, _Options, build_parser, dispatch
 from maskloop.env import load_tasks, write_task_dir
 from maskloop.raster import GREEN, BitMask, read_pgm_mask, read_ppm, render_overlay, rle_decode, write_pgm
-from maskloop.trajgen import read_jsonl, synth_tasks
+from maskloop.policy import PromptConfig
+from maskloop.trajgen import read_jsonl, render_sft, synth_tasks
 
 
 def run(capsys, *argv):
@@ -207,6 +209,94 @@ def test_bad_init_is_usage_error_before_any_output(tmp_path, capsys, task_manife
     assert captured.out == ""
     assert f"bad init {init[1]!r}" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tasks"]
+
+
+_URL = "http://127.0.0.1:9"  # never contacted: every case fails before any request
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--n", "0"],
+        ["synth", "--side", "8"],
+        ["gen-traj", "--max-steps", "0"],
+        ["gen-traj", "--tau-stop", "7"],
+        ["gen-traj", "--tau-diff", "5"],
+        ["gen-traj", "--r-neg", "-1"],
+        ["gen-traj", "--segmenter", "region_grow", "--delta", "300"],
+        ["gen-traj", "--segmenter", "region_grow", "--cap", "0"],
+        ["gen-traj", "--segmenter", "remote", "--segmenter-url", "ftp://host"],
+        ["render-sft", "--alpha", "2"],
+        ["render-sft", "--coord-format", "polar"],
+        ["render-sft", "--template", "bogus"],
+        ["rollout", "--max-steps", "0"],
+        ["rollout", "--tau-stop", "7"],
+        ["rollout", "--policy", "noisy_expert", "--noise-sigma", "-1"],
+        ["rollout", "--policy", "noisy_expert", "--noise-flip", "2"],
+        ["rollout", "--policy", "remote", "--policy-url", _URL, "--timeout", "0"],
+        ["rollout", "--policy", "remote", "--policy-url", _URL, "--max-retries", "-1"],
+        ["rollout", "--policy", "remote", "--policy-url", _URL, "--coord-format", "polar"],
+        ["star", "--mode", "star", "--tau-star", "7"],
+        ["star", "--mode", "bogus"],
+        ["star", "--hook-cmd", "echo"],
+        ["star", "--tau-diff", "5"],
+        ["search", "--k", "0"],
+        ["search", "--eps", "-1"],
+        ["search", "--patience", "0"],
+        ["search", "--max-steps", "0"],
+        ["search", "--prm", "noisy", "--prm-sigma", "-1"],
+        ["search", "--prm", "remote", "--prm-url", _URL, "--alpha", "2"],
+        ["search", "--prm", "remote", "--prm-url", _URL, "--template", "bogus"],
+        ["eval-noc", "--target-iou", "0"],
+        ["eval-noc", "--cap-clicks", "0"],
+        ["eval-filter", "--threshold", "2"],
+        ["serve-mock", "--alpha", "2"],
+    ],
+    ids=" ".join,
+)
+def test_a_bad_option_value_is_a_usage_error_before_any_file(tmp_path, capsys, task_manifest, argv):
+    new = tmp_path / "new"
+    files = {  # each command's required options; no input but the tasks exists
+        "synth": ["--out", new / "tasks"],
+        "gen-traj": ["--tasks", task_manifest, "--out", new / "t.jsonl"],
+        "render-sft": ["--traj", tmp_path / "t.jsonl", "--tasks", task_manifest, "--out", new / "sft"],
+        "rollout": ["--tasks", task_manifest, "--out", new / "r.jsonl"],
+        "star": ["--tasks", task_manifest, "--seed-data", tmp_path / "seed.json", "--out", new / "star"],
+        "search": ["--tasks", task_manifest, "--out", new / "s.json", "--masks-out", new / "masks"],
+        "eval-noc": ["--tasks", task_manifest, "--hist-out", new / "noc.csv"],
+        "eval-filter": ["--tasks", task_manifest, "--masks", tmp_path / "masks"],
+        "serve-mock": ["--tasks", task_manifest, "--port", "0"],
+    }[argv[0]]
+    assert dispatch([*argv, *map(str, files)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tasks"]
+
+
+def test_render_sft_gives_each_repeat_of_a_task_its_own_images(tmp_path, capsys):
+    # task "a" is listed twice (two starts) beside a task whose id is "a__1"
+    disk, *_, scatter = synth_tasks(5, side=32, seed=5)
+    tasks = [replace(scatter, id="a"), replace(disk, id="a__1")]
+    manifest = write_task_dir(tasks, str(tmp_path / "tasks"))
+    parts = []
+    for name, task_id, init in [("empty", "a", "empty"), ("random", "a", "random:1,0"), ("other", "a__1", "empty")]:
+        path = str(tmp_path / f"{name}.jsonl")
+        assert run(capsys, "gen-traj", "--tasks", manifest, "--out", path, "--init", init)[0] == 0
+        parts += [line for line in open(path) if json.loads(line)["task_id"] == task_id]
+    traj = tmp_path / "traj.jsonl"
+    traj.write_text("".join(parts))
+    out = tmp_path / "sft"
+    assert run(capsys, "render-sft", "--traj", str(traj), "--tasks", manifest, "--out", str(out))[0] == 0
+    records = [json.loads(line) for line in open(out / "samples.jsonl")]
+    by_id = {t.id: t for t in tasks}
+    expected = [s for t in read_jsonl(str(traj)) for s in render_sft(t, by_id[t.task_id], PromptConfig())]
+    assert len(records) == len(expected) == 4
+    assert expected[0].image != expected[2].image  # the two starts of "a" differ
+    assert len({rec["image_path"] for rec in records}) == len(records)
+    for rec, sample in zip(records, expected):
+        assert read_ppm(str(out / rec["image_path"])) == sample.image
 
 
 def test_render_sft_refuses_a_repeated_task_id(tmp_path, capsys, task_manifest):

@@ -9,8 +9,6 @@ from maskloop.env import (
     POSITIVE_CLICK,
     NEGATIVE_CLICK,
     BOX,
-    STOP_MAX,
-    STOP_TAU,
     Action,
     EnvConfig,
     InitSpec,
@@ -23,7 +21,7 @@ from maskloop.env import (
     step,
     write_task_dir,
 )
-from maskloop.errors import DuplicateTaskIdError, EpisodeDoneError
+from maskloop.errors import DuplicateTaskIdError
 from maskloop.raster import BitMask, GrayImage, NormBox, NormPoint, bbox, pixel_center
 from maskloop.segmenters import OracleSegmenter
 from maskloop.trajgen import synth_tasks
@@ -148,11 +146,10 @@ def test_reset_random_clicks_stay_inside_target_bbox():
 def test_step_positive_click_hits_component():
     task = _simple_task()
     state = reset(task, InitSpec.empty(), OracleSegmenter())
-    out = step(state, _click_inside(task), task, OracleSegmenter(), EnvConfig())
-    assert out.reward == 1.0
-    assert out.done
-    assert out.stop_reason == STOP_TAU
-    assert out.state.mask == task.target
+    after = step(state, _click_inside(task), task, OracleSegmenter())
+    assert reward(after.mask, task.target) == 1.0
+    assert after.mask == task.target
+    assert after.step == 1
 
 
 def test_step_background_click_keeps_mask_empty():
@@ -160,34 +157,22 @@ def test_step_background_click_keeps_mask_empty():
     state = reset(task, InitSpec.empty(), OracleSegmenter())
     c = pixel_center(0, 0, 8, 8)
     corner = Action.positive(c.x, c.y)
-    out = step(state, corner, task, OracleSegmenter(), EnvConfig())
-    assert out.reward == 0.0
-    assert out.state.mask.is_empty()
-    assert not out.done
+    after = step(state, corner, task, OracleSegmenter())
+    assert reward(after.mask, task.target) == 0.0
+    assert after.mask.is_empty()
+    assert after.history == (corner,)
 
 
-def test_step_after_done_raises():
-    task = _simple_task()
-    state = reset(task, InitSpec.empty(), OracleSegmenter())
-    out = step(state, _click_inside(task), task, OracleSegmenter(), EnvConfig())
-    assert out.done
-    with pytest.raises(EpisodeDoneError):
-        step(out.state, _click_inside(task), task, OracleSegmenter(), EnvConfig())
-
-
-def test_step_count_capped_at_max_steps():
+def test_step_is_the_transition_alone():
+    # no stop rule lives in step: a solved mask steps on, and the count
+    # passes any budget; trajgen.run_episode decides when an episode ends
     task = _simple_task()
     seg = OracleSegmenter()
-    config = EnvConfig(max_steps=3, tau_stop=0.99)
     state = reset(task, InitSpec.empty(), seg)
-    c = pixel_center(0, 0, 8, 8)
-    corner = Action.positive(c.x, c.y)
-    for i in range(3):
-        out = step(state, corner, task, seg, config)
-        state = out.state
-    assert out.done
-    assert out.stop_reason == STOP_MAX
-    assert state.step == 3
+    for n in range(1, 10):
+        state = step(state, _click_inside(task), task, seg)
+        assert state.step == n and state.mask == task.target
+    assert len(state.history) == 9
 
 
 def test_step_passes_full_history_to_segmenter():
@@ -200,12 +185,11 @@ def test_step_passes_full_history_to_segmenter():
 
     task = _simple_task()
     seg = Spy()
-    config = EnvConfig(max_steps=5, tau_stop=0.999)
     state = reset(task, InitSpec.empty(), seg)
     c = pixel_center(0, 0, 8, 8)
     corner = Action.positive(c.x, c.y)
-    state = step(state, corner, task, seg, config).state
-    state = step(state, corner, task, seg, config).state
+    state = step(state, corner, task, seg)
+    state = step(state, corner, task, seg)
     assert [n for n, _ in calls] == [1, 2]
 
 
@@ -222,8 +206,7 @@ def test_step_deterministic_replay():
         state = reset(task, InitSpec.empty(), seg)
         masks = []
         for a in actions:
-            out = step(state, a, task, seg, EnvConfig(tau_stop=1.0, max_steps=9))
-            state = out.state
+            state = step(state, a, task, seg)
             masks.append(state.mask)
         runs.append(masks)
     assert runs[0] == runs[1]

@@ -258,7 +258,6 @@ def test_expert_propose_exhausted_returns_empty():
         mask=task.target,
         history=state.history,
         init_box=state.init_box,
-        finished=state.finished,
     )
     assert expert_propose(task, state, k=3) == []
 

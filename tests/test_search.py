@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import flood_components, mask_of
 
+from maskloop import env
 from maskloop.env import Action, InitSpec, Task
 from maskloop.expert import next_click
 from maskloop.policy import (
@@ -182,3 +183,35 @@ def test_trace_serializes_to_json():
     for st, raw in zip(trace.steps, back["steps"]):
         assert raw["chosen"] == st.chosen
         assert tuple(raw["scores"]) == st.scores
+
+
+@pytest.mark.parametrize("patience", [1, 2, 3, 5])
+def test_a_search_that_adopts_the_target_ends_there(patience):
+    # the same click every step: by the PRM's stall rule alone the search
+    # would run 1 + patience steps, but it ends once its mask is the target
+    task = _task(["####", "####", "....", "...."])
+    config = SearchConfig(k=1, max_steps=7, convergence_patience=patience)
+    mask, score, trace = prm_greedy(task, RepeatPolicy(), OraclePrm(), OracleSegmenter(), config)
+    assert mask == task.target and score == 1.0
+    assert len(trace.steps) == 1
+
+
+class AreaPrm(Prm):
+    """Scores a mask by its area alone; it never reads the target."""
+
+    def score(self, task, mask):
+        return 1.0 - abs(mask.area() / (mask.width * mask.height) - 0.3)
+
+
+def test_the_search_computes_no_true_reward(monkeypatch):
+    policy = NoisyExpertPolicy(NoiseConfig(sigma=0.2, flip_prob=0.3, seed=4))
+    config = SearchConfig(k=3, max_steps=7)
+    tasks = synth_tasks(5, side=32, seed=13)
+    runs = [prm_greedy(task, policy, AreaPrm(), OracleSegmenter(), config, seed=1) for task in tasks]
+
+    def no_reward(mask, target):
+        raise AssertionError("the search computed a true reward")
+
+    monkeypatch.setattr(env, "reward", no_reward)
+    assert [prm_greedy(task, policy, AreaPrm(), OracleSegmenter(), config, seed=1) for task in tasks] == runs
+    assert any(trace.steps for _, _, trace in runs)

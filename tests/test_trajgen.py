@@ -16,6 +16,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maskloop import env
 from maskloop.env import (
     STOP_CONVERGED,
     STOP_LOW_IMPACT,
@@ -27,8 +28,8 @@ from maskloop.env import (
     Task,
 )
 from maskloop.errors import FieldError, JsonlError, MaskShapeError, TemplateError
-from maskloop.policy import COORD_INT, PromptConfig
-from maskloop.raster import BitMask, GrayImage, iou, render_overlay, rle_decode, rle_encode
+from maskloop.policy import COORD_INT, NoiseConfig, NoisyExpertPolicy, PromptConfig
+from maskloop.raster import BitMask, GrayImage, NormBox, bbox, iou, render_overlay, rle_decode, rle_encode
 from maskloop.segmenters import OracleSegmenter, RegionGrowSegmenter, Segmenter
 from maskloop.trajgen import (
     FAMILIES,
@@ -36,7 +37,9 @@ from maskloop.trajgen import (
     _disk_at,
     Trajectory,
     generate_trajectory,
+    min_gain,
     read_jsonl,
+    record_episode,
     render_sft,
     synth_tasks,
     trajectory_from_dict,
@@ -166,6 +169,69 @@ def test_replay_reproduces_recorded_masks():
 
 
 # --- JSONL round trip ----------------------------------------------------
+
+
+@st.composite
+def _episodes(draw):
+    """A task, a random EnvConfig, one of the three init kinds, a noisy
+    expert's top proposal as the chooser (which gives up after a drawn
+    number of choices), and either keep rule."""
+    task = synth_tasks(5, side=24, seed=draw(st.integers(0, 20)))[draw(st.integers(0, 4))]
+    config = EnvConfig(
+        max_steps=draw(st.integers(1, 8)),
+        tau_stop=draw(st.one_of(st.sampled_from([0.5, 0.8, 0.95, 1.0]), st.floats(0.0, 1.0))),
+        tau_diff=draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])),
+    )
+    kind = draw(st.sampled_from(["empty", "box", "random"]))
+    if kind == "empty":
+        init = InitSpec.empty()
+    elif kind == "box":
+        b = bbox(task.target)
+        init = InitSpec.from_box(draw(st.sampled_from([b, NormBox(0.0, 0.0, b.x2, b.y2)])))
+    else:
+        n_pos = draw(st.integers(0, 2))
+        init = InitSpec.from_random_clicks(n_pos, draw(st.integers(1 - min(n_pos, 1), 2)), draw(st.integers(0, 99)))
+    noise = NoiseConfig(
+        sigma=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        flip_prob=draw(st.sampled_from([0.0, 0.3])),
+        seed=draw(st.integers(0, 99)),
+    )
+    keep = draw(st.sampled_from([None, min_gain(config.tau_diff)]))
+    return task, config, init, NoisyExpertPolicy(noise), draw(st.integers(0, 9)), keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(_episodes())
+def test_run_episode_applies_the_stop_rules_in_order(case):
+    task, config, init, policy, patience, keep = case
+    asked = []  # (step count, reward, answer) at each choose call
+
+    def choose(state):
+        proposals = policy.propose(task, state, 1, seed=0) if len(asked) < patience else []
+        action = proposals[0] if proposals else None
+        asked.append((state.step, env.reward(state.mask, task.target), action))
+        return action
+
+    traj = record_episode(task, OracleSegmenter(), config, init, choose, keep)
+    # nothing is chosen, so no step taken, at or past max_steps or tau_stop
+    for n, r, _ in asked:
+        assert n < config.max_steps and r < config.tau_stop
+    assert len(traj.steps) <= config.max_steps
+    assert all(st.reward_before < config.tau_stop for st in traj.steps)
+    # the stop reason names the first rule that fired
+    r, n = traj.final_reward, len(traj.steps)
+    if r >= config.tau_stop:
+        assert traj.stop_reason == STOP_TAU
+    elif n >= config.max_steps:
+        assert traj.stop_reason == STOP_MAX
+    elif asked[-1][2] is None:
+        assert traj.stop_reason == STOP_CONVERGED
+    else:
+        assert traj.stop_reason == STOP_LOW_IMPACT and keep is not None
+    # every choice but a final None or a rejected one is a recorded step
+    taken = [a for _, _, a in asked if a is not None]
+    assert [st.action for st in traj.steps] == taken[: len(traj.steps)]
+    assert len(taken) - len(traj.steps) == (traj.stop_reason == STOP_LOW_IMPACT)
 
 
 def test_jsonl_round_trip(tmp_path):
