@@ -41,7 +41,7 @@ from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
 from .errors import FieldError, MaskLoopError
 from .improve import DatasetManifest, TrainHook
 from .improve import rollout as run_rollout
-from .improve import star_filter, star_iteration
+from .improve import named_keep_rule, star_filter, star_iteration
 from .metrics import ciou, filter_masks, noc, noc_config, noc_histogram, regression_metrics
 from .policy import (
     COORD_DECIMAL,
@@ -455,7 +455,7 @@ def _write_dataset(trajectories: list, out: str, provenance: str, header: dict) 
         name=os.path.basename(out),
         files=(os.path.abspath(out),),
         provenance=provenance,
-        n_trajectories=len(trajectories),
+        trajectories=tuple(trajectories),
     )
     manifest_path = out + ".manifest.json"
     manifest.save(manifest_path, header=header)
@@ -561,12 +561,15 @@ def cmd_star(cfg: dict) -> None:
         # star filters rollouts by tau_star; star_plus repairs them by keep_rule
         # and, past the first rejected action, by the generator's tau_diff margin
         if mode == "star_plus":
-            by_mode = {"config": _env_config(cfg, tau_diff=cfg["tau_diff"]), "keep_rule": cfg["keep_rule"]}
+            config = _env_config(cfg, tau_diff=cfg["tau_diff"])
+            by_mode = {"config": config, "keep": named_keep_rule(cfg["keep_rule"], config.tau_diff)}
         elif mode == "star":
             by_mode = {"config": _env_config(cfg), "tau_star": cfg["tau_star"]}
             star_filter([], cfg["tau_star"])  # checks tau_star's range
         else:
             raise UsageError(f"unknown mode {mode!r}")
+        if cfg["n_iters"] < 0:
+            raise ValueError(f"n_iters must be >= 0, got {cfg['n_iters']}")
     os.makedirs(cfg["out"], exist_ok=True)
     tasks = load_tasks(cfg["tasks"])
     seed_data = DatasetManifest.load(cfg["seed_data"])
@@ -588,7 +591,7 @@ def cmd_star(cfg: dict) -> None:
     _emit(
         {
             "final_manifest_name": final.name,
-            "n_trajectories": final.n_trajectories,
+            "n_trajectories": len(final.trajectories),
             "reports": reports,
             "reports_path": reports_path,
         }
@@ -739,6 +742,9 @@ def cmd_serve_mock(cfg: dict) -> None:
     _require(cfg, "tasks")
     with _option_values():
         prompt_config = _prompt_config(cfg, "coord_format", "mask_color", "alpha")
+        OracleSegmenter(cfg["r_neg"])  # checks r_neg's range, as the mock's segmenter will
+        if not 0 <= cfg["port"] <= 65535:
+            raise ValueError(f"port must be in [0, 65535], got {cfg['port']}")
     tasks = load_tasks(cfg["tasks"])
     server, thread = mock_server.serve(tasks, port=cfg["port"], prompt_config=prompt_config, r_neg=cfg["r_neg"])
     host, port = server.server_address[:2]

@@ -9,12 +9,15 @@ changing a byte. Two refinement modes over a batch of policy rollouts:
   * filter mode keeps whole rollouts whose final reward clears tau_star
     and trains on the kept set alone;
   * repair mode (refine_star_plus_verbose) reads each rollout's record,
-    keeps its actions up to the first rejected one, and lets the expert
-    finish the episode; training then uses the seed dataset plus the
-    repaired rollouts.
+    keeps its actions up to the first one its keep rule rejects, and
+    lets the expert finish the episode; training then uses the seed
+    dataset plus the repaired rollouts.
 
-Neither mode trains anything itself: a TrainHook hands the merged
-dataset path to an external command (or just records it).
+A keep rule is a function keep(reward_after, reward_before), as
+run_episode takes it; named_keep_rule maps star's names to one. A
+DatasetManifest holds the records its files carry. Neither mode trains
+anything itself: a TrainHook hands the merged dataset path to an
+external command (or just records it).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .raster import rle_decode
 from .segmenters import Segmenter
 from .trajgen import (
     Trajectory,
-    encode_steps,
     expert_chooser,
     generate_trajectory,
     min_gain,
@@ -53,20 +55,16 @@ PROVENANCES = ("generated", "rollout", "refined", "merged")
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Names a trajectory dataset: the JSONL files plus bookkeeping."""
+    """Names a trajectory dataset: the JSONL files and the records they hold."""
 
     name: str
     files: tuple[str, ...]
     provenance: str
-    n_trajectories: int
-    # the records load() parsed to count them; None for a manifest built in memory
-    parsed: tuple[Trajectory, ...] | None = field(default=None, compare=False, repr=False)
+    trajectories: tuple[Trajectory, ...] = field(repr=False)
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.n_trajectories < 0:
-            raise ValueError("trajectory count cannot be negative")
 
     def save(self, path: str, header: dict | None = None) -> None:
         base = os.path.dirname(os.path.abspath(path))
@@ -74,7 +72,7 @@ class DatasetManifest:
             "name": self.name,
             "files": [os.path.relpath(f, base) for f in self.files],
             "provenance": self.provenance,
-            "counts": {"trajectories": self.n_trajectories},
+            "counts": {"trajectories": len(self.trajectories)},
         }
         if header is not None:
             obj["header"] = header
@@ -83,8 +81,7 @@ class DatasetManifest:
     @classmethod
     def load(cls, path: str) -> "DatasetManifest":
         """Load and verify: every field must have its type, every file must
-        parse and the counts must match. load_trajectories then returns
-        the records parsed here instead of parsing the files again."""
+        parse and the files must hold the declared number of records."""
         obj = fields.read_json(path)
         with fields.source(path):
             name = fields.string(obj, "name")
@@ -94,15 +91,10 @@ class DatasetManifest:
             declared = fields.integer(fields.obj(obj, "counts"), "trajectories", "counts")
         base = os.path.dirname(os.path.abspath(path))
         files = tuple(f if os.path.isabs(f) else os.path.join(base, f) for f in names)
-        parsed = tuple(traj for f in files for traj in read_jsonl(f))
-        if len(parsed) != declared:
-            raise ValueError(f"{path}: manifest declares {declared} trajectories, files hold {len(parsed)}")
-        return cls(name=name, files=files, provenance=provenance, n_trajectories=declared, parsed=parsed)
-
-    def load_trajectories(self) -> list[Trajectory]:
-        if self.parsed is not None:
-            return list(self.parsed)
-        return [traj for f in self.files for traj in read_jsonl(f)]
+        trajectories = tuple(traj for f in files for traj in read_jsonl(f))
+        if len(trajectories) != declared:
+            raise ValueError(f"{path}: manifest declares {declared} trajectories, files hold {len(trajectories)}")
+        return cls(name=name, files=files, provenance=provenance, trajectories=trajectories)
 
 
 @dataclass(frozen=True)
@@ -160,26 +152,37 @@ def rollout(
     return map_tasks("rollout", one, tasks, lambda task: task.id, jobs)
 
 
+def positive_gain(after: float, before: float) -> bool:
+    """The repair's default keep rule: a step must gain something."""
+    return after - before > 0.0
+
+
+def named_keep_rule(name: str, tau_diff: float) -> Callable[[float, float], bool]:
+    """The repair's keep rule by name: ``positive`` keeps a strictly
+    positive gain, ``tau_diff`` a gain of at least the generator's margin."""
+    rules = {"positive": positive_gain, "tau_diff": min_gain(tau_diff)}
+    if name not in rules:
+        raise ValueError(f"unknown keep rule {name!r}: expected one of {', '.join(rules)}")
+    return rules[name]
+
+
 def refine_star_plus_verbose(
     rollout_traj: Trajectory,
     task: Task,
     segmenter: Segmenter,
     config: EnvConfig = EnvConfig(),
-    keep_rule: str = "positive",
+    keep: Callable[[float, float], bool] = positive_gain,
 ) -> tuple[Trajectory, bool]:
     """Repair one rollout: keep improving actions, splice in the expert.
 
-    Reads the rollout's record, so no kept step is segmented again. The
-    default keep rule retains actions with strictly positive recorded
-    gain; ``tau_diff`` instead requires the same margin the generator
-    uses. From the first rejected action onward the record is invalid, so
-    the expert takes over from the last kept mask under the usual stop
-    rules; with none rejected the rollout comes back unchanged. Empty
-    rollouts turn into plain expert episodes. Returns (repaired
-    trajectory, whether the expert took over).
+    Reads the rollout's record, so no kept step is segmented again. A
+    recorded step is kept while ``keep(reward_after, reward_before)``
+    holds (see named_keep_rule). From the first rejected action onward the
+    record is invalid, so the expert takes over from the last kept mask
+    under the usual stop rules; with none rejected the rollout comes back
+    unchanged. Empty rollouts turn into plain expert episodes. Returns
+    (repaired trajectory, whether the expert took over).
     """
-    if keep_rule not in ("positive", "tau_diff"):
-        raise ValueError(f"unknown keep rule {keep_rule!r}")
     if rollout_traj.task_id != task.id:
         raise ValueError(f"rollout for {rollout_traj.task_id!r} refined on {task.id!r}")
     if not rollout_traj.steps:
@@ -187,8 +190,7 @@ def refine_star_plus_verbose(
     recorded = rollout_traj.steps
     n = 0  # the kept prefix: steps before the first one the rule rejects
     for st in recorded:
-        gain = st.reward_after - st.reward_before
-        if not (gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff):
+        if not keep(st.reward_after, st.reward_before):
             break
         n += 1
         ends = st.reward_after >= config.tau_stop or n >= config.max_steps
@@ -203,7 +205,7 @@ def refine_star_plus_verbose(
         mask = rle_decode(kept[-1].mask_after)
         state = replace(state, step=n, mask=mask, history=state.history + actions)
     rest = run_episode(task, segmenter, config, state, expert_chooser(task), min_gain(config.tau_diff))
-    steps = kept + encode_steps(rest.steps)
+    steps = kept + tuple(rest.steps)
     return replace(rollout_traj, steps=steps, final_reward=rest.reward, stop_reason=rest.stop_reason), True
 
 
@@ -226,18 +228,19 @@ def star_iteration(
     out_dir: str = ".",
     tau_star: float = 0.95,
     seed: int = 0,
-    keep_rule: str = "positive",
+    keep: Callable[[float, float], bool] = positive_gain,
     jobs: int = 1,
 ) -> tuple[DatasetManifest, list[dict]]:
     """Drive n_iters rollout -> refine -> hand-off rounds.
 
     mode 'star' filters rollouts by final reward and trains on the kept
-    set; 'star_plus' repairs every rollout and trains on seed_data plus
-    the repaired set. Rollouts start from an empty mask. Rollouts and
-    repairs run on ``jobs`` threads without changing the output; a remote
-    failure in either leaves that task out of the iteration and counts in
-    its report's n_failures. Returns the last training manifest (seed_data
-    when n_iters is 0) and one report dict per iteration.
+    set; 'star_plus' repairs every rollout by ``keep`` and trains on
+    seed_data plus the repaired set. Rollouts start from an empty mask.
+    Rollouts and repairs run on ``jobs`` threads without changing the
+    output; a remote failure in either leaves that task out of the
+    iteration and counts in its report's n_failures. Returns the last
+    training manifest (seed_data when n_iters is 0) and one report dict
+    per iteration.
     """
     if mode not in ("star", "star_plus"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -247,10 +250,10 @@ def star_iteration(
         return seed_data, []
     os.makedirs(out_dir, exist_ok=True)
     task_by_id = {t.id: t for t in tasks}
-    seed_trajs = seed_data.load_trajectories() if mode == "star_plus" else []
+    seed_trajs = list(seed_data.trajectories) if mode == "star_plus" else []
 
     def repair(traj: Trajectory) -> tuple[Trajectory, bool]:
-        return refine_star_plus_verbose(traj, task_by_id[traj.task_id], segmenter, config, keep_rule)
+        return refine_star_plus_verbose(traj, task_by_id[traj.task_id], segmenter, config, keep)
 
     reports: list[dict] = []
     for it in range(1, n_iters + 1):
@@ -277,7 +280,7 @@ def star_iteration(
             name=f"{mode}-iter{it:02d}",
             files=(train_path,),
             provenance=provenance,
-            n_trajectories=len(train),
+            trajectories=tuple(train),
         )
         manifest.save(os.path.join(out_dir, f"iter{it:02d}_manifest.json"))
         hook.invoke(train_path)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import fields
-from .errors import FieldError, ProtocolError, RemoteError
+from .errors import ActionParseError, FieldError, ProtocolError, RemoteError
 from .raster import GREEN, BitMask, NormBox, RleMask, rle_decode, rle_encode
 
 if TYPE_CHECKING:
@@ -92,7 +92,7 @@ class RemoteEndpoint:
             raise ValueError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} s, got {self.timeout!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        # parsed once for every request: the URL and its connection pool key
+        # split once for every request: the URL and its connection pool key
         object.__setattr__(self, "_url", url)
         object.__setattr__(self, "_key", (url.scheme, url.hostname, url.port))
 
@@ -402,7 +402,6 @@ def call_prm(
 
     reply = _post(endpoint, "/v1/score", _overlay_payload(task, mask, prompt, mask_color, alpha))
     try:
-        text = fields.string(reply, "text")
-    except FieldError as e:
+        return parse_stated_miou(fields.string(reply, "text"))
+    except (FieldError, ActionParseError) as e:
         raise ProtocolError(f"score reply: {e}")
-    return parse_stated_miou(text)

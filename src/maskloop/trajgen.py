@@ -6,7 +6,9 @@ the segmenter's answer to the sampled clicks, so rendering finds every
 mask in the record and runs no segmenter. Expert and policy episodes,
 the expert's continuation of a repaired rollout and eval-noc all run on
 run_episode, the one episode driver: env.step applies each action, and
-run_episode alone decides when the episode ends. Callers differ only in
+run_episode alone decides when the episode ends. It records each step
+as a TrajectoryStep, the mask RLE-encoded as the step is taken, so a
+repair joins recorded and new steps as they are. Callers differ only in
 how the next action is chosen and in the rule for keeping a step.
 generate_trajectory runs the expert with two pruning rules: the episode
 stops once reward reaches tau_stop, and a step whose reward gain falls
@@ -76,17 +78,8 @@ class Trajectory:
             raise FieldError("opening_mask", f"recorded for init {self.init.variant}; only {random} has one")
 
 
-class EpisodeStep(NamedTuple):
-    """A step as the driver took it; the mask is not yet RLE-encoded."""
-
-    action: Action
-    mask_after: BitMask
-    reward_before: float
-    reward_after: float
-
-
 class Episode(NamedTuple):
-    steps: list[EpisodeStep]
+    steps: list[TrajectoryStep]
     reward: float
     stop_reason: str
 
@@ -104,8 +97,9 @@ def run_episode(
     step count reaches max_steps, or once ``choose(state)`` has no action
     (converged). Each step goes through env.step and is scored with
     env.reward; one that ``keep(reward_after, reward_before)`` rejects is
-    dropped and ends the episode as low-impact (no ``keep``: keep all)."""
-    steps: list[EpisodeStep] = []
+    dropped and ends the episode as low-impact (no ``keep``: keep all).
+    A kept step is recorded as taken, its mask RLE-encoded."""
+    steps: list[TrajectoryStep] = []
     r = envmod.reward(state.mask, task.target)
     while True:
         if r >= config.tau_stop:
@@ -119,7 +113,7 @@ def run_episode(
         r_after = envmod.reward(after.mask, task.target)
         if keep is not None and not keep(r_after, r):
             return Episode(steps, r, envmod.STOP_LOW_IMPACT)
-        steps.append(EpisodeStep(action, after.mask, r, r_after))
+        steps.append(TrajectoryStep(action, rle_encode(after.mask), r, r_after))
         state, r = after, r_after
 
 
@@ -130,13 +124,6 @@ def expert_chooser(task: Task) -> Callable[[envmod.EpisodeState], Action | None]
 def min_gain(margin: float) -> Callable[[float, float], bool]:
     """The generator's keep rule: a step must gain at least ``margin``."""
     return lambda after, before: after - before >= margin
-
-
-def encode_steps(steps: Sequence[EpisodeStep]) -> tuple[TrajectoryStep, ...]:
-    return tuple(
-        TrajectoryStep(st.action, rle_encode(st.mask_after), st.reward_before, st.reward_after)
-        for st in steps
-    )
 
 
 def record_episode(
@@ -152,7 +139,7 @@ def record_episode(
     state = envmod.reset(task, init, segmenter)
     opening = rle_encode(state.mask) if init.variant == envmod.INIT_RANDOM else None
     ep = run_episode(task, segmenter, config, state, choose, keep)
-    return Trajectory(task.id, init, encode_steps(ep.steps), ep.reward, ep.stop_reason, opening)
+    return Trajectory(task.id, init, tuple(ep.steps), ep.reward, ep.stop_reason, opening)
 
 
 def generate_trajectory(

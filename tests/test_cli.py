@@ -240,6 +240,8 @@ _URL = "http://127.0.0.1:9"  # never contacted: every case fails before any requ
         ["star", "--mode", "bogus"],
         ["star", "--hook-cmd", "echo"],
         ["star", "--tau-diff", "5"],
+        ["star", "--keep-rule", "bogus"],
+        ["star", "--n-iters", "-1"],
         ["search", "--k", "0"],
         ["search", "--eps", "-1"],
         ["search", "--patience", "0"],
@@ -251,6 +253,9 @@ _URL = "http://127.0.0.1:9"  # never contacted: every case fails before any requ
         ["eval-noc", "--cap-clicks", "0"],
         ["eval-filter", "--threshold", "2"],
         ["serve-mock", "--alpha", "2"],
+        ["serve-mock", "--port", "-5"],
+        ["serve-mock", "--port", "70000"],
+        ["serve-mock", "--r-neg", "-1"],
     ],
     ids=" ".join,
 )
@@ -267,7 +272,8 @@ def test_a_bad_option_value_is_a_usage_error_before_any_file(tmp_path, capsys, t
         "eval-filter": ["--tasks", task_manifest, "--masks", tmp_path / "masks"],
         "serve-mock": ["--tasks", task_manifest, "--port", "0"],
     }[argv[0]]
-    assert dispatch([*argv, *map(str, files)]) == 2
+    # the bad value comes last, so it overrides a required option's value
+    assert dispatch([argv[0], *map(str, files), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -78,7 +78,7 @@ def records(tmp_path_factory) -> dict:
     trajs = [generate_trajectory(t, OracleSegmenter(), EnvConfig(), init) for t, init in zip(TASKS, inits)]
     jsonl = os.path.join(d, "traj.jsonl")
     write_jsonl(trajs, jsonl)
-    DatasetManifest("traj", (jsonl,), "generated", len(trajs)).save(os.path.join(d, "data.json"), header={"seed": 0})
+    DatasetManifest("traj", (jsonl,), "generated", tuple(trajs)).save(os.path.join(d, "data.json"), header={"seed": 0})
     manifest = write_task_dir(TASKS, os.path.join(d, "tasks"), header={"seed": 0})
     # a config file holding each command's defaults, and a string for an option with none
     configs = [{k: "x" if v is None else v for k, v in DEFAULTS[c].items() if k != "config"} for c in CONFIG_COMMANDS]

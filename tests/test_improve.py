@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from maskloop.expert import next_click
 from maskloop.improve import (
     DatasetManifest,
     TrainHook,
+    named_keep_rule,
     refine_star_plus_verbose,
     rollout,
     star_filter,
@@ -265,18 +267,20 @@ def _repair_cases(draw):
 @given(_repair_cases())
 def test_refine_equals_replay_repair(case):
     traj, task, segmenter, config, keep_rule, tighter = case
+    # the oracle compares gains by the rule's name; refine takes the mapped function
+    keep = named_keep_rule(keep_rule, config.tau_diff)
     try:
         expected = replay_repair(traj, task, segmenter, config, keep_rule)
     except ReplayMismatchError as e:
         assert "past the episode end" in str(e)
         with pytest.raises(ReplayMismatchError, match="past the episode end"):
-            refine_star_plus_verbose(traj, task, segmenter, config, keep_rule)
+            refine_star_plus_verbose(traj, task, segmenter, config, keep)
         return
     if tighter and not expected[1]:
         # an uncut rollout comes back as recorded, while the replay names
         # its stop reason under the tighter config
         expected = (replace(expected[0], stop_reason=traj.stop_reason), False)
-    assert refine_star_plus_verbose(traj, task, segmenter, config, keep_rule) == expected
+    assert refine_star_plus_verbose(traj, task, segmenter, config, keep) == expected
 
 
 def test_refine_segments_only_the_expert_continuation():
@@ -322,18 +326,17 @@ def test_keep_rule_tau_diff_is_stricter():
     small_gain = traj.steps[1].reward_after - traj.steps[1].reward_before
     assert 0.0 < small_gain < config.tau_diff
 
-    kept = refine_star_plus_verbose(traj, task, OracleSegmenter(), config, keep_rule="positive")[0]
+    positive, tau_diff = (named_keep_rule(name, config.tau_diff) for name in ("positive", "tau_diff"))
+    kept = refine_star_plus_verbose(traj, task, OracleSegmenter(), config, keep=positive)[0]
     assert kept == traj
-    trimmed = refine_star_plus_verbose(traj, task, OracleSegmenter(), config, keep_rule="tau_diff")[0]
+    trimmed = refine_star_plus_verbose(traj, task, OracleSegmenter(), config, keep=tau_diff)[0]
     assert trimmed.steps == traj.steps[:1]
     assert trimmed.stop_reason == STOP_LOW_IMPACT
 
 
-def test_refine_validates_keep_rule():
-    task = _task(["##"])
-    trajs, _ = rollout(ExpertPolicy(), [task], OracleSegmenter())
-    with pytest.raises(ValueError):
-        refine_star_plus_verbose(trajs[0], task, OracleSegmenter(), keep_rule="lenient")[0]
+def test_an_unknown_keep_rule_name_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown keep rule 'lenient'"):
+        named_keep_rule("lenient", 0.01)
 
 
 # --- filtering -----------------------------------------------------------
@@ -359,7 +362,7 @@ def _seed_manifest(tmp_path, n=3, name="seed"):
     trajs = [generate_trajectory(t, OracleSegmenter()) for t in tasks]
     path = str(tmp_path / f"{name}.jsonl")
     write_jsonl(trajs, path)
-    manifest = DatasetManifest(name=name, files=(path,), provenance="generated", n_trajectories=n)
+    manifest = DatasetManifest(name=name, files=(path,), provenance="generated", trajectories=tuple(trajs))
     manifest_path = str(tmp_path / f"{name}.json")
     manifest.save(manifest_path)
     return manifest, manifest_path, tasks, trajs
@@ -370,16 +373,18 @@ def test_manifest_save_load_round_trip(tmp_path):
     loaded = DatasetManifest.load(manifest_path)
     assert loaded.name == manifest.name
     assert loaded.provenance == "generated"
-    assert loaded.n_trajectories == 3
-    assert loaded.load_trajectories() == trajs
+    assert loaded.trajectories == tuple(trajs)
+    assert loaded == manifest
 
 
 def test_manifest_load_rejects_count_mismatch(tmp_path):
-    _, manifest_path, _, trajs = _seed_manifest(tmp_path)
-    bad = DatasetManifest(name="seed", files=(str(tmp_path / "seed.jsonl"),), provenance="generated", n_trajectories=99)
+    _seed_manifest(tmp_path)
+    # a manifest always saves its records' count, so a wrong one is written by hand
+    bad = {"name": "seed", "files": ["seed.jsonl"], "provenance": "generated", "counts": {"trajectories": 99}}
     bad_path = str(tmp_path / "bad.json")
-    bad.save(bad_path)
-    with pytest.raises(ValueError):
+    with open(bad_path, "w", encoding="utf-8") as fh:
+        json.dump(bad, fh)
+    with pytest.raises(ValueError, match="declares 99 trajectories, files hold 3"):
         DatasetManifest.load(bad_path)
 
 
@@ -404,7 +409,7 @@ def test_star_plus_parses_each_seed_file_once(tmp_path, monkeypatch):
 
 def test_manifest_rejects_unknown_provenance():
     with pytest.raises(ValueError):
-        DatasetManifest(name="x", files=(), provenance="scraped", n_trajectories=0)
+        DatasetManifest(name="x", files=(), provenance="scraped", trajectories=())
 
 
 def test_manifest_paths_are_relative_to_manifest(tmp_path):
@@ -415,7 +420,7 @@ def test_manifest_paths_are_relative_to_manifest(tmp_path):
 
     shutil.move(str(tmp_path / "seed.jsonl"), str(moved / "seed.jsonl"))
     shutil.move(manifest_path, str(moved / "seed.json"))
-    assert DatasetManifest.load(str(moved / "seed.json")).load_trajectories() == trajs
+    assert DatasetManifest.load(str(moved / "seed.json")).trajectories == tuple(trajs)
 
 
 def test_train_hook_validation():
@@ -467,7 +472,7 @@ def test_star_mode_trains_on_kept_rollouts_only(tmp_path):
         "star", ExpertPolicy(), manifest, tasks, 2, TrainHook(), OracleSegmenter(), out_dir=str(out)
     )
     assert final.provenance == "refined"
-    assert final.n_trajectories == 4  # expert solves everything
+    assert len(final.trajectories) == 4  # expert solves everything
     assert len(reports) == 2
     assert (out / "iter01_refined.jsonl").exists()
     assert (out / "iter02_manifest.json").exists()
@@ -489,7 +494,7 @@ def test_star_mode_filters_bad_rollouts(tmp_path):
         OracleSegmenter(),
         out_dir=str(tmp_path / "runs"),
     )
-    assert final.n_trajectories == 0
+    assert final.trajectories == ()
     assert reports[0]["mean_reward_raw"] == 0.0
     assert reports[0]["mean_reward_refined"] == 0.0
 
@@ -502,9 +507,10 @@ def test_star_plus_merges_seed_and_refined(tmp_path):
         "star_plus", policy, manifest, tasks, 2, TrainHook(), OracleSegmenter(), out_dir=str(out), seed=3
     )
     assert final.provenance == "merged"
-    assert final.n_trajectories == len(seed_trajs) + len(tasks)
-    loaded = final.load_trajectories()
-    assert loaded[: len(seed_trajs)] == seed_trajs
+    loaded = DatasetManifest.load(str(out / "iter02_manifest.json")).trajectories
+    assert loaded == final.trajectories
+    assert len(loaded) == len(seed_trajs) + len(tasks)
+    assert loaded[: len(seed_trajs)] == tuple(seed_trajs)
     for rep in reports:
         assert rep["mean_reward_refined"] >= rep["mean_reward_raw"]
         assert set(rep) == {
@@ -552,7 +558,7 @@ def test_star_plus_collects_repair_failures_per_task(tmp_path, caplog):
     assert reports[0]["n_failures"] == 1
     assert reports[0]["n_corrections"] == 2
     assert [t.task_id for t in read_jsonl(str(out / "iter01_refined.jsonl"))] == [tasks[0].id, tasks[2].id]
-    assert final.n_trajectories == len(seed_trajs) + 2
+    assert len(final.trajectories) == len(seed_trajs) + 2
     assert f"repair failed for task {tasks[1].id}" in caplog.text
 
 

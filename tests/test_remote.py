@@ -749,6 +749,25 @@ def test_non_json_reply_is_protocol_error(scripted):
         call_prm(endpoint, _ANY, _ANY.target, "p")
 
 
+def test_a_score_reply_out_of_range_is_a_protocol_error(scripted):
+    body = json.dumps({"text": "Current mIoU: 150"}).encode()
+    _, endpoint = scripted([(200, body)])
+    with pytest.raises(ProtocolError, match=r"score reply: mIoU 150 outside \[0, 100\]"):
+        call_prm(endpoint, _ANY, _ANY.target, "p")
+
+
+def test_a_search_lists_a_task_with_a_bad_score_reply_under_failures(scripted, tmp_path, capsys):
+    _, endpoint = scripted([(200, json.dumps({"text": "Current mIoU: 150"}).encode())])
+    tasks = write_task_dir(synth_tasks(2, side=16, seed=1), str(tmp_path / "tasks"))
+    out = tmp_path / "search.json"
+    argv = ["search", "--tasks", tasks, "--out", str(out), "--prm", "remote", "--prm-url", endpoint.base_url]
+    assert dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out)["n_failures"] == 2
+    failures = json.loads(out.read_text())["header"]["failures"]
+    assert sorted(failures) == ["synth-0000", "synth-0001"]
+    assert all("score reply: mIoU 150 outside [0, 100]" in msg for msg in failures.values())
+
+
 def test_wrong_size_segment_reply_rejected(scripted):
     wrong = rle_encode(BitMask.zeros(3, 3)).to_dict()
     body = json.dumps({"mask_rle": wrong}).encode()
