@@ -41,7 +41,7 @@ from .env import EnvConfig, InitSpec, Task, load_tasks, write_task_dir
 from .errors import FieldError, MaskLoopError
 from .improve import DatasetManifest, TrainHook
 from .improve import rollout as run_rollout
-from .improve import named_keep_rule, star_filter, star_iteration
+from .improve import check_star_options, named_keep_rule, star_filter, star_iteration
 from .metrics import ciou, filter_masks, noc, noc_config, noc_histogram, regression_metrics
 from .policy import (
     COORD_DECIMAL,
@@ -558,18 +558,15 @@ def cmd_star(cfg: dict) -> None:
         segmenter = _segmenter(cfg)
         policy = _policy(cfg)
         hook = TrainHook(cfg["hook_cmd"] or None)
+        check_star_options(mode, cfg["n_iters"])
         # star filters rollouts by tau_star; star_plus repairs them by keep_rule
         # and, past the first rejected action, by the generator's tau_diff margin
         if mode == "star_plus":
             config = _env_config(cfg, tau_diff=cfg["tau_diff"])
             by_mode = {"config": config, "keep": named_keep_rule(cfg["keep_rule"], config.tau_diff)}
-        elif mode == "star":
+        else:
             by_mode = {"config": _env_config(cfg), "tau_star": cfg["tau_star"]}
             star_filter([], cfg["tau_star"])  # checks tau_star's range
-        else:
-            raise UsageError(f"unknown mode {mode!r}")
-        if cfg["n_iters"] < 0:
-            raise ValueError(f"n_iters must be >= 0, got {cfg['n_iters']}")
     os.makedirs(cfg["out"], exist_ok=True)
     tasks = load_tasks(cfg["tasks"])
     seed_data = DatasetManifest.load(cfg["seed_data"])
@@ -726,14 +723,11 @@ def cmd_eval_filter(cfg: dict) -> None:
         if path is None:
             raise UsageError(f"no mask file for task {task.id!r} in {cfg['masks']}")
         pairs.append((task, read_pgm_mask(path)))
-    kept, rejected = filter_masks(prm, pairs, cfg["threshold"])
-    _emit(
-        {
-            "kept": [t.id for t, _ in kept],
-            "rejected": [t.id for t, _ in rejected],
-            "threshold": cfg["threshold"],
-        }
-    )
+    kept, rejected, failures = filter_masks(prm, pairs, cfg["threshold"])
+    reply = {"kept": [t.id for t, _ in kept], "rejected": [t.id for t, _ in rejected], "threshold": cfg["threshold"]}
+    if failures:
+        reply["failures"] = failures
+    _emit(reply)
 
 
 def cmd_serve_mock(cfg: dict) -> None:

@@ -5,8 +5,10 @@ annotator would make: find the false-negative and false-positive
 regions, and click the point deepest inside the larger-error region
 (measured by squared distance to the region boundary, with the raster
 border counting as boundary). Misses win ties go to removal, i.e. equal
-depths produce a negative click. Each region's distance transform covers
-only its bounding box.
+depths produce a negative click. Each region's deepest pixel comes from
+``raster.deepest_pixel``, an exact pruned search over its bounding box
+that evaluates the distance only where a cheap bound can still win; no
+full distance transform is computed.
 
 ``next_click`` is the pure rule. ``click_for`` is what the pipeline
 calls: it remembers each task's last mask and click, because an episode
@@ -16,27 +18,15 @@ changed nothing, a repair resuming from a state its rollout reached).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .env import Action, Task
-from .raster import BitMask, argmax_point, check_same_shape, edt_sq, pixel_center
-
-
-def _deepest(region: np.ndarray) -> tuple[int, tuple[int, int]]:
-    """The region's largest squared depth and its first row-major pixel
-    (px, py); (0, (0, 0)) for an empty region."""
-    if not region.any():
-        return 0, (0, 0)
-    field, (x0, y0) = edt_sq(BitMask(region))
-    (px, py), depth = argmax_point(field)
-    return depth, (x0 + px, y0 + py)
+from .raster import BitMask, check_same_shape, deepest_pixel, pixel_center
 
 
 def next_click(pred: BitMask, gt: BitMask) -> Action | None:
     """The expert's next click, or None once pred equals gt."""
     check_same_shape(pred, gt)
-    fn_max, fn_at = _deepest(gt.data & ~pred.data)
-    fp_max, fp_at = _deepest(~gt.data & pred.data)
+    fn_max, fn_at = deepest_pixel(BitMask(gt.data & ~pred.data))
+    fp_max, fp_at = deepest_pixel(BitMask(~gt.data & pred.data))
     if fn_max == fp_max == 0:
         return None
     h, w = gt.shape

@@ -216,6 +216,16 @@ def star_filter(trajectories: Sequence[Trajectory], tau_star: float) -> list[Tra
     return [t for t in trajectories if t.final_reward >= tau_star]
 
 
+def check_star_options(mode: str, n_iters: int) -> None:
+    """ValueError unless mode is 'star' or 'star_plus' and n_iters is at
+    least 0: the rules of ``star_iteration``, which star's option block
+    also applies before any file is read."""
+    if mode not in ("star", "star_plus"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if n_iters < 0:
+        raise ValueError(f"n_iters must be >= 0, got {n_iters}")
+
+
 def star_iteration(
     mode: str,
     policy: Policy,
@@ -242,10 +252,7 @@ def star_iteration(
     training manifest (seed_data when n_iters is 0) and one report dict
     per iteration.
     """
-    if mode not in ("star", "star_plus"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_iters < 0:
-        raise ValueError(f"n_iters must be >= 0, got {n_iters}")
+    check_star_options(mode, n_iters)
     if n_iters == 0:
         return seed_data, []
     os.makedirs(out_dir, exist_ok=True)

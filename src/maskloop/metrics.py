@@ -14,6 +14,7 @@ from .policy import Prm, prm_score
 from .raster import BitMask, check_same_shape
 from .segmenters import Segmenter
 from .trajgen import expert_chooser, run_episode
+from .util import map_tasks
 
 
 def ciou(pairs: Sequence[tuple[BitMask, BitMask]]) -> float:
@@ -115,18 +116,18 @@ def filter_masks(
     prm: Prm,
     pairs: Sequence[tuple[Task, BitMask]],
     threshold: float,
-) -> tuple[list[tuple[Task, BitMask]], list[tuple[Task, BitMask]]]:
-    """Split (task, mask) pairs into (kept, rejected) by PRM score.
+) -> tuple[list[tuple[Task, BitMask]], list[tuple[Task, BitMask]], dict[str, str]]:
+    """Split (task, mask) pairs into (kept, rejected) by PRM score, and
+    collect the remote score failures keyed by task id.
 
-    Scores >= threshold stay; input order is preserved on both sides.
+    Scores >= threshold stay; input order is preserved on both sides. A
+    pair whose score call fails is in neither list (``util.map_tasks``).
     """
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold out of [0, 1]: {threshold}")
-    kept: list[tuple[Task, BitMask]] = []
-    rejected: list[tuple[Task, BitMask]] = []
-    for task, mask in pairs:
-        if prm_score(prm, task, mask) >= threshold:
-            kept.append((task, mask))
-        else:
-            rejected.append((task, mask))
-    return kept, rejected
+    scored, failures = map_tasks(
+        "score", lambda pair: (pair, prm_score(prm, *pair)), pairs, lambda pair: pair[0].id, jobs=1
+    )
+    kept = [pair for pair, score in scored if score >= threshold]
+    rejected = [pair for pair, score in scored if score < threshold]
+    return kept, rejected, failures

@@ -174,8 +174,9 @@ def _foreground_box(mask: BitMask) -> tuple[int, int, int, int] | None:
     rows = np.flatnonzero(mask.data.any(axis=1))
     if not rows.size:
         return None
-    cols = np.flatnonzero(mask.data.any(axis=0))
-    return int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(mask.data[y0:y1].any(axis=0))
+    return int(cols[0]), y0, int(cols[-1]) + 1, y1
 
 
 def pixel_center(px: int, py: int, width: int, height: int) -> NormPoint:
@@ -242,10 +243,89 @@ def edt_sq(region: BitMask) -> tuple[np.ndarray, tuple[int, int]]:
     return _frozen(dy.astype(np.int64)), (x0, y0)
 
 
-def argmax_point(field: np.ndarray) -> tuple[tuple[int, int], int]:
-    """First row-major maximum of a 2-d field, as ((px, py), value)."""
-    py, px = divmod(int(np.argmax(field)), field.shape[1])
-    return (px, py), int(field[py, px])
+def deepest_pixel(region: BitMask) -> tuple[int, tuple[int, int]]:
+    """The region's largest squared distance to a non-region pixel, and the
+    first row-major pixel (px, py) that reaches it; (0, (0, 0)) for an empty
+    region. Out-of-bounds positions count as non-region, so this is the
+    first row-major maximum of ``edt_sq``'s field, offset by its origin.
+
+    An exact pruned search over the region's bounding box, in numpy only.
+    Let g and h be a region pixel's distances to the nearest non-region
+    pixel in its column and in its row (both 0 off the region). Then
+
+      * D^2(x, y) = min over rows y' of (y - y')^2 + h(x, y')^2, and only
+        rows with |y - y'| <= D can attain it;
+      * D^2 <= min(g, h)^2, the pixel's bound.
+
+    So D^2 is computed only where the bound reaches the best depth found:
+    first at the pixels of the largest bound m; then, if a pixel of bound
+    m - 1 or less could still win, or tie at an earlier pixel, at those of
+    bound min(m - 1, isqrt(best)) to m - 1. No bound below isqrt(best)
+    reaches best, so the search ends there.
+
+    g and h come from the runs of one flat array that holds the box's
+    columns and then its rows (a False before each line and a False row
+    above and below the rows), expanded by ``np.repeat``. Positions in it
+    are int32, so a box of about 2^30 pixels or more is refused.
+    """
+    box = _foreground_box(region)
+    if box is None:
+        return 0, (0, 0)
+    x0, y0, x1, y1 = box
+    h, w = y1 - y0, x1 - x0
+    nv = w * (h + 1)
+    n = nv + (h + 2) * (w + 1)
+    if n > np.iinfo(np.int32).max:
+        raise MaskShapeError(f"region box {w}x{h} is too large for deepest_pixel's int32 positions")
+    crop = region.data[y0:y1, x0:x1]
+    lines = np.zeros(n, bool)
+    lines[:nv].reshape(w, h + 1)[:, 1:] = crop.T
+    lines[nv:].reshape(h + 2, w + 1)[1:-1, 1:] = crop
+    # the first index of every run of equal values, then n; the runs of
+    # False are the even ones, as the array starts and ends with False
+    change = np.empty(n + 1, bool)
+    change[0] = change[n] = True
+    np.not_equal(lines[1:], lines[:-1], out=change[1:n])
+    starts = np.flatnonzero(change).astype(np.int32)
+    length = starts[1:] - starts[:-1]
+    far = length + 1
+    far[0::2] = 0
+    depth = np.arange(1, n + 1, dtype=np.int32)
+    depth -= np.repeat(starts[:-1], length)
+    down = np.repeat(far, length)
+    down -= depth
+    # distance to the nearest False along the line; <= 0 on False
+    np.minimum(depth, down, out=depth)
+    bound = depth[:nv].reshape(w, h + 1)[:, 1:].T.copy()
+    np.minimum(bound, depth[nv:].reshape(h + 2, w + 1)[1:-1, 1:], out=bound)
+    rows = depth[nv:]  # h on the rows, with a False row above and below
+    m = int(bound.max())
+    dy = np.arange(-m, m + 1, dtype=np.int32)
+    step = dy * (w + 1) + (w + 2)  # from box pixel k, k + k // w + step is (x, y + dy) in rows
+    dy *= dy
+    best = at = 0
+    lo = hi = m
+    pixels = np.flatnonzero(bound == m)
+    while True:
+        if pixels.size:
+            span = slice(m - hi, m + hi + 1)
+            # out of range only where dy^2 alone exceeds the pixel's bound
+            d = rows.take(step[span, None] + (pixels + pixels // w), mode="clip")
+            np.maximum(d, 0, out=d)  # 0 off the region
+            np.minimum(d, m, out=d)  # past m no term wins; the squares stay in int32
+            d *= d
+            d += dy[span, None]
+            d = d.min(axis=0)
+            k = int(d.argmax())
+            if d[k] > best or (d[k] == best and pixels[k] < at):
+                best, at = int(d[k]), int(pixels[k])
+        if (lo - 1) ** 2 < best:  # no unevaluated pixel wins or ties
+            py, px = divmod(at, w)
+            return best, (x0 + px, y0 + py)
+        hi, lo = lo - 1, min(lo - 1, math.isqrt(best))
+        level = bound >= lo
+        level &= bound <= hi
+        pixels = np.flatnonzero(level)
 
 
 def component_labels(mask: BitMask) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy import ndimage
 from maskloop import env, mock_server
 from maskloop.errors import ReplayMismatchError
 from maskloop.expert import next_click
-from maskloop.raster import BitMask, edt_sq, rle_decode, rle_encode
+from maskloop.raster import BitMask, deepest_pixel, edt_sq, rle_decode, rle_encode
 from maskloop.trajgen import Trajectory, TrajectoryStep, _disk_at, generate_trajectory
 
 
@@ -131,6 +131,27 @@ def check_rings_connected(max_side: int) -> int:
         n = ndimage.label(ring)[1]
         assert n == 1, f"ring r_out={r_out}, r_in={r_in} has {n} components"
     return len(pairs)
+
+
+def brute_deepest(mask: np.ndarray) -> tuple[int, tuple[int, int]]:
+    """The first row-major maximum of brute_edt_sq, as (value, (x, y))."""
+    d = brute_edt_sq(mask)
+    py, px = divmod(int(d.argmax()), d.shape[1])
+    return int(d[py, px]), (px, py)
+
+
+def check_deepest_exhaustive(shapes) -> int:
+    """Compare deepest_pixel with brute_deepest on every mask of each
+    (h, w) shape, and fail naming the first that differs. Returns the
+    number of masks checked."""
+    n = 0
+    for h, w in shapes:
+        bits = np.arange(1 << (h * w))[:, None] >> np.arange(h * w) & 1
+        for m in bits.astype(bool).reshape(-1, h, w):
+            got = deepest_pixel(BitMask(m))
+            assert got == brute_deepest(m), f"{h}x{w} mask {m.astype(int).tolist()}: {got}"
+            n += 1
+    return n
 
 
 def click_pixel(action, w: int, h: int) -> tuple[int, int]:

@@ -24,6 +24,7 @@ from maskloop.expert import next_click
 from maskloop.improve import (
     DatasetManifest,
     TrainHook,
+    check_star_options,
     named_keep_rule,
     refine_star_plus_verbose,
     rollout,
@@ -463,6 +464,26 @@ def test_star_iteration_validates_inputs(tmp_path):
         star_iteration("sft", ExpertPolicy(), manifest, tasks, 1, TrainHook(), OracleSegmenter())
     with pytest.raises(ValueError):
         star_iteration("star", ExpertPolicy(), manifest, tasks, -1, TrainHook(), OracleSegmenter())
+
+
+@pytest.mark.parametrize(
+    "mode,n_iters,message", [("sft", 1, "unknown mode 'sft'"), ("star", -1, "n_iters must be >= 0, got -1")]
+)
+def test_star_options_are_one_rule_for_the_library_and_the_cli(tmp_path, capsys, mode, n_iters, message):
+    from maskloop.cli import dispatch
+
+    manifest, manifest_path, tasks, _ = _seed_manifest(tmp_path)
+    for call in (
+        lambda: check_star_options(mode, n_iters),
+        lambda: star_iteration(mode, ExpertPolicy(), manifest, tasks, n_iters, TrainHook(), OracleSegmenter()),
+    ):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == message
+    task_manifest = write_task_dir(tasks, str(tmp_path / "tasks"))
+    argv = ["star", "--tasks", task_manifest, "--seed-data", manifest_path, "--out", str(tmp_path / "star")]
+    assert dispatch([*argv, "--mode", mode, "--n-iters", str(n_iters)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_star_mode_trains_on_kept_rollouts_only(tmp_path):

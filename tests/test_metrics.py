@@ -208,7 +208,8 @@ def test_filter_masks_partitions_by_true_iou():
     for i, t in enumerate(tasks):
         mask = t.target if i % 2 == 0 else BitMask.zeros(t.image.width, t.image.height)
         pairs.append((t, mask))
-    kept, rejected = filter_masks(OraclePrm(), pairs, threshold=0.5)
+    kept, rejected, failures = filter_masks(OraclePrm(), pairs, threshold=0.5)
+    assert failures == {}
     assert kept == pairs[0::2]
     assert rejected == pairs[1::2]
 
@@ -216,17 +217,16 @@ def test_filter_masks_partitions_by_true_iou():
 def test_filter_masks_threshold_extremes():
     tasks = synth_tasks(3, side=32, seed=41)
     pairs = [(t, t.target) for t in tasks]
-    kept, rejected = filter_masks(OraclePrm(), pairs, threshold=0.0)
-    assert (kept, rejected) == (pairs, [])
-    kept, rejected = filter_masks(OraclePrm(), pairs, threshold=1.0)
-    assert (kept, rejected) == (pairs, [])  # oracle scores exactly 1.0
+    assert filter_masks(OraclePrm(), pairs, threshold=0.0) == (pairs, [], {})
+    assert filter_masks(OraclePrm(), pairs, threshold=1.0) == (pairs, [], {})  # oracle scores exactly 1.0
 
 
 def test_filter_masks_agrees_with_direct_scores():
     tasks = synth_tasks(8, side=32, seed=42)
     prm = NoisyPrm(sigma=0.3, seed=9)
     pairs = [(t, t.target) for t in tasks]
-    kept, rejected = filter_masks(prm, pairs, threshold=0.8)
+    kept, rejected, failures = filter_masks(prm, pairs, threshold=0.8)
+    assert failures == {}
     for t, m in kept:
         assert prm.score(t, m) >= 0.8
     for t, m in rejected:

@@ -17,12 +17,12 @@ from maskloop.raster import (
     NormPoint,
     RgbImage,
     RleMask,
-    argmax_point,
     bbox,
     box_to_mask,
     component_labels,
     decode_pgm,
     decode_ppm,
+    deepest_pixel,
     edt_sq,
     encode_pgm,
     encode_ppm,
@@ -40,7 +40,16 @@ from maskloop.raster import (
     write_ppm,
 )
 
-from conftest import blend_overlay, brute_edt_sq, embedded_edt_sq, flood_components, mask_of, rand_mask
+from conftest import (
+    blend_overlay,
+    brute_deepest,
+    brute_edt_sq,
+    check_deepest_exhaustive,
+    embedded_edt_sq,
+    flood_components,
+    mask_of,
+    rand_mask,
+)
 
 
 # --- iou ---------------------------------------------------------------
@@ -177,19 +186,81 @@ def test_edt_argmax_is_row_major_first():
     m = np.zeros((4, 5), bool)
     m[1:3, 2:4] = [[False, True], [True, True]]
     field, (x0, y0) = edt_sq(BitMask(m))
-    (px, py), value = argmax_point(field)
-    assert value == 1
+    py, px = divmod(int(field.argmax()), field.shape[1])
     # (x, y) of the first maximum in row-major order, on the box and on the raster
     assert (px, py) == (1, 0)
-    assert (x0 + px, y0 + py) == (3, 1)
+    assert deepest_pixel(BitMask(m)) == (1, (x0 + px, y0 + py)) == (1, (3, 1))
 
 
 def test_edt_argmax_center_of_full_5x5():
     field, origin = edt_sq(BitMask.full(5, 5))
-    point, value = argmax_point(field)
-    assert origin == (0, 0)
-    assert point == (2, 2)
-    assert value == 9
+    assert origin == (0, 0) and field[2, 2] == field.max() == 9
+    assert deepest_pixel(BitMask.full(5, 5)) == (9, (2, 2))
+
+
+# --- deepest pixel -----------------------------------------------------
+
+
+def test_deepest_pixel_of_an_empty_region():
+    assert deepest_pixel(BitMask.zeros(7, 3)) == (0, (0, 0))
+    assert brute_deepest(np.zeros((3, 7), bool)) == (0, (0, 0))
+
+
+def test_deepest_pixel_on_every_mask_up_to_3x3():
+    # the CI step "Deepest pixel on every small mask" goes up to 4x4, 3x5 and 5x3
+    assert check_deepest_exhaustive([(h, w) for h in range(1, 4) for w in range(1, 4)]) == 682
+
+
+_wide = st.tuples(st.integers(1, 48), st.integers(1, 48))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rasters(_wide))
+def test_deepest_pixel_matches_brute_force_on_any_raster(m):
+    assert deepest_pixel(BitMask(m)) == brute_deepest(m)
+
+
+def _disc(h, w, cx, cy, r_out, r_in):
+    """Pixels within r_out of (cx, cy) and not within r_in: a ring, or a
+    disc when r_in is 0; the centre may lie off the raster."""
+    yy, xx = np.mgrid[:h, :w]
+    d2 = (xx - cx) ** 2 + (yy - cy) ** 2
+    return (d2 <= r_out * r_out) & (d2 >= r_in * r_in)
+
+
+@st.composite
+def _shapes(draw):
+    """A non-square raster holding rings and discs, one-pixel lines,
+    rectangles flush with a border or a corner, or a shape mirrored onto
+    itself (whose depths tie exactly); several of them make several
+    components, or merge."""
+    h, w = draw(_wide.filter(lambda hw: hw[0] != hw[1]))
+    m = np.zeros((h, w), bool)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["ring", "line", "flush", "mirror"]))
+        if kind == "ring":
+            r_out = draw(st.integers(0, 30))
+            cx, cy = draw(st.integers(-5, w + 4)), draw(st.integers(-5, h + 4))
+            m |= _disc(h, w, cx, cy, r_out, draw(st.integers(0, r_out)))
+        elif kind == "line":
+            k = draw(st.integers(-48, 48))
+            m |= draw(st.sampled_from([np.eye(h, w, k, bool), np.eye(h, w, k, bool)[:, ::-1]]))
+            m[draw(st.integers(0, h - 1))] |= draw(st.booleans())
+            m[:, draw(st.integers(0, w - 1))] |= draw(st.booleans())
+        elif kind == "flush":
+            bh, bw = draw(st.integers(1, h)), draw(st.integers(1, w))
+            y0 = draw(st.sampled_from([0, h - bh]))
+            x0 = draw(st.one_of(st.sampled_from([0, w - bw]), st.integers(0, w - bw)))
+            m[y0 : y0 + bh, x0 : x0 + bw] = True
+        else:
+            m = m | draw(st.sampled_from([m[::-1], m[:, ::-1], m[::-1, ::-1]]))
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shapes())
+def test_deepest_pixel_matches_brute_force_on_drawn_shapes(m):
+    assert deepest_pixel(BitMask(m)) == brute_deepest(m)
 
 
 # --- components --------------------------------------------------------

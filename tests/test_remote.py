@@ -47,7 +47,7 @@ from maskloop.policy import (
     parse_action,
     render_prompt,
 )
-from maskloop.raster import BitMask, GrayImage, iou, rle_encode
+from maskloop.raster import BitMask, GrayImage, iou, rle_encode, write_pgm
 from maskloop.remote import RemoteEndpoint, call_policy, call_prm, call_segment
 from maskloop.segmenters import OracleSegmenter, RemoteSegmenter
 from maskloop.trajgen import synth_tasks
@@ -766,6 +766,43 @@ def test_a_search_lists_a_task_with_a_bad_score_reply_under_failures(scripted, t
     failures = json.loads(out.read_text())["header"]["failures"]
     assert sorted(failures) == ["synth-0000", "synth-0001"]
     assert all("score reply: mIoU 150 outside [0, 100]" in msg for msg in failures.values())
+
+
+def _eval_filter_argv(tmp_path, tasks) -> list[str]:
+    """eval-filter on the tasks, with the target as the mask of even task
+    positions (IoU 1) and an empty mask for odd ones (IoU 0)."""
+    manifest = write_task_dir(tasks, str(tmp_path / "tasks"))
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for i, task in enumerate(tasks):
+        mask = task.target if i % 2 == 0 else BitMask.zeros(task.image.width, task.image.height)
+        write_pgm(mask, str(masks / f"{task.id}.pgm"))
+    return ["eval-filter", "--tasks", manifest, "--masks", str(masks)]
+
+
+def test_an_eval_filter_lists_every_task_under_failures_when_the_prm_is_unreachable(tmp_path, capsys):
+    tasks = synth_tasks(3, side=16, seed=1)
+    argv = _eval_filter_argv(tmp_path, tasks)
+    assert dispatch([*argv, "--prm", "remote", "--prm-url", "http://127.0.0.1:9", "--max-retries", "0"]) == 0
+    reply = json.loads(capsys.readouterr().out)
+    assert reply["kept"] == reply["rejected"] == []
+    assert sorted(reply["failures"]) == [task.id for task in tasks]
+    assert all("/v1/score" in msg for msg in reply["failures"].values())
+
+
+def test_an_eval_filter_goes_on_past_a_failed_score_call(tmp_path, capsys):
+    tasks = synth_tasks(6, side=16, seed=1)
+    argv = _eval_filter_argv(tmp_path, tasks)
+    assert dispatch([*argv, "--prm", "oracle"]) == 0
+    oracle = json.loads(capsys.readouterr().out)
+    with faulty_mock(tasks) as (url, injected, _):
+        assert dispatch([*argv, "--prm", "remote", "--prm-url", url, "--max-retries", "0"]) == 0
+    reply = json.loads(capsys.readouterr().out)
+    failed = set(reply["failures"])
+    # each task sends one score request: a faulted one fails its task only
+    assert 0 < len(failed) == len(injected) < len(tasks)
+    assert reply["kept"] == [t for t in oracle["kept"] if t not in failed]
+    assert reply["rejected"] == [t for t in oracle["rejected"] if t not in failed]
 
 
 def test_wrong_size_segment_reply_rejected(scripted):
