@@ -8,7 +8,7 @@ The pieces, roughly bottom-up:
 
 - :mod:`maskloop.fields`: the readers every JSON record read from outside
   goes through.
-- :mod:`maskloop.raster`: masks, images, exact distance transforms, RLE,
+- :mod:`maskloop.raster`: masks, images, the region's deepest pixel, RLE,
   PGM/PPM io, overlay rendering.
 - :mod:`maskloop.env`: tasks, actions, episode state and stepping.
 - :mod:`maskloop.expert`: the deterministic next-click rule.

@@ -5,8 +5,9 @@ The state is the current mask plus the full action history; a step hands
 the whole history to a segmenter, which returns the next mask, and the
 reward is the IoU of that mask against the target. There is no
 discounting anywhere. ``step`` is the transition alone: it neither scores
-the new mask nor ends the episode. The stop rules (tau_stop, max_steps)
-live in the one episode driver, ``trajgen.run_episode``.
+the new mask nor ends the episode. The limits (tau_stop, max_steps) are
+stated once, in ``EnvConfig.stop_reason``, and the one episode driver,
+``trajgen.run_episode``, applies them.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ class Task:
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Episode limits: step budget and the stop/keep thresholds."""
+    """Episode limits: the step budget and tau_stop, which ``stop_reason``
+    applies, and tau_diff, the generator's keep margin (trajgen.min_gain)."""
 
     max_steps: int = 7
     tau_stop: float = 0.95
@@ -151,6 +153,13 @@ class EnvConfig:
             raise ValueError(f"tau_stop out of [0, 1]: {self.tau_stop}")
         if not (0.0 <= self.tau_diff <= 1.0):
             raise ValueError(f"tau_diff out of [0, 1]: {self.tau_diff}")
+
+    def stop_reason(self, reward: float, step: int) -> str | None:
+        """Why an episode at ``reward`` after ``step`` steps ends (tau_stop
+        first, then max_steps), or None if it goes on."""
+        if reward >= self.tau_stop:
+            return STOP_TAU
+        return STOP_MAX if step >= self.max_steps else None
 
 
 INIT_EMPTY = "empty"

@@ -9,9 +9,10 @@ changing a byte. Two refinement modes over a batch of policy rollouts:
   * filter mode keeps whole rollouts whose final reward clears tau_star
     and trains on the kept set alone;
   * repair mode (refine_star_plus_verbose) reads each rollout's record,
-    keeps its actions up to the first one its keep rule rejects, and
-    lets the expert finish the episode; training then uses the seed
-    dataset plus the repaired rollouts.
+    keeps its actions up to the first one its keep rule rejects (a cut,
+    which it reports), and always lets the expert finish the episode
+    through run_episode; training then uses the seed dataset plus the
+    repaired rollouts.
 
 A keep rule is a function keep(reward_after, reward_before), as
 run_episode takes it; named_keep_rule maps star's names to one. A
@@ -39,7 +40,6 @@ from .segmenters import Segmenter
 from .trajgen import (
     Trajectory,
     expert_chooser,
-    generate_trajectory,
     min_gain,
     read_jsonl,
     record_episode,
@@ -173,31 +173,26 @@ def refine_star_plus_verbose(
     config: EnvConfig = EnvConfig(),
     keep: Callable[[float, float], bool] = positive_gain,
 ) -> tuple[Trajectory, bool]:
-    """Repair one rollout: keep improving actions, splice in the expert.
+    """Repair one rollout: keep improving actions, let the expert finish.
 
     Reads the rollout's record, so no kept step is segmented again. A
     recorded step is kept while ``keep(reward_after, reward_before)``
-    holds (see named_keep_rule). From the first rejected action onward the
-    record is invalid, so the expert takes over from the last kept mask
-    under the usual stop rules; with none rejected the rollout comes back
-    unchanged. Empty rollouts turn into plain expert episodes. Returns
-    (repaired trajectory, whether the expert took over).
+    holds (see named_keep_rule), and one after which ``config`` ends the
+    episode must be the record's last. From the last kept mask, or the
+    opening one, run_episode lets the expert finish under ``config``, cut
+    or not. Returns (repaired trajectory, whether the keep rule cut the
+    record).
     """
     if rollout_traj.task_id != task.id:
         raise ValueError(f"rollout for {rollout_traj.task_id!r} refined on {task.id!r}")
-    if not rollout_traj.steps:
-        return generate_trajectory(task, segmenter, config, rollout_traj.init), False
     recorded = rollout_traj.steps
     n = 0  # the kept prefix: steps before the first one the rule rejects
     for st in recorded:
         if not keep(st.reward_after, st.reward_before):
             break
         n += 1
-        ends = st.reward_after >= config.tau_stop or n >= config.max_steps
-        if ends and n < len(recorded):
+        if config.stop_reason(st.reward_after, n) is not None and n < len(recorded):
             raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
-    if n == len(recorded):
-        return rollout_traj, False
     kept = recorded[:n]
     state = envmod.reset(task, rollout_traj.init, segmenter)
     if kept:
@@ -206,7 +201,8 @@ def refine_star_plus_verbose(
         state = replace(state, step=n, mask=mask, history=state.history + actions)
     rest = run_episode(task, segmenter, config, state, expert_chooser(task), min_gain(config.tau_diff))
     steps = kept + tuple(rest.steps)
-    return replace(rollout_traj, steps=steps, final_reward=rest.reward, stop_reason=rest.stop_reason), True
+    repaired = replace(rollout_traj, steps=steps, final_reward=rest.reward, stop_reason=rest.stop_reason)
+    return repaired, n < len(recorded)
 
 
 def star_filter(trajectories: Sequence[Trajectory], tau_star: float) -> list[Trajectory]:

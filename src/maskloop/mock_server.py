@@ -44,7 +44,7 @@ from typing import Sequence
 from . import fields
 from .env import Action, Task
 from .expert import click_for
-from .policy import PromptConfig, format_action, miou_percent
+from .policy import PromptConfig, format_action, miou_line
 from .raster import (
     BitMask,
     NormBox,
@@ -114,12 +114,10 @@ class MockService:
             task, mask = self._overlay(payload)
         except ValueError as e:
             raise MockRequestError(str(e)) from None
-        pct = miou_percent(iou(mask, task.target))
+        text = miou_line(iou(mask, task.target))
         action = click_for(task, mask)
-        if action is None:
-            text = f"Current mIoU: {pct}"
-        else:
-            text = f"Current mIoU: {pct}\n{format_action(action, self.prompt_config.coord_format)}"
+        if action is not None:
+            text += "\n" + format_action(action, self.prompt_config.coord_format)
         return {"texts": [text] * n}
 
     def score(self, payload: dict) -> dict:
@@ -127,7 +125,7 @@ class MockService:
             task, mask = self._overlay(payload)
         except ValueError as e:
             raise MockRequestError(str(e)) from None
-        return {"text": f"Current mIoU: {miou_percent(iou(mask, task.target))}"}
+        return {"text": miou_line(iou(mask, task.target))}
 
     def handle(self, path: str, payload: dict) -> dict:
         if path == "/v1/segment":

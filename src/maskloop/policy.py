@@ -82,6 +82,11 @@ def miou_percent(reward: float) -> int:
     return round_half_up(100.0 * reward)
 
 
+def miou_line(reward: float) -> str:
+    """The grammar's score line, 'Current mIoU: NN', for a reward in [0, 1]."""
+    return f"Current mIoU: {miou_percent(reward)}"
+
+
 def _fmt_coord(v: float, coord_format: str) -> str:
     v += 0.0  # -0.0 + 0.0 is 0.0: the grammar prints no sign
     if coord_format == COORD_INT:

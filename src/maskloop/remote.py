@@ -321,7 +321,7 @@ def _post(endpoint: RemoteEndpoint, path: str, payload: dict) -> dict:
             raise RemoteError(f"POST {where} -> {status}: {data[:200].decode('utf-8', 'replace')}")
         try:
             reply = json.loads(data)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nesting too deep
             raise ProtocolError(f"POST {where}: non-JSON reply")
         if not isinstance(reply, dict):
             raise ProtocolError(f"POST {where}: reply is not a JSON object")

@@ -39,7 +39,7 @@ from .env import (
 )
 from .errors import FieldError, JsonlError
 from .expert import click_for
-from .policy import PromptConfig, format_action, miou_percent, render_prompt
+from .policy import PromptConfig, format_action, miou_line, render_prompt
 from .raster import (
     BitMask,
     GrayImage,
@@ -93,8 +93,8 @@ def run_episode(
     keep: Callable[[float, float], bool] | None = None,
 ) -> Episode:
     """The one episode loop, and the one place an episode ends: from
-    ``state``, before each step, once the reward reaches tau_stop, once the
-    step count reaches max_steps, or once ``choose(state)`` has no action
+    ``state``, before each step, once ``config.stop_reason`` names a limit
+    (tau_stop, then max_steps), or once ``choose(state)`` has no action
     (converged). Each step goes through env.step and is scored with
     env.reward; one that ``keep(reward_after, reward_before)`` rejects is
     dropped and ends the episode as low-impact (no ``keep``: keep all).
@@ -102,10 +102,9 @@ def run_episode(
     steps: list[TrajectoryStep] = []
     r = envmod.reward(state.mask, task.target)
     while True:
-        if r >= config.tau_stop:
-            return Episode(steps, r, envmod.STOP_TAU)
-        if state.step >= config.max_steps:
-            return Episode(steps, r, envmod.STOP_MAX)
+        reason = config.stop_reason(r, state.step)
+        if reason is not None:
+            return Episode(steps, r, reason)
         action = choose(state)
         if action is None:
             return Episode(steps, r, envmod.STOP_CONVERGED)
@@ -189,7 +188,7 @@ def render_sft(
         composite = render_overlay(task.image, mask, prompt_config.mask_color, prompt_config.alpha)
         text = format_action(st.action, prompt_config.coord_format)
         if prompt_config.miou_line:
-            text = f"Current mIoU: {miou_percent(st.reward_before)}\n{text}"
+            text = f"{miou_line(st.reward_before)}\n{text}"
         samples.append(SftSample(step_index=t, image=composite, prompt=prompt, target=text))
         mask = rle_decode(st.mask_after)
     return samples

@@ -24,7 +24,7 @@ from maskloop import env, mock_server
 from maskloop.errors import ReplayMismatchError
 from maskloop.expert import next_click
 from maskloop.raster import BitMask, deepest_pixel, edt_sq, rle_decode, rle_encode
-from maskloop.trajgen import Trajectory, TrajectoryStep, _disk_at, generate_trajectory
+from maskloop.trajgen import Trajectory, TrajectoryStep, _disk_at
 
 
 def brute_edt_sq(mask: np.ndarray) -> np.ndarray:
@@ -230,24 +230,23 @@ def replay_repair(traj, task, segmenter, config, keep_rule):
     env.step, score it with env.reward, fail on any mask that differs from
     the record, keep steps up to the first freshly computed gain the keep
     rule rejects, then let the expert click until a stop rule ends the
-    episode or a click gains less than tau_diff. The stop rules are applied
-    here, not by trajgen.run_episode: a kept step that reaches tau_stop or
-    max_steps ends the replay (a recorded action after it is an error), and
-    before each expert click tau_stop, then max_steps, then an exhausted
-    expert end the episode. A rollout whose every step is kept comes back
-    with its own stop reason unless a kept step ended the episode. Returns
-    (trajectory, whether the expert took over)."""
+    episode or a click gains less than tau_diff, whether or not a step was
+    cut. The stop rules are applied here, not by EnvConfig.stop_reason or
+    trajgen.run_episode: a kept step that reaches tau_stop or max_steps
+    ends the replay (a recorded action after it is an error), and before
+    each expert click tau_stop, then max_steps, then an exhausted expert
+    end the episode. Returns (trajectory, whether the keep rule cut the
+    record)."""
 
     def stop_reason(r, n):
         if r >= config.tau_stop:
             return env.STOP_TAU
         return env.STOP_MAX if n >= config.max_steps else None
 
-    if not traj.steps:
-        return generate_trajectory(task, segmenter, config, traj.init), False
     state = env.reset(task, traj.init, segmenter)
     r = env.reward(state.mask, task.target)
     steps = []
+    cut = False
     for i, rec in enumerate(traj.steps):
         after = env.step(state, rec.action, task, segmenter)
         if after.mask != rle_decode(rec.mask_after):
@@ -255,16 +254,12 @@ def replay_repair(traj, task, segmenter, config, keep_rule):
         r_after = env.reward(after.mask, task.target)
         gain = r_after - r
         if not (gain > 0.0 if keep_rule == "positive" else gain >= config.tau_diff):
+            cut = True
             break
         steps.append(rec)
         state, r = after, r_after
-        reason = stop_reason(r, state.step)
-        if reason is not None:
-            if i + 1 < len(traj.steps):
-                raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
-            return Trajectory(task.id, traj.init, tuple(steps), r, reason, traj.opening_mask), False
-    else:
-        return Trajectory(task.id, traj.init, tuple(steps), r, traj.stop_reason, traj.opening_mask), False
+        if stop_reason(r, state.step) is not None and i + 1 < len(traj.steps):
+            raise ReplayMismatchError(f"task {task.id}: rollout carries actions past the episode end")
     while (reason := stop_reason(r, state.step)) is None:
         action = next_click(state.mask, task.target)
         if action is None:
@@ -277,7 +272,7 @@ def replay_repair(traj, task, segmenter, config, keep_rule):
             break
         steps.append(TrajectoryStep(action, rle_encode(after.mask), r, r_after))
         state, r = after, r_after
-    return Trajectory(task.id, traj.init, tuple(steps), r, reason, traj.opening_mask), True
+    return Trajectory(task.id, traj.init, tuple(steps), r, reason, traj.opening_mask), cut
 
 
 # what an injected fault does to a request: answer 500 or 503, close the

@@ -9,6 +9,8 @@ from maskloop.env import (
     POSITIVE_CLICK,
     NEGATIVE_CLICK,
     BOX,
+    STOP_MAX,
+    STOP_TAU,
     Action,
     EnvConfig,
     InitSpec,
@@ -96,6 +98,14 @@ def test_env_config_validation():
         EnvConfig(tau_stop=1.5)
     with pytest.raises(ValueError):
         EnvConfig(tau_diff=-0.1)
+
+
+def test_stop_reason_checks_tau_stop_then_max_steps():
+    config = EnvConfig(max_steps=3, tau_stop=0.9)
+    assert config.stop_reason(0.89, 2) is None
+    assert config.stop_reason(0.9, 2) == STOP_TAU
+    assert config.stop_reason(0.5, 3) == STOP_MAX
+    assert config.stop_reason(1.0, 3) == STOP_TAU  # both hold: tau_stop names the stop
 
 
 # --- reset ---------------------------------------------------------------

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskloop.env import (
+    STOP_CONVERGED,
     STOP_LOW_IMPACT,
     STOP_MAX,
     STOP_TAU,
@@ -261,13 +261,13 @@ def _repair_cases(draw):
         init=lambda _: init,
     )
     assert failures == {}
-    return trajs[0], task, segmenter, config, draw(st.sampled_from(["positive", "tau_diff"])), tighter
+    return trajs[0], task, segmenter, config, draw(st.sampled_from(["positive", "tau_diff"]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_repair_cases())
 def test_refine_equals_replay_repair(case):
-    traj, task, segmenter, config, keep_rule, tighter = case
+    traj, task, segmenter, config, keep_rule = case
     # the oracle compares gains by the rule's name; refine takes the mapped function
     keep = named_keep_rule(keep_rule, config.tau_diff)
     try:
@@ -277,11 +277,30 @@ def test_refine_equals_replay_repair(case):
         with pytest.raises(ReplayMismatchError, match="past the episode end"):
             refine_star_plus_verbose(traj, task, segmenter, config, keep)
         return
-    if tighter and not expected[1]:
-        # an uncut rollout comes back as recorded, while the replay names
-        # its stop reason under the tighter config
-        expected = (replace(expected[0], stop_reason=traj.stop_reason), False)
     assert refine_star_plus_verbose(traj, task, segmenter, config, keep) == expected
+
+
+class OneClickPolicy(Policy):
+    """Proposes the expert's first click and then nothing, as a remote
+    policy does once its replies stop parsing."""
+
+    def propose(self, task, state, k, seed=None):
+        return ExpertPolicy().propose(task, state, k) if state.step == 0 else []
+
+
+def test_refine_lets_the_expert_finish_an_uncut_rollout():
+    task = _task(["##......", "##......", "........", ".....###", ".....###"])
+    trajs, _ = rollout(OneClickPolicy(), [task], OracleSegmenter())
+    traj = trajs[0]
+    assert len(traj.steps) == 1 and traj.stop_reason == STOP_CONVERGED
+    assert traj.final_reward < EnvConfig().tau_stop
+    refined, cut = refine_star_plus_verbose(traj, task, OracleSegmenter())
+    # nothing was cut, yet the record does not come back as it is: the
+    # expert clicks on from its last mask until a stop rule ends it
+    assert not cut
+    assert refined.steps[0] == traj.steps[0] and len(refined.steps) > 1
+    assert refined.final_reward == 1.0 and refined.stop_reason == STOP_TAU
+    assert (refined, cut) == replay_repair(traj, task, OracleSegmenter(), EnvConfig(), "positive")
 
 
 def test_refine_segments_only_the_expert_continuation():
@@ -294,7 +313,8 @@ def test_refine_segments_only_the_expert_continuation():
         seg = CountingSegmenter()
         refined, corrected = refine_star_plus_verbose(traj, by_id[traj.task_id], seg)
         if not corrected:
-            # a rollout with no cut comes back as it is, without a segment call
+            # an uncut rollout already ended by this config's limits, so the
+            # expert adds nothing and nothing is segmented
             assert refined == traj and seg.calls == 0
             continue
         n_corrected += 1

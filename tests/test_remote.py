@@ -749,6 +749,12 @@ def test_non_json_reply_is_protocol_error(scripted):
         call_prm(endpoint, _ANY, _ANY.target, "p")
 
 
+def test_a_reply_nested_too_deep_to_decode_is_protocol_error(scripted):
+    _, endpoint = scripted([(200, b"[" * 200_000 + b"]" * 200_000)])
+    with pytest.raises(ProtocolError, match="non-JSON reply"):
+        call_prm(endpoint, _ANY, _ANY.target, "p")
+
+
 def test_a_score_reply_out_of_range_is_a_protocol_error(scripted):
     body = json.dumps({"text": "Current mIoU: 150"}).encode()
     _, endpoint = scripted([(200, body)])
