@@ -6,6 +6,8 @@ alone loads none of them.
 
 The pieces, roughly bottom-up:
 
+- :mod:`maskloop.util`: seeds, rounding, a mean, the JSON writer and the
+  one task map every command that runs tasks goes through.
 - :mod:`maskloop.fields`: the readers every JSON record read from outside
   goes through.
 - :mod:`maskloop.raster`: masks, images, the region's deepest pixel, RLE,

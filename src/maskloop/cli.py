@@ -67,7 +67,7 @@ from .trajgen import (
     synth_tasks,
     write_jsonl,
 )
-from .util import map_tasks, mean, mix_seed, parallel_map, write_json
+from .util import map_tasks, mean, mix_seed, with_failures, write_json
 
 
 class UsageError(Exception):
@@ -168,19 +168,21 @@ class _Options(dict):
         return super().get(key, default)
 
 
-def _header(command: str, cfg: _Options) -> dict:
+def _header(command: str, cfg: _Options, failures: dict[str, str] | None = None) -> dict:
     """The reproducibility header: the seed, and the hash of the options the
-    run has read, which it names in ``options``; no later read may widen them."""
+    run has read, which it names in ``options``; no later read may widen them.
+    It names the run's failed tasks (``util.map_tasks``) only when there are any."""
     seed = cfg["seed"]
     options = sorted(cfg.read - set(_UNHASHED))
     blob = json.dumps({"command": command, "config": {k: cfg[k] for k in options}}, sort_keys=True)
     cfg.hashed = frozenset(options)
-    return {
+    header = {
         "command": command,
         "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16],
         "options": options,
         "seed": seed,
     }
+    return with_failures(header, failures)
 
 
 def _require(effective: dict, *keys: str) -> None:
@@ -474,8 +476,8 @@ def cmd_gen_traj(cfg: dict) -> None:
     def one(task: Task):
         return generate_trajectory(task, segmenter, env_config, init(task))
 
-    trajectories = parallel_map(one, tasks, cfg["jobs"])
-    manifest_path = _write_dataset(trajectories, cfg["out"], "generated", _header("gen-traj", cfg))
+    trajectories, failures = map_tasks("gen-traj", one, tasks, lambda task: task.id, cfg["jobs"])
+    manifest_path = _write_dataset(trajectories, cfg["out"], "generated", _header("gen-traj", cfg, failures))
     _emit(
         {
             "out": cfg["out"],
@@ -515,7 +517,8 @@ def cmd_render_sft(cfg: dict) -> None:
             recs.append({"image_path": rel, "prompt": sample.prompt, "target": sample.target})
         return recs
 
-    records = [rec for recs in parallel_map(one, work, cfg["jobs"]) for rec in recs]
+    rendered, _ = map_tasks("render-sft", one, work, lambda item: item[0].task_id, cfg["jobs"])  # no remote call
+    records = [rec for recs in rendered for rec in recs]
     samples_path = os.path.join(cfg["out"], "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -536,10 +539,7 @@ def cmd_rollout(cfg: dict) -> None:
     trajectories, failures = run_rollout(
         policy, tasks, segmenter, env_config, seed=cfg["seed"], init=init, jobs=cfg["jobs"]
     )
-    header = _header("rollout", cfg)
-    if failures:
-        header["failures"] = failures
-    manifest_path = _write_dataset(trajectories, cfg["out"], "rollout", header)
+    manifest_path = _write_dataset(trajectories, cfg["out"], "rollout", _header("rollout", cfg, failures))
     _emit(
         {
             "out": cfg["out"],
@@ -631,10 +631,7 @@ def cmd_search(cfg: dict) -> None:
         return rec
 
     results, failures = map_tasks("search", one, tasks, lambda task: task.id, cfg["jobs"])
-    header = _header("search", cfg)
-    if failures:
-        header["failures"] = failures
-    write_json(cfg["out"], {"header": header, "results": results})
+    write_json(cfg["out"], {"header": _header("search", cfg, failures), "results": results})
     _emit(
         {
             "out": cfg["out"],
@@ -679,7 +676,7 @@ def cmd_eval_noc(cfg: dict) -> None:
     def one(task: Task) -> tuple[int, bool]:
         return noc(task, segmenter, target_iou=target, cap=cap)
 
-    results = parallel_map(one, tasks, cfg["jobs"])
+    results, failures = map_tasks("eval-noc", one, tasks, lambda task: task.id, cfg["jobs"])
     counts = [c for c, _ in results]
     reached = [ok for _, ok in results]
     if cfg["hist_out"]:
@@ -688,13 +685,7 @@ def cmd_eval_noc(cfg: dict) -> None:
             writer.writerow(["click_count", "frequency"])
             for count, freq in noc_histogram(counts):
                 writer.writerow([count, freq])
-    _emit(
-        {
-            "mean_clicks": mean(counts),
-            "reached_fraction": mean(reached),
-            "n_tasks": len(counts),
-        }
-    )
+    _emit(with_failures({"mean_clicks": mean(counts), "reached_fraction": mean(reached), "n_tasks": len(counts)}, failures))
 
 
 def cmd_eval_regression(cfg: dict) -> None:
@@ -725,9 +716,7 @@ def cmd_eval_filter(cfg: dict) -> None:
         pairs.append((task, read_pgm_mask(path)))
     kept, rejected, failures = filter_masks(prm, pairs, cfg["threshold"])
     reply = {"kept": [t.id for t, _ in kept], "rejected": [t.id for t, _ in rejected], "threshold": cfg["threshold"]}
-    if failures:
-        reply["failures"] = failures
-    _emit(reply)
+    _emit(with_failures(reply, failures))
 
 
 def cmd_serve_mock(cfg: dict) -> None:

@@ -46,7 +46,7 @@ from .trajgen import (
     run_episode,
     write_jsonl,
 )
-from .util import map_tasks, mean, mix_seed, write_json
+from .util import map_tasks, mean, mix_seed, with_failures, write_json
 
 log = logging.getLogger(__name__)
 
@@ -244,7 +244,8 @@ def star_iteration(
     seed_data plus the repaired set. Rollouts start from an empty mask.
     Rollouts and repairs run on ``jobs`` threads without changing the
     output; a remote failure in either leaves that task out of the
-    iteration and counts in its report's n_failures. Returns the last
+    iteration, counts in its report's n_failures and is named under its
+    ``failures``, a key there only when a call failed. Returns the last
     training manifest (seed_data when n_iters is 0) and one report dict
     per iteration.
     """
@@ -287,14 +288,13 @@ def star_iteration(
         )
         manifest.save(os.path.join(out_dir, f"iter{it:02d}_manifest.json"))
         hook.invoke(train_path)
-        reports.append(
-            {
-                "iteration": it,
-                "n_rollouts": len(rollouts),
-                "n_failures": len(failures),
-                "n_corrections": n_corrections,
-                "mean_reward_raw": mean([t.final_reward for t in rollouts]),
-                "mean_reward_refined": mean([t.final_reward for t in refined]),
-            }
-        )
+        report = {
+            "iteration": it,
+            "n_rollouts": len(rollouts),
+            "n_failures": len(failures),
+            "n_corrections": n_corrections,
+            "mean_reward_raw": mean([t.final_reward for t in rollouts]),
+            "mean_reward_refined": mean([t.final_reward for t in refined]),
+        }
+        reports.append(with_failures(report, failures))
     return manifest, reports

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeding, rounding, a mean, the JSON writer, an ordered thread map."""
+"""Small shared helpers: seeding, rounding, a mean, the JSON writer, the one task map and its failure record."""
 
 from __future__ import annotations
 
@@ -45,32 +45,32 @@ def write_json(path: str, obj: object) -> None:
         fh.write("\n")
 
 
-def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """``[fn(item) for item in items]``, run on ``jobs`` threads when above 1.
-
-    Results keep the order of ``items``; the first exception raised by
-    ``fn``, in that order, propagates.
-    """
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def with_failures(record: dict, failures: dict[str, str] | None) -> dict:
+    """``record`` naming the failed tasks (task id -> message) under
+    ``failures``, a key there only when there are any."""
+    return {**record, "failures": failures} if failures else record
 
 
 def map_tasks(
     what: str, fn: Callable, items: Sequence, task_id: Callable[..., str], jobs: int
 ) -> tuple[list, dict[str, str]]:
-    """parallel_map that collects remote failures per task: a failed item
-    is logged and left out. Returns (results in item order, failure
-    messages keyed by task id)."""
+    """``fn`` over ``items`` on ``jobs`` threads (in this thread when 1 or
+    less); the one task map. An item whose call raises ``RemoteError`` or
+    ``ProtocolError`` is logged and left out; any other exception, the
+    first in item order, propagates. Returns (results in item order,
+    failure messages keyed by ``task_id(item)``)."""
 
-    def one(item):
+    def one(item) -> tuple[object, str | None]:
         try:
-            return fn(item)
+            return fn(item), None
         except (RemoteError, ProtocolError) as e:
             log.warning("%s failed for task %s: %s", what, task_id(item), e)
-            return str(e)
+            return None, str(e)
 
-    results = parallel_map(one, items, jobs)
-    failures = {task_id(x): r for x, r in zip(items, results) if isinstance(r, str)}
-    return [r for r in results if not isinstance(r, str)], failures
+    if jobs <= 1:
+        outcomes = [one(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(one, items))
+    failures = {task_id(x): e for x, (_, e) in zip(items, outcomes) if e is not None}
+    return [r for r, e in outcomes if e is None], failures

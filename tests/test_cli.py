@@ -399,6 +399,42 @@ def test_search_records_remote_failures_per_task(tmp_path, capsys, task_manifest
     assert all("POST http://127.0.0.1:9/v1/segment" in msg for msg in failures.values())
 
 
+_UNREACHABLE = ["--timeout", "0.2", "--max-retries", "0"]
+_NO_SEGMENTER = ["--segmenter", "remote", "--segmenter-url", "http://127.0.0.1:9", *_UNREACHABLE]
+
+
+def _header_failures(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)["header"]["failures"]
+
+
+@pytest.mark.parametrize(
+    "argv, failures_of",
+    [
+        (["gen-traj", "--out", "{d}/g.jsonl", *_NO_SEGMENTER], lambda out, d: _header_failures(f"{d}/g.jsonl.manifest.json")),
+        (["rollout", "--out", "{d}/r.jsonl", *_NO_SEGMENTER], lambda out, d: _header_failures(f"{d}/r.jsonl.manifest.json")),
+        (["eval-noc", *_NO_SEGMENTER], lambda out, d: out["failures"]),
+        (["search", "--out", "{d}/s.json", *_NO_SEGMENTER], lambda out, d: _header_failures(f"{d}/s.json")),
+        (["star", "--mode", "star", "--seed-data", "{seed}", "--out", "{d}/star", *_NO_SEGMENTER], lambda out, d: out["reports"][0]["failures"]),
+        (["star", "--mode", "star_plus", "--seed-data", "{seed}", "--out", "{d}/star", *_NO_SEGMENTER], lambda out, d: out["reports"][0]["failures"]),
+        (["eval-filter", "--masks", "{masks}", "--prm", "remote", "--prm-url", "http://127.0.0.1:9", *_UNREACHABLE], lambda out, d: out["failures"]),
+    ],
+    ids=["gen-traj", "rollout", "eval-noc", "search", "star", "star_plus", "eval-filter"],
+)
+def test_every_command_that_runs_tasks_names_each_task_whose_remote_call_fails(
+    tmp_path, capsys, task_manifest, argv, failures_of
+):
+    seed = str(tmp_path / "seed.jsonl")
+    if "{seed}" in argv:
+        assert run(capsys, "gen-traj", "--tasks", task_manifest, "--out", seed)[0] == 0
+    where = {"d": str(tmp_path), "seed": seed + ".manifest.json", "masks": str(tmp_path / "tasks" / "targets")}
+    code, out = run(capsys, argv[0], "--tasks", task_manifest, *(arg.format(**where) for arg in argv[1:]))
+    assert code == 0
+    failures = failures_of(out, str(tmp_path))
+    assert sorted(failures) == sorted(task.id for task in load_tasks(task_manifest))
+    assert all("POST http://127.0.0.1:9/v1/" in msg for msg in failures.values())
+
+
 def test_render_sft_command(tmp_path, capsys, task_manifest):
     traj_path = str(tmp_path / "trajs.jsonl")
     code, gen = run(capsys, "gen-traj", "--tasks", task_manifest, "--out", traj_path, "--init", "empty")

@@ -597,6 +597,7 @@ def test_star_plus_collects_repair_failures_per_task(tmp_path, caplog):
     )
     assert reports[0]["n_rollouts"] == 3
     assert reports[0]["n_failures"] == 1
+    assert list(reports[0]["failures"]) == [tasks[1].id]
     assert reports[0]["n_corrections"] == 2
     assert [t.task_id for t in read_jsonl(str(out / "iter01_refined.jsonl"))] == [tasks[0].id, tasks[2].id]
     assert len(final.trajectories) == len(seed_trajs) + 2
